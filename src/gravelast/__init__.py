@@ -1,7 +1,7 @@
 """Separable motions of a self-gravitating hyperelastic ball.
 
 The flow map factors as phi(t, R) = q(t) f(R): the spatial profile f comes
-from a contraction fixed point plus a bisection in the reference density,
+from a contraction fixed point plus a root search in the reference density,
 the amplitude q from the elementary ODE q**2 qddot = mu.
 """
 

@@ -180,7 +180,7 @@ def _write_solution(out: Path, sol: SolutionProfile, manifest: dict) -> None:
         "fprime0": sol.fprime0,
         "zeta_norm": float(np.max(np.abs(sol.zeta))),
         "picard_iterations": sol.diagnostics.iterations,
-        "bisection_iterations": sol.bisection_iterations,
+        "root_evaluations": sol.root_evaluations,
         "delta": sol.model.delta,
         "box": {
             "mu0": sol.box.mu0,
@@ -295,7 +295,7 @@ def _load_profile_dir(path: Path) -> tuple[SolutionProfile, dict]:
         zeta=cols["zeta"], f=cols["f"], fprime=cols["fprime"],
         lam=cols["lambda"], y=cols["y"], fprime0=float(cols["fprime"][0]),
         boundary_residual=float(model.dg(cols["y"][-1])),
-        diagnostics=None, bisection_iterations=0, box=box,
+        diagnostics=None, root_evaluations=0, box=box,
     )
     return profile, manifest
 

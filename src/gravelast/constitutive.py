@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -81,10 +82,17 @@ class ConstitutiveModel:
         near = np.abs(t) < EPS_E
         # Guard the quotient where it is not used.
         t_safe = np.where(near, 1.0, t)
-        raw = (self.h(y) - self.h(1.0)) / t_safe - self.dh(y)
-        series = -0.5 * self.d2h(1.0) * t - self.d3h(1.0) * t**2 / 3.0
+        h1, d2h1, d3h1 = self._h_at_1
+        raw = (self.h(y) - h1) / t_safe - self.dh(y)
+        series = -0.5 * d2h1 * t - d3h1 * t**2 / 3.0
         out = np.where(near, series, raw)
         return out if out.ndim else float(out)
+
+    @cached_property
+    def _h_at_1(self) -> tuple[float, float, float]:
+        """h and its second and third derivatives at y = 1, the constants of
+        E; evaluated once per model."""
+        return self.h(1.0), self.d2h(1.0), self.d3h(1.0)
 
     def U(self, y):
         """U(y) = 2(y - 1) + E(y)/g''(y) on the window |y - 1| <= delta."""
@@ -100,7 +108,7 @@ class ConstitutiveModel:
         """The alternative profile f(y) = y**(1/3) g(y); f'(1) = 0."""
         return y ** (1.0 / 3.0) * self.g(y)
 
-    @property
+    @cached_property
     def delta(self) -> float:
         """Admissible strain radius 10/g''(1).
 

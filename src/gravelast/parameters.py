@@ -9,7 +9,7 @@ All constants are closed forms in the gravitational constant G:
 
 Within the box, K(brho, mu) < 21/2 and the map being iterated shrinks
 distances by a factor around 0.12, so plain fixed-point iteration and a
-sign-change bisection in brho suffice downstream.
+bracketing sign-change search in brho suffice downstream.
 """
 
 from __future__ import annotations
@@ -42,11 +42,6 @@ def brho_minus(mu: float, G: float) -> float:
 def k_minimum(mu: float, G: float) -> float:
     """Closed-form minimum of brho -> K(brho, mu), attained at brho_minus."""
     return 1.5 * abs(mu) ** (2.0 / 3.0) * (EIGHT_PI_3 * G) ** (1.0 / 3.0)
-
-
-def epsilon_lower(brho: float, mu: float, G: float) -> float:
-    """epsilon(brho, mu) = (4 pi/3) G brho**(2/3) + mu brho**(-1/3)."""
-    return FOUR_PI_3 * G * brho ** (2.0 / 3.0) + mu * brho ** (-1.0 / 3.0)
 
 
 def mu_ceiling(G: float) -> float:

@@ -20,6 +20,8 @@ import numpy as np
 
 from .errors import DegenerateGeometry
 
+MOMENT_POWERS = (1, 2, 4)
+
 
 @dataclass(frozen=True)
 class RadialGrid:
@@ -41,6 +43,28 @@ class RadialGrid:
         r.setflags(write=False)
         return r
 
+    @cached_property
+    def moment_weights(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+        """Product-quadrature cell weights (w_left, w_right) for p in {1, 2, 4}.
+
+        The linear interpolant of v on cell [a, b] integrated exactly against
+        t**p gives w_left v(a) + w_right v(b); the weights depend only on the
+        grid and p, so they are built once per grid.
+        """
+        r = self.nodes
+        a, b = r[:-1], r[1:]
+        dr = b - a
+        weights = {}
+        for p in MOMENT_POWERS:
+            i1 = (b ** (p + 1) - a ** (p + 1)) / (p + 1)
+            i2 = (b ** (p + 2) - a ** (p + 2)) / (p + 2)
+            w_left = (b * i1 - i2) / dr
+            w_right = (i2 - a * i1) / dr
+            w_left.setflags(write=False)
+            w_right.setflags(write=False)
+            weights[p] = (w_left, w_right)
+        return weights
+
 
 def moment_integral(grid: RadialGrid, values: np.ndarray, p: int) -> np.ndarray:
     """Cumulative m_i = int_0^{R_i} t**p v(t) dt for all nodes.
@@ -51,18 +75,12 @@ def moment_integral(grid: RadialGrid, values: np.ndarray, p: int) -> np.ndarray:
     near-origin order loss a plain trapezoid on t**p v would suffer under
     the 1/R**(p+1) weightings of L and its inverse.
     """
-    if p not in (1, 2, 4):
+    if p not in MOMENT_POWERS:
         raise ValueError("moment power must be one of 1, 2, 4")
     v = np.asarray(values, dtype=float)
     if v.shape != (grid.n + 1,):
         raise ValueError("values must be sampled on the grid nodes")
-    r = grid.nodes
-    a, b = r[:-1], r[1:]
-    i1 = (b ** (p + 1) - a ** (p + 1)) / (p + 1)
-    i2 = (b ** (p + 2) - a ** (p + 2)) / (p + 2)
-    dr = b - a
-    w_left = (b * i1 - i2) / dr
-    w_right = (i2 - a * i1) / dr
+    w_left, w_right = grid.moment_weights[p]
     out = np.empty(grid.n + 1)
     out[0] = 0.0
     np.cumsum(w_left * v[:-1] + w_right * v[1:], out=out[1:])

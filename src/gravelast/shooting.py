@@ -1,21 +1,26 @@
-"""Bisection in the reference density for the stress-free boundary.
+"""Root search in the reference density for the stress-free boundary.
 
 For fixed mu the fixed point z(brho, mu) exists on the whole bracket
 [brho_lower, brho_plus] and the boundary mismatch brho -> g'(y(1)) is
 negative at the lower end and positive at the upper end, so a sign-change
-bisection lands on a root brho0(mu) with g'(y(1)) = 0.  Monotonicity of
-the mismatch is not guaranteed; bisection returns one root.
+search lands on a root brho0(mu) with g'(y(1)) = 0.  The search is Brent's
+method (Brent, Algorithms for Minimization without Derivatives, 1973):
+secant and inverse quadratic interpolation steps on the smooth mismatch,
+safeguarded by bisection so the bracket always shrinks around a sign
+change.  Monotonicity of the mismatch is not guaranteed; the search
+returns one root.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .constitutive import ConstitutiveModel
-from .errors import BracketFailure
+from .constitutive import ConstitutiveModel, ensure_validated
+from .errors import BracketFailure, SolverError
 from .fixed_point import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
@@ -27,7 +32,10 @@ from .radial import RadialGrid, reconstruct_geometry, y_at_boundary
 
 DEFAULT_TOL_BC = 1e-10
 DEFAULT_TOL_BRHO = 1e-12
-MAX_BISECTIONS = 200
+# Cap on the mismatch evaluations of one solve, the two bracket ends included.
+MAX_ROOT_EVALUATIONS = 200
+
+_EPS = np.finfo(float).eps
 
 
 @dataclass
@@ -56,8 +64,11 @@ class SolutionProfile:
     y: np.ndarray
     fprime0: float
     boundary_residual: float
-    diagnostics: PicardDiagnostics
-    bisection_iterations: int
+    # Picard record of the returned bracket point; None for a profile
+    # loaded from disk, which carries no solver history.
+    diagnostics: PicardDiagnostics | None
+    # Mismatch evaluations of the root search, the two bracket ends included.
+    root_evaluations: int
     box: ParameterBox
 
     def residual_report(self):
@@ -75,10 +86,80 @@ def boundary_mismatch(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
     box: ParameterBox | None = None,
+    zeta0: np.ndarray | None = None,
+    validate: bool = True,
 ) -> MismatchResult:
-    zeta, diag = picard_solve(model, brho, mu, G, grid, tol=tol, max_iter=max_iter, box=box)
+    """g'(y(1)) at the fixed point for (brho, mu); zeta0 and validate are
+    passed on to picard_solve."""
+    zeta, diag = picard_solve(
+        model, brho, mu, G, grid, tol=tol, max_iter=max_iter, box=box,
+        zeta0=zeta0, validate=validate,
+    )
     y1 = y_at_boundary(grid, zeta)
     return MismatchResult(value=float(model.dg(y1)), y1=y1, zeta=zeta, diagnostics=diag)
+
+
+def brent_root(
+    fn: Callable[[float], float],
+    a: float,
+    b: float,
+    fa: float,
+    fb: float,
+    xtol: float,
+    ftol: float,
+    max_evals: int,
+) -> tuple[float, int]:
+    """Brent's method on a bracket [a, b] with fa, fb of opposite signs.
+
+    Returns (x, evaluations of fn).  Stops once |fn(x)| < ftol, once the
+    bracket around the sign change is narrower than xtol (plus a few ulps
+    of x), or after max_evals evaluations.  x is the bracket end with the
+    smaller |fn|.
+    """
+    if not fa * fb < 0.0:
+        raise ValueError("brent_root needs a sign change between the bracket ends")
+    # b: current iterate; c: the other end of the bracket; a: previous b.
+    c, fc = a, fa
+    d = e = b - a
+    evals = 0
+    while True:
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, fa = b, fb
+            b, fb = c, fc
+            c, fc = a, fa
+        tol1 = 2.0 * _EPS * abs(b) + 0.5 * xtol
+        m = 0.5 * (c - b)
+        if fb == 0.0 or abs(fb) < ftol or abs(m) <= tol1 or evals >= max_evals:
+            return b, evals
+        if abs(e) >= tol1 and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:  # secant
+                p = 2.0 * m * s
+                q = 1.0 - s
+            else:  # inverse quadratic interpolation
+                q = fa / fc
+                r = fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            else:
+                p = -p
+            # Accept the interpolation only if it lands well inside the
+            # bracket and shrinks faster than the step before last.
+            if 2.0 * p < min(3.0 * m * q - abs(tol1 * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = m
+        else:
+            d = e = m
+        a, fa = b, fb
+        b += d if abs(d) > tol1 else math.copysign(tol1, m)
+        fb = fn(b)
+        evals += 1
 
 
 def solve_separable(
@@ -94,42 +175,46 @@ def solve_separable(
     """Find brho0(mu) with |g'(y(1))| < tol_bc and assemble the profile.
 
     tol_brho is relative to brho_plus and bounds the final bracket width if
-    the boundary tolerance is not hit first.
+    the boundary tolerance is not hit first.  The model is validated once
+    here; every Picard run after the two bracket ends starts from the
+    fixed point of the best bracket point so far.
     """
     if grid is None:
         grid = RadialGrid(512)
     if box is None:
         box = build_parameter_box(model, G)
+    else:
+        ensure_validated(model)
     box.check_mu(mu)
+
+    def evaluate(brho: float, zeta0: np.ndarray | None = None) -> MismatchResult:
+        return boundary_mismatch(
+            model, brho, mu, G, grid, tol=tol_picard, box=box, zeta0=zeta0, validate=False
+        )
 
     lo = box.brho_lower(mu)
     hi = box.brho_plus
-    res_lo = boundary_mismatch(model, lo, mu, G, grid, tol=tol_picard, box=box)
-    res_hi = boundary_mismatch(model, hi, mu, G, grid, tol=tol_picard, box=box)
+    res_lo = evaluate(lo)
+    res_hi = evaluate(hi)
     if not (res_lo.value < 0.0 < res_hi.value):
         raise BracketFailure(
             f"mismatch signs at bracket ends are ({res_lo.value:+.3e}, "
             f"{res_hi.value:+.3e}); expected (-, +)"
         )
 
-    best = res_lo if abs(res_lo.value) < abs(res_hi.value) else res_hi
-    best_brho = lo if best is res_lo else hi
-    bisections = 0
-    width_tol = tol_brho * box.brho_plus
-    while bisections < MAX_BISECTIONS:
-        mid = 0.5 * (lo + hi)
-        res = boundary_mismatch(model, mid, mu, G, grid, tol=tol_picard, box=box)
-        bisections += 1
+    best_brho, best = min((lo, res_lo), (hi, res_hi), key=lambda pair: abs(pair[1].value))
+
+    def mismatch(brho: float) -> float:
+        nonlocal best_brho, best
+        res = evaluate(brho, best.zeta)
         if abs(res.value) < abs(best.value):
-            best, best_brho = res, mid
-        if abs(res.value) < tol_bc:
-            break
-        if res.value < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < width_tol:
-            break
+            best_brho, best = brho, res
+        return res.value
+
+    _, evals = brent_root(
+        mismatch, lo, hi, res_lo.value, res_hi.value,
+        xtol=tol_brho * box.brho_plus, ftol=tol_bc, max_evals=MAX_ROOT_EVALUATIONS - 2,
+    )
 
     geo = reconstruct_geometry(grid, best.zeta)
     return SolutionProfile(
@@ -146,7 +231,7 @@ def solve_separable(
         fprime0=geo.fprime0,
         boundary_residual=best.value,
         diagnostics=best.diagnostics,
-        bisection_iterations=bisections,
+        root_evaluations=2 + evals,
         box=box,
     )
 
@@ -173,7 +258,11 @@ def sweep(
     tol_picard: float = DEFAULT_TOL,
     jobs: int = 1,
 ) -> list[SweepRow]:
-    """One solve per mu, in input order; failures captured per row."""
+    """One solve per mu, in input order.
+
+    A row whose solve raises a SolverError records the error and the sweep
+    goes on; any other exception is a bug and propagates.
+    """
     if grid is None:
         grid = RadialGrid(512)
     box = build_parameter_box(model, G)
@@ -184,7 +273,7 @@ def sweep(
                 model, mu, G, grid,
                 tol_bc=tol_bc, tol_brho=tol_brho, tol_picard=tol_picard, box=box,
             )
-        except Exception as exc:  # noqa: BLE001 - rows must not abort the sweep
+        except SolverError as exc:  # a failed row is data, not an abort
             return SweepRow(mu=mu, error=f"{type(exc).__name__}: {exc}")
         return SweepRow(
             mu=mu,

@@ -104,14 +104,15 @@ def residual_reformulation(
     """Sup-node residual of the reformulated equation plus the equivalence gap.
 
     The gap is sup |R g''(y) * (reformulated defect) - (separated defect)|
-    over R >= 2h; by the exact identity between the two forms it sits at
+    over R >= 2h, with both defects signed, so a sign error in either form
+    shows; by the exact identity between the two forms it sits at
     accumulation-roundoff level for any profile, solved or not.
     """
     sep, ref = _residual_arrays(model, profile)
     mask = _interior(profile)
     r = profile.grid.nodes[1:]
     gpp = model.d2g(profile.y[1:])
-    gap = np.abs(np.abs(ref) * r * gpp - np.abs(sep))
+    gap = np.abs(ref * r * gpp - sep)
     return float(np.max(np.abs(ref[mask]))), float(np.max(gap[mask]))
 
 

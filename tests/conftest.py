@@ -39,7 +39,7 @@ def reference_profile(model, box):
             zeta=np.zeros(n + 1), f=geo.f, fprime=geo.fprime, lam=geo.lam,
             y=geo.y, fprime0=geo.fprime0,
             boundary_residual=float(model.dg(geo.y[-1])),
-            diagnostics=None, bisection_iterations=0, box=box,
+            diagnostics=None, root_evaluations=0, box=box,
         )
 
     return make

@@ -1,7 +1,7 @@
 """End-to-end oracle: march the profile ODE as an initial-value problem.
 
 The solver produces (brho0, mu, f'(0)) through an integral fixed point plus
-bisection.  Here the second-order ODE
+a root search in brho.  Here the second-order ODE
 
     f'' = -(f' - lambda)(2 + U(y))/R + R V(lambda)/g''(y)
 

@@ -82,6 +82,31 @@ class TestPicard:
         assert np.array_equal(z1, z2)
         assert d1.updates == d2.updates
 
+    def test_warm_start_same_fixed_point(self, model, box, grid512):
+        cold, cold_diag = picard_solve(model, 1.3, 0.0, 1.0, grid512, box=box)
+        near, _ = picard_solve(model, 1.3 * (1.0 + 1e-7), 0.0, 1.0, grid512, box=box)
+        warm, warm_diag = picard_solve(model, 1.3, 0.0, 1.0, grid512, box=box, zeta0=near)
+        assert warm_diag.converged
+        assert warm_diag.iterations < cold_diag.iterations
+        assert np.max(np.abs(warm - cold)) <= 1e-13
+
+    def test_warm_start_keeps_checks(self, model, box, grid512):
+        with pytest.raises(ValueError):
+            picard_solve(model, 1.3, 0.0, 1.0, grid512, box=box, zeta0=np.zeros(5))
+        with pytest.raises(DomainExit):
+            picard_solve(
+                model, 1.3, 0.0, 1.0, grid512, box=box, zeta0=np.full(513, 4 * model.delta)
+            )
+
+    def test_validate_flag(self, model, box, grid512, monkeypatch):
+        calls = []
+        original = fp.ensure_validated
+        monkeypatch.setattr(fp, "ensure_validated", lambda m: calls.append(m) or original(m))
+        picard_solve(model, 1.3, 0.0, 1.0, grid512, box=box)
+        assert len(calls) == 1
+        picard_solve(model, 1.3, 0.0, 1.0, grid512, box=box, validate=False)
+        assert len(calls) == 1
+
     def test_grid_convergence(self, model, box):
         z512, _ = picard_solve(model, 1.8443, 0.0, 1.0, RadialGrid(512), box=box)
         z1024, _ = picard_solve(model, 1.8443, 0.0, 1.0, RadialGrid(1024), box=box)

@@ -62,6 +62,21 @@ class TestMomentIntegral:
             assert errs[0] <= 1.0 * (1 / 64) ** 2
             assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.2)
 
+    @pytest.mark.parametrize("n", [16, 512, 8192])
+    @pytest.mark.parametrize("p", [1, 2, 4])
+    def test_cached_weights_bit_identical(self, n, p):
+        # the weights rebuilt on every call, as before they were cached
+        g = RadialGrid(n)
+        v = np.random.default_rng(n + p).uniform(-1.0, 1.0, n + 1)
+        a, b = g.nodes[:-1], g.nodes[1:]
+        i1 = (b ** (p + 1) - a ** (p + 1)) / (p + 1)
+        i2 = (b ** (p + 2) - a ** (p + 2)) / (p + 2)
+        w_left = (b * i1 - i2) / (b - a)
+        w_right = (i2 - a * i1) / (b - a)
+        expected = np.concatenate(([0.0], np.cumsum(w_left * v[:-1] + w_right * v[1:])))
+        assert np.array_equal(moment_integral(g, v, p), expected)
+        assert np.array_equal(moment_integral(g, v, p), expected)
+
     def test_rejects_bad_power(self):
         g = RadialGrid(16)
         with pytest.raises(ValueError):

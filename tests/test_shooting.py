@@ -2,12 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gravelast.constitutive import EIGHT_PI_3, FOUR_PI_3, K
+from gravelast import constitutive, shooting
+from gravelast.constitutive import EIGHT_PI_3, FOUR_PI_3, K, make_builtin_model
 from gravelast.errors import ParameterOutOfRange
 from gravelast.parameters import build_parameter_box, k_minimum, mu_ceiling
 from gravelast.radial import RadialGrid
-from gravelast.shooting import boundary_mismatch, solve_separable, sweep
+from gravelast.shooting import (
+    DEFAULT_TOL_BC,
+    boundary_mismatch,
+    brent_root,
+    solve_separable,
+    sweep,
+)
 
 
 def bisect_oracle(fn, lo, hi, iters=200):
@@ -19,6 +28,34 @@ def bisect_oracle(fn, lo, hi, iters=200):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+class TestBrentRoot:
+    def test_cubic(self):
+        # Brent's own example: the real root of x**3 - 2x - 5
+        fn = lambda x: x**3 - 2.0 * x - 5.0  # noqa: E731
+        root, evals = brent_root(fn, 2.0, 3.0, fn(2.0), fn(3.0), xtol=1e-14, ftol=0.0, max_evals=100)
+        assert root == pytest.approx(bisect_oracle(fn, 2.0, 3.0), abs=2e-14)
+        assert evals <= 10
+
+    def test_step_falls_back_to_bisection(self):
+        # No interpolation helps on a jump; the safeguard still shrinks the
+        # bracket at least as fast as bisection, give or take a few steps.
+        fn = lambda x: -1.0 if x < 0.3 else 1.0  # noqa: E731
+        root, evals = brent_root(fn, 0.0, 1.0, -1.0, 1.0, xtol=1e-10, ftol=0.0, max_evals=200)
+        assert abs(root - 0.3) <= 1e-10
+        assert evals <= 3 * math.ceil(math.log2(1.0 / 1e-10))
+
+    def test_stops_at_ftol_and_max_evals(self):
+        fn = lambda x: x - 0.1  # noqa: E731
+        root, evals = brent_root(fn, -1.0, 1.0, fn(-1.0), fn(1.0), xtol=0.0, ftol=1e-3, max_evals=50)
+        assert abs(fn(root)) < 1e-3
+        _, evals = brent_root(fn, -1.0, 1.0, fn(-1.0), fn(1.0), xtol=0.0, ftol=0.0, max_evals=1)
+        assert evals == 1
+
+    def test_requires_sign_change(self):
+        with pytest.raises(ValueError):
+            brent_root(lambda x: 1.0, 0.0, 1.0, 1.0, 1.0, xtol=1e-12, ftol=0.0, max_evals=10)
 
 
 class TestParameterBox:
@@ -104,10 +141,58 @@ class TestSolve:
         assert abs(sol.boundary_residual) <= 1e-10
         assert box.brho_minus(mu) < sol.brho0 < box.brho_plus
 
-    def test_bisection_iteration_bound(self, model, box, solution_mu0):
+    def test_root_evaluation_bound(self, model, box, solution_mu0):
         width = box.brho_plus - box.brho_lower(0.0)
         bound = math.ceil(math.log2(width / (1e-12 * box.brho_plus))) + 2
-        assert solution_mu0.bisection_iterations <= bound
+        assert solution_mu0.root_evaluations <= bound
+
+    @pytest.mark.parametrize("frac", [-1.0, 0.0, 1.0])
+    def test_few_root_evaluations(self, model, box, grid512, frac):
+        sol = solve_separable(model, frac * box.mu0, 1.0, grid512, box=box)
+        assert sol.root_evaluations <= 12
+        assert abs(sol.boundary_residual) < 1e-10
+
+    @pytest.mark.parametrize("frac", [-1.0, 0.0, 1.0])
+    def test_brho0_matches_bisection_oracle(self, model, box, frac):
+        # 200 halvings of the bracket reach the float resolution of brho;
+        # the oracle and the solver see the same mismatch on the same grid.
+        grid = RadialGrid(256)
+        mu = frac * box.mu0
+        sol = solve_separable(model, mu, 1.0, grid, box=box)
+        root = bisect_oracle(
+            lambda r: boundary_mismatch(model, r, mu, 1.0, grid, box=box).value,
+            box.brho_lower(mu), box.brho_plus,
+        )
+        assert sol.brho0 == pytest.approx(root, rel=1e-9)
+
+    def test_validates_model_once(self, model, box, monkeypatch):
+        calls = []
+        original = constitutive.validate_model
+        monkeypatch.setattr(
+            constitutive, "validate_model", lambda m: calls.append(m) or original(m)
+        )
+        sol = solve_separable(model, 0.0, 1.0, RadialGrid(64), box=box)
+        assert sol.root_evaluations > 2
+        assert len(calls) == 1
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        kappa=st.floats(3053.0, 20000.0),
+        frac=st.floats(-1.0, 1.0),
+        n=st.sampled_from([32, 64, 128, 256]),
+    )
+    def test_solve_properties(self, kappa, frac, n):
+        model = make_builtin_model(kappa)
+        box = build_parameter_box(model, 1.0)
+        mu = frac * box.mu0
+        grid = RadialGrid(n)
+        lo = boundary_mismatch(model, box.brho_lower(mu), mu, 1.0, grid, box=box)
+        hi = boundary_mismatch(model, box.brho_plus, mu, 1.0, grid, box=box)
+        assert lo.value < 0.0 < hi.value
+        sol = solve_separable(model, mu, 1.0, grid, box=box)
+        assert abs(sol.f[-1] - 1.0) <= 1e-12
+        assert np.all(sol.fprime > 0.0) and np.all(sol.lam > 0.0)
+        assert abs(sol.boundary_residual) < DEFAULT_TOL_BC
 
     def test_rejects_mu_beyond_range(self, model, box):
         with pytest.raises(ParameterOutOfRange, match="mu outside proven range"):
@@ -147,6 +232,19 @@ class TestSweep:
         rows = sweep(model, 1.0, [0.0, 5 * box.mu0], RadialGrid(64))
         assert rows[0].error is None
         assert rows[1].error is not None and "ParameterOutOfRange" in rows[1].error
+
+    def test_non_solver_error_propagates(self, model, monkeypatch):
+        original = shooting.solve_separable
+
+        def broken(model, mu, *args, **kwargs):
+            if mu > 0:
+                raise RuntimeError("bug in a row")
+            return original(model, mu, *args, **kwargs)
+
+        monkeypatch.setattr(shooting, "solve_separable", broken)
+        assert sweep(model, 1.0, [0.0], RadialGrid(64))[0].error is None
+        with pytest.raises(RuntimeError, match="bug in a row"):
+            sweep(model, 1.0, [0.0, 1e-4], RadialGrid(64))
 
     def test_jobs_parallel_matches_serial(self, model):
         grid = RadialGrid(64)

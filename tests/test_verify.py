@@ -9,6 +9,7 @@ from gravelast.constitutive import (
     make_builtin_model,
     residual_pressure,
 )
+from gravelast import verify
 from gravelast.errors import NonconvexModel
 from gravelast.radial import RadialGrid
 from gravelast.shooting import solve_separable
@@ -71,6 +72,21 @@ class TestEquivalence:
         sup_ref, gap = residual_reformulation(model, probe)
         assert gap <= 1e-12 * (1.0 + sup_sep)
         assert sup_sep == pytest.approx(sup_ref * model.d2g(1.0), rel=1e-10)
+
+    @pytest.mark.parametrize("brho", [1.3, 2.0])
+    def test_sign_flip_detected(self, model, reference_profile, monkeypatch, brho):
+        # a reformulated defect with the wrong sign has the right magnitude;
+        # the signed gap must still exceed the CLI's max_equivalence
+        probe = reference_profile(brho=brho)
+        original = verify._residual_arrays
+
+        def flipped(model_, profile):
+            sep, ref = original(model_, profile)
+            return sep, -ref
+
+        monkeypatch.setattr(verify, "_residual_arrays", flipped)
+        _, gap = residual_reformulation(model, probe)
+        assert gap > 1e-8 * (1.0 + residual_separated(model, probe))
 
     def test_nonconvex_model_rejected(self, reference_profile):
         base = make_builtin_model(3100.0)
