@@ -12,10 +12,12 @@ CASES = [
     (0.001, -0.5),
     (0.0, 0.0),
     (0.0, 0.3),
+    (0.0, -0.5),      # free inward start: q = 0 at T = 2, exponent 1
     (-0.02, 0.2),     # e_eff = 0, expanding branch
     (-0.0008, -0.04), # e_eff = 0, collapsing branch
     (-0.001, 0.0),
     (-0.002, 0.01),
+    (-0.001, -0.5),   # e_eff > 0, inward unbound: still collapses
 ]
 
 
@@ -25,12 +27,12 @@ def main():
         tag = classify(mu, qdot0)
         t_col, alpha = "", ""
         if tag == "collapsing":
-            est = collapse_time(mu, qdot0, dt=0.01)
+            est = collapse_time(mu, qdot0)
             t_col, alpha = f"{est.time:12.6f}", f"{est.exponent:9.5f}"
         print(f"{mu:10.4f} {qdot0:8.3f} {e_effective(mu, qdot0):12.4e} {tag:>24} {t_col:>12} {alpha:>9}")
 
     print("\nfree-fall check: mu = -0.001 from rest vs pi/(2 sqrt(2|mu|))")
-    est = collapse_time(-0.001, 0.0, dt=0.01)
+    est = collapse_time(-0.001, 0.0)
     print(f"  T = {est.time:.6f}  vs  {math.pi / (2 * math.sqrt(0.002)):.6f}")
     sol = evolve_q(-0.001, 0.0, 30.0, 1e-3)
     print(f"  energy drift over [0, 30]: {sol.max_energy_drift:.2e}")

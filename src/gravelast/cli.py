@@ -7,6 +7,7 @@ no successful row, 5 verification threshold exceeded.
 from __future__ import annotations
 
 import argparse
+import math
 import re
 import sys
 import time
@@ -36,6 +37,7 @@ from .io import (
     read_config,
     read_float_columns,
     read_manifest,
+    sha256_of,
     write_csv,
     write_manifest,
 )
@@ -60,7 +62,6 @@ DEFAULTS = {
     "tol_brho": 1e-12,
     "qdot0": 0.0,
     "dt": 1e-3,
-    "jobs": 1,
     "max_residual": 1e-6,
     "max_equivalence": 1e-8,
     "max_boundary": 1e-8,
@@ -100,13 +101,12 @@ def _build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--mu-min", type=float, dest="mu_min", required=True)
     swp.add_argument("--mu-max", type=float, dest="mu_max", required=True)
     swp.add_argument("--steps", type=int, required=True)
-    swp.add_argument("--jobs", type=int, help="parallel rows (default 1)")
 
-    ev = sub.add_parser("evolve", parents=[shared], help="integrate the amplitude ODE")
+    ev = sub.add_parser("evolve", parents=[shared], help="sample the amplitude q(t)")
     ev.add_argument("--mu", type=float, help="eigenvalue (default: profile's, else 0)")
     ev.add_argument("--qdot0", type=float, help="initial amplitude rate (default 0)")
     ev.add_argument("--t-end", type=float, dest="t_end", required=True)
-    ev.add_argument("--dt", type=float, help="sample/integration step (default 1e-3)")
+    ev.add_argument("--dt", type=float, help="sample step (default 1e-3)")
     ev.add_argument("--snapshot-times", dest="snapshot_times",
                     help="comma-separated times for radial field snapshots")
     ev.add_argument("--profile", type=Path, help="directory of a solved profile")
@@ -138,6 +138,11 @@ def _load_config(args) -> dict:
     if not path.exists():
         raise UsageError(f"config file not found: {path}")
     return read_config(path)
+
+
+def _tolerances(args, config) -> dict[str, float]:
+    names = ("tol_picard", "tol_bc", "tol_brho")
+    return {k: float(_resolve(args, config, k, float)) for k in names}
 
 
 def _grid(args, config) -> RadialGrid:
@@ -198,13 +203,10 @@ def cmd_solve(args, argv) -> int:
     grid = _grid(args, config)
     G = float(_resolve(args, config, "G", float))
     mu = float(args.mu if args.mu is not None else config.get("mu", 0.0))
-    tols = {k: float(_resolve(args, config, k, float)) for k in ("tol_picard", "tol_bc", "tol_brho")}
+    tols = _tolerances(args, config)
 
     t0 = time.perf_counter()
-    sol = solve_separable(
-        model, mu, G, grid,
-        tol_bc=tols["tol_bc"], tol_brho=tols["tol_brho"], tol_picard=tols["tol_picard"],
-    )
+    sol = solve_separable(model, mu, G, grid, **tols)
     wall = time.perf_counter() - t0
 
     manifest = _manifest_skeleton(argv)
@@ -224,18 +226,13 @@ def cmd_sweep(args, argv) -> int:
     model = _model(args, config)
     grid = _grid(args, config)
     G = float(_resolve(args, config, "G", float))
-    jobs = int(_resolve(args, config, "jobs", int))
-    tols = {k: float(_resolve(args, config, k, float)) for k in ("tol_picard", "tol_bc", "tol_brho")}
+    tols = _tolerances(args, config)
     if args.steps < 0:
         raise UsageError("--steps must be >= 0")
     mu_values = np.linspace(args.mu_min, args.mu_max, args.steps) if args.steps else []
 
     t0 = time.perf_counter()
-    rows = sweep_rows(
-        model, G, mu_values, grid,
-        tol_bc=tols["tol_bc"], tol_brho=tols["tol_brho"], tol_picard=tols["tol_picard"],
-        jobs=jobs,
-    )
+    rows = sweep_rows(model, G, mu_values, grid, **tols)
     wall = time.perf_counter() - t0
 
     out = args.out
@@ -256,7 +253,7 @@ def cmd_sweep(args, argv) -> int:
     manifest = _manifest_skeleton(argv)
     manifest.update(
         model=model.spec_string(), G=G, N=grid.n,
-        mu_min=args.mu_min, mu_max=args.mu_max, steps=args.steps, jobs=jobs,
+        mu_min=args.mu_min, mu_max=args.mu_max, steps=args.steps,
         tolerances={"picard": tols["tol_picard"], "bc": tols["tol_bc"], "brho": tols["tol_brho"]},
         wall_time_s=wall,
         results={"rows": len(rows), "succeeded": n_ok,
@@ -279,6 +276,8 @@ def _load_profile_dir(path: Path) -> tuple[SolutionProfile, dict]:
         raise UsageError(f"missing profile: {csv_path}")
     try:
         manifest = read_manifest(manifest_path)
+        if sha256_of(csv_path) != manifest["files"][PROFILE_FILE]["sha256"]:
+            raise UsageError(f"{csv_path} does not match the sha256 in {manifest_path}")
         model = parse_model_spec(manifest["model"])
         G = float(manifest["G"])
         mu = float(manifest["mu"])
@@ -317,6 +316,8 @@ def cmd_evolve(args, argv) -> int:
             )
     else:
         mu = float(args.mu if args.mu is not None else config.get("mu", 0.0))
+    if not (math.isfinite(mu) and math.isfinite(qdot0)):
+        raise UsageError("mu and qdot0 must be finite")
 
     snapshot_times = []
     if args.snapshot_times:
@@ -328,13 +329,13 @@ def cmd_evolve(args, argv) -> int:
             model = _model(args, config)
             grid = _grid(args, config)
             G = float(_resolve(args, config, "G", float))
-            profile = solve_separable(model, mu, G, grid)
+            profile = solve_separable(model, mu, G, grid, **_tolerances(args, config))
 
     t0 = time.perf_counter()
     temporal = evolve_q(mu, qdot0, args.t_end, dt)
     collapse = None
     if temporal.regime == REGIME_COLLAPSING:
-        est = collapse_time(mu, qdot0, dt=min(dt, 1e-3))
+        est = collapse_time(mu, qdot0)
         collapse = {"T": est.time, "exponent": est.exponent, "prefactor": est.prefactor}
     wall = time.perf_counter() - t0
 

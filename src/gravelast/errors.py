@@ -50,8 +50,8 @@ class NotCollapsing(SolverError):
     """Collapse diagnostics requested for a non-collapsing trajectory."""
 
 
-class StepSizeTooLarge(SolverError):
-    """Energy drift of the time integrator exceeded tolerance."""
+class KeplerNotConverged(SolverError):
+    """Newton's method left a Kepler-equation residual above roundoff."""
 
 
 class OutOfRange(SolverError):

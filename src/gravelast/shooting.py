@@ -256,7 +256,6 @@ def sweep(
     tol_bc: float = DEFAULT_TOL_BC,
     tol_brho: float = DEFAULT_TOL_BRHO,
     tol_picard: float = DEFAULT_TOL,
-    jobs: int = 1,
 ) -> list[SweepRow]:
     """One solve per mu, in input order.
 
@@ -285,10 +284,4 @@ def sweep(
             bc_residual=sol.boundary_residual,
         )
 
-    mu_list = [float(m) for m in mu_values]
-    if jobs > 1 and len(mu_list) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(run, mu_list))
-    return [run(mu) for mu in mu_list]
+    return [run(float(mu)) for mu in mu_values]

@@ -1,30 +1,49 @@
-"""Amplitude dynamics q**2 qddot = mu, q(0) = 1.
+"""Amplitude dynamics q**2 qddot = mu, q(0) = 1, qdot(0) = qdot0, in closed form.
 
-The conserved quantity is E = qdot**2/2 + mu/q, whose initial value
-e_eff = qdot0**2/2 + mu classifies the motion: positive means asymptotically
-linear expansion, zero splits into self-similar expansion, the stationary
-state q = 1, or collapse according to the sign of qdot0, and negative means
-finite-time collapse with local rate (T - t)**(2/3).
+This is the radial Kepler problem (Battin, An Introduction to the Mathematics
+and Methods of Astrodynamics, radial orbits). The energy E = qdot**2/2 + mu/q
+is conserved at e_eff = qdot0**2/2 + mu, and every trajectory is one branch
+of a conic, parametrised by an anomaly x with A = |mu|/(2|e_eff|) and the
+clock unit k = sqrt(A**3/|mu|):
 
-Closed forms are used exactly when mu = 0 (free linear motion) and when
-e_eff = 0 (q = (1 + 1.5 qdot0 t)**(2/3)); everything else integrates with
-classical RK4 under an energy-drift watchdog.
+* mu = 0 (to 1e-300): free linear motion, q = 1 + qdot0 t;
+* e_eff = 0 (to 1e-14): the self-similar q = (1 + 1.5 qdot0 t)**(2/3);
+* mu < 0, e_eff < 0: q = A(1 - cos x) = 2A sin(x/2)**2, t = k(x - sin x) + c;
+* mu < 0, e_eff > 0: q = A(cosh x - 1) = 2A sinh(x/2)**2, t = k(sinh x - x) + c;
+* mu > 0:            q = A(cosh x + 1) = 2A cosh(x/2)**2, t = k(sinh x + x) + c.
+
+A time sample is found by Newton's method on Kepler's equation, vectorised
+over the samples and safeguarded by a bracket; q = eps inverts to x with no
+iteration, so collapse and threshold passage times are closed forms.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from .errors import NotCollapsing, OutOfRange, StepSizeTooLarge
+from .errors import KeplerNotConverged, NotCollapsing, OutOfRange
 from .radial import moment_integral
 from .shooting import SolutionProfile
 
 E_EFF_ZERO_TOL = 1e-14
+# Below this |mu| the motion is free: gravity moves q by about |mu| t**2/2,
+# lost to rounding for any t under 1e142, while the conic's clock t/k and
+# scale A leave the float range.
+MU_FREE = 1e-300
 Q_MIN_STOP = 1e-6
-DEFAULT_ENERGY_TOL = 1e-6
+NEWTON_MAX_ITER = 60  # Newton needs a handful; the cap bounds bisection
+KEPLER_RTOL = 1e-12
+# Below this anomaly x - sin x and sinh x - x are summed from their Taylor
+# series: the direct differences lose every digit as x -> 0 (near-parabolic
+# orbits and samples near collapse).
+SERIES_CUTOFF = 1.0
+# (sinh x - x) / (x**3/6) = sum_j c_j x**(2j), c_j = 3!/(2j + 3)!; ten terms
+# reach roundoff for |x| <= 1. Highest power first, for np.polyval.
+_SERIES = np.array([6.0 / math.factorial(2 * j + 3) for j in range(10)])[::-1]
 
 REGIME_LINEAR = "linear-expanding"
 REGIME_SELF_SIMILAR = "self-similar-expanding"
@@ -33,12 +52,23 @@ REGIME_COLLAPSING = "collapsing"
 
 
 def e_effective(mu: float, qdot0: float) -> float:
-    return 0.5 * qdot0 * qdot0 + mu
+    """qdot0**2/2 + mu, correctly rounded.
+
+    Near-parabolic starts cancel the two terms, and the collapse time of a
+    long bound orbit, T ~ |e_eff|**-1.5, needs e_eff to the last bit.
+    """
+    return float(Fraction(qdot0) ** 2 / 2 + Fraction(mu))
 
 
 def classify(mu: float, qdot0: float) -> str:
-    """Regime tag from the sign of e_eff, with sign(qdot0) breaking the tie
-    at e_eff = 0 (decided with absolute tolerance 1e-14)."""
+    """Regime tag of the trajectory.
+
+    "collapsing" for every start that reaches q = 0: e_eff < 0, or mu <= 0
+    (to MU_FREE) with qdot0 < 0 (e_eff = 0 decided with absolute tolerance
+    1e-14). Other starts expand: self-similarly at e_eff = 0 with qdot0 > 0,
+    linearly for e_eff > 0; e_eff = 0 with qdot0 = 0 is the stationary
+    state q = 1.
+    """
     e = e_effective(mu, qdot0)
     if abs(e) <= E_EFF_ZERO_TOL:
         if qdot0 > 0:
@@ -46,7 +76,9 @@ def classify(mu: float, qdot0: float) -> str:
         if qdot0 < 0:
             return REGIME_COLLAPSING
         return REGIME_STATIONARY
-    return REGIME_LINEAR if e > 0 else REGIME_COLLAPSING
+    if e < 0 or (mu < MU_FREE and qdot0 < 0):
+        return REGIME_COLLAPSING
+    return REGIME_LINEAR
 
 
 @dataclass
@@ -61,7 +93,111 @@ class TemporalSolution:
     energy_drift: np.ndarray
     max_energy_drift: float
     stopped_early: bool
-    closed_form: str | None
+
+
+def _x_minus_sin(x):
+    x = np.asarray(x, dtype=float)
+    return np.where(x < SERIES_CUTOFF, x**3 / 6 * np.polyval(_SERIES, -x * x), x - np.sin(x))
+
+
+def _sinh_minus_x(x):
+    x = np.asarray(x, dtype=float)
+    return np.where(x < SERIES_CUTOFF, x**3 / 6 * np.polyval(_SERIES, x * x), np.sinh(x) - x)
+
+
+def _kepler_invert(S, dS, y: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The x in [0, hi] with S(x) = y, for S increasing and convex, S(0) = 0.
+
+    Newton's method from the upper bound hi descends monotonically onto the
+    root; a step that leaves the bracket, which only roundoff can cause,
+    bisects it instead. KeplerNotConverged is raised unless the Kepler
+    equation holds to KEPLER_RTOL when the iteration stops.
+    """
+    lo = np.zeros_like(y)
+    x = hi
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(NEWTON_MAX_ITER):
+            f = S(x) - y
+            lo = np.where(f < 0, x, lo)
+            hi = np.where(f > 0, x, hi)
+            x_new = x - f / dS(x)
+            x_new = np.where((x_new >= lo) & (x_new <= hi), x_new, 0.5 * (lo + hi))
+            done = np.all(np.abs(x_new - x) <= 4.0 * np.finfo(float).eps * x_new)
+            x = x_new
+            if done:
+                break
+    excess = np.abs(S(x) - y) - KEPLER_RTOL * y
+    if not np.all(excess <= 0):  # NaN too: a clock beyond the float range
+        raise KeplerNotConverged(
+            f"Kepler equation residual exceeds {KEPLER_RTOL:g} * clock by "
+            f"{float(np.max(excess)):.3e} after {NEWTON_MAX_ITER} Newton steps"
+        )
+    return x
+
+
+def _conic(mu: float, qdot0: float) -> tuple[float, float, float, float]:
+    """(A, k, v, y0) of the conic branch through q = 1, qdot = qdot0 (e_eff != 0).
+
+    v = sqrt(2|e_eff|) = sqrt(|mu|/A) is the speed scale, y0 the Kepler clock
+    t/k + const at t = 0: from the nearer q = 0 (mu < 0) or pericentre (mu > 0).
+    """
+    e = e_effective(mu, qdot0)
+    a = abs(mu) / (2.0 * abs(e))
+    v = math.sqrt(2.0 * abs(e))
+    if mu > 0:  # sinh(x/2)**2 = cosh(x/2)**2 - 1 = qdot0**2/(2 mu) at q = 1
+        x0 = 2.0 * math.asinh(qdot0 / math.sqrt(2.0 * mu))
+        y0 = float(np.sinh(x0) + x0)  # inf, caught by the residual check
+    elif e > 0:  # sinh(x/2)**2 = 1/(2A) at q = 1
+        y0 = float(_sinh_minus_x(2.0 * math.asinh(math.sqrt(1.0 / (2.0 * a)))))
+    else:  # cot(x/2) = |qdot|/v; well conditioned at the apex, unlike asin
+        y0 = float(_x_minus_sin(2.0 * math.atan2(v, abs(qdot0))))
+    return a, a / v, v, y0
+
+
+def _amplitude(mu: float, qdot0: float, t) -> tuple[np.ndarray, np.ndarray]:
+    """q(t) and qdot(t) in closed form; samples at or past collapse get q = 0."""
+    t = np.asarray(t, dtype=float)
+    e = e_effective(mu, qdot0)
+    if abs(mu) < MU_FREE:
+        return np.maximum(1.0 + qdot0 * t, 0.0), np.full_like(t, qdot0)
+    if abs(e) <= E_EFF_ZERO_TOL:
+        base = np.maximum(1.0 + 1.5 * qdot0 * t, 0.0)
+        with np.errstate(divide="ignore"):
+            return base ** (2.0 / 3.0), qdot0 * base ** (-1.0 / 3.0)
+
+    a, k, v, y0 = _conic(mu, qdot0)
+    if mu > 0:
+        clock = y0 + t / k
+        y = np.abs(clock)
+        x = np.sign(clock) * _kepler_invert(
+            lambda s: np.sinh(s) + s, lambda s: np.cosh(s) + 1.0, y,
+            np.minimum(np.arcsinh(y), 0.5 * y),
+        )
+        return 2.0 * a * np.cosh(0.5 * x) ** 2, v * np.tanh(0.5 * x)
+
+    if e > 0:
+        sign = 1.0 if qdot0 > 0 else -1.0
+        y = np.maximum(y0 + sign * t / k, 0.0)
+        cube = np.cbrt(6.0 * y)  # sinh x - x >= x**3/6
+        x = _kepler_invert(
+            _sinh_minus_x, lambda s: 2.0 * np.sinh(0.5 * s) ** 2, y,
+            np.minimum(cube, np.arcsinh(y + cube)),
+        )
+        with np.errstate(divide="ignore"):
+            return 2.0 * a * np.sinh(0.5 * x) ** 2, sign * v / np.tanh(0.5 * x)
+
+    # Bound orbit: x rises to pi at the apex, then counts down to collapse
+    # at 0, where the clock is (T - t)/k.
+    rising = (qdot0 > 0) & (y0 + t / k < math.pi)
+    falling = np.maximum((2.0 * math.pi - y0 if qdot0 >= 0 else y0) - t / k, 0.0)
+    y = np.where(rising, y0 + t / k, falling)
+    # x**3/6 >= x - sin x >= x**3/12 on [0, pi]
+    x = _kepler_invert(
+        _x_minus_sin, lambda s: 2.0 * np.sin(0.5 * s) ** 2, y,
+        np.minimum(np.cbrt(12.0 * y), math.pi),
+    )
+    with np.errstate(divide="ignore"):
+        return 2.0 * a * np.sin(0.5 * x) ** 2, np.where(rising, v, -v) / np.tan(0.5 * x)
 
 
 def _sample_times(t_end: float, dt: float) -> np.ndarray:
@@ -72,115 +208,48 @@ def _sample_times(t_end: float, dt: float) -> np.ndarray:
     return times
 
 
-def _rk4_step(mu: float, q: float, qd: float, dt: float) -> tuple[float, float]:
-    def acc(qv: float) -> float:
-        return mu / (qv * qv)
-
-    k1q, k1v = qd, acc(q)
-    q2 = q + 0.5 * dt * k1q
-    k2q, k2v = qd + 0.5 * dt * k1v, acc(q2)
-    q3 = q + 0.5 * dt * k2q
-    k3q, k3v = qd + 0.5 * dt * k2v, acc(q3)
-    q4 = q + dt * k3q
-    k4q, k4v = qd + dt * k3v, acc(q4)
-    return (
-        q + dt / 6.0 * (k1q + 2.0 * k2q + 2.0 * k3q + k4q),
-        qd + dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v),
-    )
-
-
 def evolve_q(
     mu: float,
     qdot0: float,
     t_end: float,
     dt: float,
     q_min_stop: float = Q_MIN_STOP,
-    energy_tol: float = DEFAULT_ENERGY_TOL,
-    force_rk4: bool = False,
 ) -> TemporalSolution:
     """Sample q(t), qdot(t) on t = 0, dt, 2 dt, ..., t_end.
 
-    Integration stops early (recorded, not an error) once q would drop below
-    q_min_stop; the ODE is singular at q = 0.  StepSizeTooLarge is raised if
-    the energy invariant drifts by more than energy_tol * (1 + |e_eff|).
+    The samples stop early (recorded, not an error) before the first one
+    with q < q_min_stop; the ODE is singular at q = 0. energy_drift is the
+    roundoff of the energy invariant along the samples.
     """
     if dt <= 0 or t_end <= 0:
         raise ValueError("t_end and dt must be positive")
     e_eff = e_effective(mu, qdot0)
-    regime = classify(mu, qdot0)
     times = _sample_times(t_end, dt)
-
-    closed_form = None
-    if not force_rk4:
-        if mu == 0.0:
-            closed_form = "linear"
-        elif abs(e_eff) <= E_EFF_ZERO_TOL:
-            closed_form = "self-similar"
-
-    stopped = False
-    if closed_form == "linear":
-        q = 1.0 + qdot0 * times
-        qd = np.full_like(times, qdot0)
-        keep = q >= q_min_stop
-        stopped = not np.all(keep)
-        times, q, qd = times[keep], q[keep], qd[keep]
-    elif closed_form == "self-similar":
-        base = 1.0 + 1.5 * qdot0 * times
-        keep = base >= q_min_stop ** 1.5
-        stopped = not np.all(keep)
-        times, base = times[keep], base[keep]
-        q = base ** (2.0 / 3.0)
-        qd = qdot0 * base ** (-1.0 / 3.0)
-    else:
-        ts = [0.0]
-        qs = [1.0]
-        qds = [qdot0]
-        qc, qdc = 1.0, qdot0
-        for j in range(1, len(times)):
-            step = times[j] - times[j - 1]
-            # Near collapse the contraction timescale q/|qdot| shrinks below
-            # any fixed dt; stop while the step still resolves it rather than
-            # integrate into the q = 0 singularity.
-            if qdc < 0 and step > 0.05 * qc / -qdc:
-                stopped = True
-                break
-            qn, qdn = _rk4_step(mu, qc, qdc, step)
-            if qn < q_min_stop:
-                stopped = True
-                break
-            qc, qdc = qn, qdn
-            ts.append(times[j])
-            qs.append(qc)
-            qds.append(qdc)
-        times = np.array(ts)
-        q = np.array(qs)
-        qd = np.array(qds)
+    q, qd = _amplitude(mu, qdot0, times)
+    below = q < q_min_stop
+    stopped = bool(below.any())
+    if stopped:
+        n = int(np.argmax(below))
+        times, q, qd = times[:n], q[:n], qd[:n]
 
     drift = 0.5 * qd * qd + mu / q - e_eff
-    max_drift = float(np.max(np.abs(drift))) if drift.size else 0.0
-    if max_drift > energy_tol * (1.0 + abs(e_eff)):
-        raise StepSizeTooLarge(
-            f"energy drift {max_drift:.3e} exceeds "
-            f"{energy_tol:g} * (1 + |e_eff|); reduce dt"
-        )
     return TemporalSolution(
         mu=mu,
         qdot0=qdot0,
         e_eff=e_eff,
-        regime=regime,
+        regime=classify(mu, qdot0),
         t=times,
         q=q,
         qdot=qd,
         energy_drift=drift,
-        max_energy_drift=max_drift,
+        max_energy_drift=float(np.max(np.abs(drift))) if drift.size else 0.0,
         stopped_early=stopped,
-        closed_form=closed_form,
     )
 
 
 @dataclass
 class CollapseEstimate:
-    """Collapse time from threshold extrapolation plus the local rate fit."""
+    """Collapse time and threshold passages in closed form, plus the local rate fit."""
 
     time: float
     exponent: float
@@ -188,75 +257,44 @@ class CollapseEstimate:
     threshold_times: dict[float, float]
 
 
+def _time_to_collapse(mu: float, qdot0: float, q: np.ndarray) -> tuple[float, np.ndarray]:
+    """Collapse time T, and T - t at the last passage through each 0 < q < 1."""
+    e = e_effective(mu, qdot0)
+    speed = -qdot0
+    if abs(mu) < MU_FREE:
+        return 1.0 / speed, q / speed
+    if abs(e) <= E_EFF_ZERO_TOL:
+        return 1.0 / (1.5 * speed), q**1.5 / (1.5 * speed)
+    a, k, _, y0 = _conic(mu, qdot0)
+    half = np.sqrt(q / (2.0 * a))
+    if e > 0:
+        return k * y0, k * _sinh_minus_x(2.0 * np.arcsinh(half))
+    big_t = k * (y0 if qdot0 < 0 else 2.0 * math.pi - y0)
+    return big_t, k * _x_minus_sin(2.0 * np.arcsin(half))
+
+
 def collapse_time(
     mu: float,
     qdot0: float,
-    dt: float = 1e-3,
     thresholds: tuple[float, ...] = (1e-2, 1e-3, 1e-4),
 ) -> CollapseEstimate:
-    """Estimate the collapse time T and the local exponent in q ~ c (T-t)**a.
+    """Collapse time T and the local exponent in q ~ c (T-t)**a.
 
-    First-passage times at the thresholds follow T - t_k proportional to
-    eps_k**(3/2) for the 2/3 rate, so the geometric extrapolation below is
-    exact in the limit; the exponent is then fit over the last threshold
-    decade of the trajectory.
+    T and the first-passage times at the thresholds (each in (0, 1)) are
+    exact; the exponent and prefactor are fit over the last threshold
+    decade, on the closed form sampled at 40 values of q.
     """
     if classify(mu, qdot0) != REGIME_COLLAPSING:
         raise NotCollapsing(f"(mu={mu:g}, qdot0={qdot0:g}) does not collapse")
     thresholds = tuple(sorted(thresholds, reverse=True))
+    if not 0.0 < thresholds[-1] <= thresholds[0] < 1.0:
+        raise ValueError(f"thresholds must lie in (0, 1), got {thresholds}")
 
-    e_eff = e_effective(mu, qdot0)
-    fit_lo, fit_hi = thresholds[-1], thresholds[-1] * 10.0
-
-    if abs(e_eff) <= E_EFF_ZERO_TOL:
-        # q = (1 + 1.5 qdot0 t)**(2/3) exactly; qdot0 < 0 here.
-        passage = {eps: (eps**1.5 - 1.0) / (1.5 * qdot0) for eps in thresholds}
-        qs_fit = np.geomspace(fit_lo, fit_hi, 40)
-        ts_fit = (qs_fit**1.5 - 1.0) / (1.5 * qdot0)
-    else:
-        passage = {}
-        pending = list(thresholds)
-        t, q, qd = 0.0, 1.0, qdot0
-        traj_t, traj_q = [0.0], [1.0]
-        max_steps = 20_000_000
-        for _ in range(max_steps):
-            step = dt if qd >= 0 else min(dt, 0.02 * q / abs(qd))
-            qn, qdn = _rk4_step(mu, q, qd, step)
-            while qn <= 0.0:
-                step *= 0.5
-                qn, qdn = _rk4_step(mu, q, qd, step)
-            while pending and qn < pending[0]:
-                eps = pending.pop(0)
-                # Bisect the sub-step for the crossing time.
-                lo_s, hi_s = 0.0, step
-                for _ in range(80):
-                    mid = 0.5 * (lo_s + hi_s)
-                    qm, _ = _rk4_step(mu, q, qd, mid)
-                    if qm > eps:
-                        lo_s = mid
-                    else:
-                        hi_s = mid
-                passage[eps] = t + 0.5 * (lo_s + hi_s)
-            t, q, qd = t + step, qn, qdn
-            traj_t.append(t)
-            traj_q.append(q)
-            if not pending:
-                break
-        else:
-            raise StepSizeTooLarge("collapse integration did not reach thresholds")
-        traj_t = np.array(traj_t)
-        traj_q = np.array(traj_q)
-        sel = (traj_q >= fit_lo) & (traj_q <= fit_hi)
-        ts_fit = traj_t[sel]
-        qs_fit = traj_q[sel]
-
-    rho = (thresholds[-2] / thresholds[-1]) ** 1.5
-    t_prev, t_last = passage[thresholds[-2]], passage[thresholds[-1]]
-    big_t = t_last + (t_last - t_prev) / (rho - 1.0)
-
-    logs = np.log(big_t - ts_fit)
-    logq = np.log(qs_fit)
-    slope, intercept = np.polyfit(logs, logq, 1)
+    big_t, to_go = _time_to_collapse(mu, qdot0, np.array(thresholds))
+    passage = {eps: float(big_t - w) for eps, w in zip(thresholds, to_go)}
+    qs_fit = np.geomspace(thresholds[-1], thresholds[-1] * 10.0, 40)
+    _, to_go_fit = _time_to_collapse(mu, qdot0, qs_fit)
+    slope, intercept = np.polyfit(np.log(to_go_fit), np.log(qs_fit), 1)
     return CollapseEstimate(
         time=float(big_t),
         exponent=float(slope),
@@ -276,57 +314,22 @@ class MotionSnapshot:
     mass: float
 
 
-def _amplitude_at(temporal: TemporalSolution, t: float) -> tuple[float, float]:
-    if temporal.closed_form == "linear":
-        return 1.0 + temporal.qdot0 * t, temporal.qdot0
-    if temporal.closed_form == "self-similar":
-        base = 1.0 + 1.5 * temporal.qdot0 * t
-        return base ** (2.0 / 3.0), temporal.qdot0 * base ** (-1.0 / 3.0)
-    ts = temporal.t
-    j = int(np.searchsorted(ts, t, side="right")) - 1
-    if j >= len(ts) - 1:
-        return float(temporal.q[-1]), float(temporal.qdot[-1])
-    # Cubic Hermite on (q, qdot) over the bracketing interval.
-    h = ts[j + 1] - ts[j]
-    s = (t - ts[j]) / h
-    h00 = (1 + 2 * s) * (1 - s) ** 2
-    h10 = s * (1 - s) ** 2
-    h01 = s * s * (3 - 2 * s)
-    h11 = s * s * (s - 1)
-    q = (
-        h00 * temporal.q[j]
-        + h10 * h * temporal.qdot[j]
-        + h01 * temporal.q[j + 1]
-        + h11 * h * temporal.qdot[j + 1]
-    )
-    d00 = 6 * s * (s - 1)
-    d10 = (1 - s) * (1 - 3 * s)
-    d01 = -d00
-    d11 = s * (3 * s - 2)
-    qd = (
-        d00 * temporal.q[j] / h
-        + d10 * temporal.qdot[j]
-        + d01 * temporal.q[j + 1] / h
-        + d11 * temporal.qdot[j + 1]
-    )
-    return float(q), float(qd)
-
-
 def assemble_motion(
     profile: SolutionProfile, temporal: TemporalSolution, t: float
 ) -> MotionSnapshot:
     """Radial fields of the motion phi(t, R) = q(t) f(R) at one time.
 
-    The density comes from mass conservation through the deformation
-    determinant, rho = brho / (q**3 f' lambda**2); the total mass equals
-    (4 pi/3) brho independent of t.
+    t must lie within the trajectory's samples. The density comes from mass
+    conservation through the deformation determinant,
+    rho = brho / (q**3 f' lambda**2); the total mass equals (4 pi/3) brho
+    independent of t.
     """
     tiny = 1e-12 * max(1.0, abs(float(temporal.t[-1])))
     if t < temporal.t[0] - tiny or t > temporal.t[-1] + tiny:
         raise OutOfRange(
             f"t = {t:g} outside computed samples [{temporal.t[0]:g}, {temporal.t[-1]:g}]"
         )
-    q, qd = _amplitude_at(temporal, float(t))
+    q, qd = (float(v) for v in _amplitude(temporal.mu, temporal.qdot0, float(t)))
     if q <= 0:
         raise OutOfRange(f"q(t) = {q:g} not positive at t = {t:g}")
 

@@ -6,6 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kepler_oracles import mp_amplitude
+
+from gravelast import cli
 from gravelast.cli import main
 from gravelast.io import (
     fmt,
@@ -18,6 +21,39 @@ from gravelast.io import (
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def _copy_profile(solved_dir, dest, edit_row=lambda parts: parts, rehash=True):
+    """Copy of a solved profile with each CSV data row passed through edit_row.
+
+    With rehash the manifest records the edited file's sha256, as if the
+    edited profile had been written that way.
+    """
+    dest.mkdir()
+    lines = (solved_dir / "profile.csv").read_text().splitlines()
+    rows = [",".join(edit_row(row.split(","))) for row in lines[2:]]
+    (dest / "profile.csv").write_text("\n".join(lines[:2] + rows) + "\n")
+    manifest = json.loads((solved_dir / "manifest.json").read_text())
+    if rehash:
+        manifest["files"]["profile.csv"]["sha256"] = sha256_of(dest / "profile.csv")
+    (dest / "manifest.json").write_text(json.dumps(manifest))
+    return dest
+
+
+def _flip_one_digit(solved_dir, dest):
+    """Copy of a solved profile with one digit of one f value changed."""
+    flipped = []
+
+    def edit(parts):
+        if not flipped and parts[0] == fmt(0.5):
+            digit = parts[2][-3]
+            parts[2] = parts[2][:-3] + str((int(digit) + 1) % 10) + parts[2][-2:]
+            flipped.append(parts[2])
+        return parts
+
+    _copy_profile(solved_dir, dest, edit, rehash=False)
+    assert flipped
+    return dest
 
 
 @pytest.fixture(scope="module")
@@ -138,16 +174,6 @@ class TestSweep:
                    "--N", "64", "--out", tmp_path / "swbad")
         assert code == 4
 
-    def test_jobs_flag_deterministic(self, tmp_path):
-        outs = []
-        for name, jobs in (("j1", "1"), ("j3", "3")):
-            out = tmp_path / name
-            assert run("sweep", "--mu-min", "-1e-3", "--mu-max", "1e-3",
-                       "--steps", "3", "--N", "64", "--jobs", jobs,
-                       "--out", out) == 0
-            outs.append(sha256_of(out / "sweep.csv"))
-        assert outs[0] == outs[1]
-
 
 class TestEvolve:
     def test_stationary(self, tmp_path):
@@ -173,6 +199,11 @@ class TestEvolve:
         assert run("evolve", "--mu", "0", "--qdot0", "0", "--t-end", "-1",
                    "--out", tmp_path / "x") == 2
 
+    @pytest.mark.parametrize("mu,qdot0", [("inf", "0"), ("0", "nan")])
+    def test_non_finite_start_rejected(self, tmp_path, mu, qdot0):
+        assert run("evolve", "--mu", mu, "--qdot0", qdot0, "--t-end", "1",
+                   "--out", tmp_path / "x") == 2
+
     def test_snapshots_from_profile(self, tmp_path, solved_dir):
         out = tmp_path / "evs"
         code = run("evolve", "--profile", solved_dir, "--qdot0", "0.5",
@@ -188,6 +219,45 @@ class TestEvolve:
         assert manifest["results"]["snapshots"]["snapshot_001.csv"][
             "mass"
         ] == pytest.approx(4 * math.pi / 3 * solved["brho0"], rel=1e-9)
+
+    def test_profile_hash_mismatch_rejected(self, tmp_path, solved_dir, capsys):
+        broken = _flip_one_digit(solved_dir, tmp_path / "flipped")
+        assert run("evolve", "--profile", broken, "--qdot0", "0.5", "--t-end", "1",
+                   "--snapshot-times", "0.5", "--out", tmp_path / "ef") == 2
+        assert "does not match the sha256" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "mu,big_t",
+        [("0", 2.0), ("-0.001", float(mp_amplitude(-0.001, -0.5, 0.0)[2]))],
+    )
+    def test_inward_start_reports_collapse(self, tmp_path, mu, big_t):
+        # e_eff > 0, yet an attracting or free inward start reaches q = 0
+        out = tmp_path / "evin"
+        assert run("evolve", "--mu", mu, "--qdot0", "-0.5", "--t-end", "3",
+                   "--out", out) == 0
+        results = json.loads((out / "manifest.json").read_text())["results"]
+        assert results["regime"] == "collapsing"
+        assert results["e_eff"] > 0
+        assert results["collapse"]["T"] == pytest.approx(big_t, rel=1e-12)
+        assert results["stopped_early"]
+        t = read_float_columns(out / "temporal.csv", ("t",))["t"]
+        assert big_t - 1e-3 <= t[-1] < big_t
+
+    def test_inline_solve_uses_resolved_tolerances(self, tmp_path, monkeypatch):
+        seen = {}
+        original = cli.solve_separable
+
+        def spy(*args, **kwargs):
+            seen.update(kwargs)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "solve_separable", spy)
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("tol_bc = 1e-9\ntol_brho = 1e-11\ntol_picard = 1e-12\n")
+        assert run("evolve", "--mu", "0", "--t-end", "1", "--N", "64",
+                   "--snapshot-times", "0.5", "--config", cfg,
+                   "--tol-bc", "2e-9", "--out", tmp_path / "evt") == 0
+        assert seen == {"tol_bc": 2e-9, "tol_brho": 1e-11, "tol_picard": 1e-12}
 
     def test_mu_conflict_with_profile(self, tmp_path, solved_dir):
         assert run("evolve", "--profile", solved_dir, "--mu", "1e-4",
@@ -211,20 +281,20 @@ class TestVerify:
         assert "verdict = pass" in report
 
     def test_scaled_f_column_fails(self, tmp_path, solved_dir):
-        broken = tmp_path / "broken"
-        broken.mkdir()
-        (broken / "manifest.json").write_text(
-            (solved_dir / "manifest.json").read_text()
-        )
-        lines = (solved_dir / "profile.csv").read_text().splitlines()
-        head, rows = lines[:2], lines[2:]
-        out_rows = []
-        for row in rows:
-            parts = row.split(",")
+        def scale_f(parts):
             parts[2] = fmt(1.01 * float(parts[2]))
-            out_rows.append(",".join(parts))
-        (broken / "profile.csv").write_text("\n".join(head + out_rows) + "\n")
+            return parts
+
+        broken = _copy_profile(solved_dir, tmp_path / "broken", scale_f)
         assert run("verify", "--profile", broken, "--out", tmp_path / "vb") == 5
+
+    def test_hash_mismatch_rejected(self, tmp_path, solved_dir, capsys):
+        broken = _flip_one_digit(solved_dir, tmp_path / "flipped")
+        assert run("verify", "--profile", broken, "--out", tmp_path / "vf") == 2
+        assert "does not match the sha256" in capsys.readouterr().err
+        assert not (tmp_path / "vf" / "report.txt").exists()
+        intact = _copy_profile(solved_dir, tmp_path / "intact")
+        assert run("verify", "--profile", intact, "--out", tmp_path / "vi") == 0
 
     def test_missing_manifest(self, tmp_path, solved_dir):
         partial = tmp_path / "partial"
@@ -246,19 +316,11 @@ class TestVerify:
         assert run("verify", "--profile", broken, "--out", tmp_path / "vbn") == 2
 
     def test_corrupt_zeta_column_fails(self, tmp_path, solved_dir):
-        broken = tmp_path / "zbroken"
-        broken.mkdir()
-        (broken / "manifest.json").write_text(
-            (solved_dir / "manifest.json").read_text()
-        )
-        lines = (solved_dir / "profile.csv").read_text().splitlines()
-        head, rows = lines[:2], lines[2:]
-        out_rows = []
-        for row in rows:
-            parts = row.split(",")
+        def shift_zeta(parts):
             parts[1] = fmt(float(parts[1]) + 1e-4)  # columns stay consistent
-            out_rows.append(",".join(parts))
-        (broken / "profile.csv").write_text("\n".join(head + out_rows) + "\n")
+            return parts
+
+        broken = _copy_profile(solved_dir, tmp_path / "zbroken", shift_zeta)
         assert run("verify", "--profile", broken, "--out", tmp_path / "vz") == 5
 
 

@@ -245,11 +245,3 @@ class TestSweep:
         assert sweep(model, 1.0, [0.0], RadialGrid(64))[0].error is None
         with pytest.raises(RuntimeError, match="bug in a row"):
             sweep(model, 1.0, [0.0, 1e-4], RadialGrid(64))
-
-    def test_jobs_parallel_matches_serial(self, model):
-        grid = RadialGrid(64)
-        mus = [0.0, 1e-4, -1e-4]
-        serial = sweep(model, 1.0, mus, grid, jobs=1)
-        parallel = sweep(model, 1.0, mus, grid, jobs=3)
-        assert [r.brho0 for r in serial] == [r.brho0 for r in parallel]
-        assert [r.mu for r in parallel] == mus

@@ -2,21 +2,26 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from kepler_oracles import mp_amplitude, rk4_amplitude
 
-from gravelast.errors import NotCollapsing, OutOfRange, StepSizeTooLarge
+from gravelast import temporal as temporal_mod
+from gravelast.errors import KeplerNotConverged, NotCollapsing, OutOfRange
 from gravelast.temporal import (
     REGIME_COLLAPSING,
     REGIME_LINEAR,
     REGIME_SELF_SIMILAR,
     REGIME_STATIONARY,
+    _amplitude,
     assemble_motion,
     classify,
     collapse_time,
     e_effective,
     evolve_q,
 )
+
+EPS = np.finfo(float).eps
 
 
 class TestClassify:
@@ -33,6 +38,9 @@ class TestClassify:
             (-0.0008, -0.04, REGIME_COLLAPSING),
             (-0.001, 0.0, REGIME_COLLAPSING),
             (-0.001, 0.01, REGIME_COLLAPSING),
+            # inward starts with e_eff > 0 reach q = 0 unless mu repels
+            (-0.001, -0.5, REGIME_COLLAPSING),
+            (0.0, -0.5, REGIME_COLLAPSING),
         ],
     )
     def test_decision_table(self, mu, qdot0, expected):
@@ -43,7 +51,10 @@ class TestClassify:
         mu=st.floats(-1.0, 1.0, allow_nan=False),
         qdot0=st.floats(-2.0, 2.0, allow_nan=False),
     )
+    @example(mu=1e-310, qdot0=-0.5)
     def test_depends_only_on_e_eff_and_velocity_sign(self, mu, qdot0):
+        # ... and, for e_eff > 0 with an inward start, on the sign of mu:
+        # an attracting or free inward start reaches q = 0.
         e = e_effective(mu, qdot0)
         tag = classify(mu, qdot0)
         if abs(e) <= 1e-14:
@@ -52,9 +63,20 @@ class TestClassify:
                 else REGIME_COLLAPSING if qdot0 < 0
                 else REGIME_STATIONARY
             )
+        elif e < 0 or (qdot0 < 0 and mu < temporal_mod.MU_FREE):
+            expected = REGIME_COLLAPSING
         else:
-            expected = REGIME_LINEAR if e > 0 else REGIME_COLLAPSING
+            expected = REGIME_LINEAR
         assert tag == expected
+
+    @pytest.mark.parametrize(
+        "mu,qdot0",
+        [(-0.001, -0.5), (0.0, -0.5), (0.001, -0.5), (-0.001, 0.3),
+         (-0.001, 0.0), (-0.0008, -0.04), (-0.02, 0.2)],
+    )
+    def test_tag_matches_trajectory(self, mu, qdot0):
+        sol = evolve_q(mu, qdot0, 100.0, 0.01)
+        assert sol.stopped_early == (classify(mu, qdot0) == REGIME_COLLAPSING)
 
 
 class TestEvolve:
@@ -62,7 +84,6 @@ class TestEvolve:
         sol = evolve_q(0.0, 0.5, 2.0, 0.01)
         assert sol.q[-1] == 2.0
         assert np.all(sol.qdot == 0.5)
-        assert sol.closed_form == "linear"
 
     def test_stationary(self):
         sol = evolve_q(0.0, 0.0, 1.0, 1e-3)
@@ -72,20 +93,19 @@ class TestEvolve:
     def test_self_similar_closed_form(self):
         sol = evolve_q(-0.02, 0.2, 1.0, 1e-3)
         assert sol.q[-1] == pytest.approx(1.3 ** (2 / 3), abs=1e-15)
-        assert sol.closed_form == "self-similar"
 
+    # The RK4 oracle of the tests, checked against the self-similar form.
     def test_rk4_matches_self_similar_form(self):
-        sol = evolve_q(-0.02, 0.2, 1.0, 1e-3, force_rk4=True)
-        assert abs(sol.q[-1] - 1.3 ** (2 / 3)) <= 1e-10
+        q, _ = rk4_amplitude(-0.02, 0.2, 1.0, 1000)
+        assert abs(q - 1.3 ** (2 / 3)) <= 1e-10
 
     def test_rk4_fourth_order(self):
         # halving dt shrinks the terminal error against the closed form >= 14x
         exact = 2.5 ** (2 / 3)
         err = {}
-        for dt in (0.02, 0.01):
-            sol = evolve_q(-0.5, 1.0, 1.0, dt, force_rk4=True)
-            err[dt] = abs(sol.q[-1] - exact)
-        assert err[0.02] / err[0.01] >= 14.0
+        for steps in (50, 100):
+            err[steps] = abs(rk4_amplitude(-0.5, 1.0, 1.0, steps)[0] - exact)
+        assert err[50] / err[100] >= 14.0
 
     def test_energy_conservation(self):
         for mu in (0.001, -0.001):
@@ -110,9 +130,31 @@ class TestEvolve:
         assert sol.stopped_early
         assert sol.t[-1] < 2.0
 
-    def test_step_size_watchdog(self):
-        with pytest.raises(StepSizeTooLarge):
-            evolve_q(0.001, 0.0, 1.0, 0.1, energy_tol=0.0, force_rk4=True)
+    def test_kepler_residual_check(self, monkeypatch):
+        # bound, attractive unbound and repulsive branches
+        starts = [(-0.001, 0.01), (-0.001, -0.3), (0.001, -0.5)]
+        for mu, qdot0 in starts:
+            assert evolve_q(mu, qdot0, 3.0, 0.01).t[-1] > 2.0
+        monkeypatch.setattr(temporal_mod, "NEWTON_MAX_ITER", 1)
+        for mu, qdot0 in starts:
+            with pytest.raises(KeplerNotConverged):
+                evolve_q(mu, qdot0, 3.0, 0.01)
+
+    def test_tiny_mu_is_free_motion(self):
+        for mu in (5e-324, -1e-310):
+            sol = evolve_q(mu, 0.5, 1.0, 0.25)
+            assert np.array_equal(sol.q, 1.0 + 0.5 * sol.t)
+        assert collapse_time(-1e-310, -0.5).time == 2.0
+        # a Kepler clock beyond the float range fails the residual check
+        with np.errstate(all="ignore"), pytest.raises(KeplerNotConverged):
+            evolve_q(1e-290, 0.5, 1e20, 1e15)
+
+    def test_stops_before_first_sample_below_q_min(self):
+        sol = evolve_q(-0.001, -0.3, 5.0, 1e-3, q_min_stop=1e-3)
+        assert sol.stopped_early
+        assert np.all(sol.q >= 1e-3)
+        q_next, _ = _amplitude(-0.001, -0.3, sol.t[-1] + 1e-3)
+        assert q_next < 1e-3
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
@@ -152,11 +194,11 @@ class TestCollapseTime:
 
     def test_negative_energy_numeric(self):
         mu = -0.001
-        est = collapse_time(mu, 0.0, dt=0.01)
+        est = collapse_time(mu, 0.0)
         # free-fall time of q'' = mu/q^2 from rest: pi / (2 sqrt(2 |mu|))
         t_ff = math.pi / (2 * math.sqrt(2 * abs(mu)))
-        assert est.time == pytest.approx(t_ff, rel=1e-5)
-        assert 0.64 <= est.exponent <= 0.69
+        assert est.time == pytest.approx(t_ff, rel=1e-12)
+        assert est.exponent == pytest.approx(2.0 / 3.0, abs=1e-3)
         assert est.prefactor == pytest.approx((9 * abs(mu) / 2) ** (1 / 3), rel=1e-2)
 
     @pytest.mark.parametrize(
@@ -164,9 +206,9 @@ class TestCollapseTime:
         [(-0.001, 0.0), (-0.002, 0.01), (-0.003, -0.02), (-0.05, 0.1)],
     )
     def test_energy_integral_oracle(self, mu, qdot0):
-        est = collapse_time(mu, qdot0, dt=0.01)
-        assert est.time == pytest.approx(collapse_time_oracle(mu, qdot0), rel=1e-8)
-        assert 0.64 <= est.exponent <= 0.69
+        est = collapse_time(mu, qdot0)
+        assert est.time == pytest.approx(collapse_time_oracle(mu, qdot0), rel=1e-12)
+        assert est.exponent == pytest.approx(2.0 / 3.0, abs=1e-3)
 
     def test_turnaround_trajectory(self):
         # outward start with e_eff < 0 rises to q_max = |mu|/|e_eff|, then falls
@@ -181,6 +223,34 @@ class TestCollapseTime:
         assert set(est.threshold_times) == {1e-2, 1e-3, 1e-4}
         ts = [est.threshold_times[e] for e in (1e-2, 1e-3, 1e-4)]
         assert ts[0] < ts[1] < ts[2] < est.time
+
+    @pytest.mark.parametrize("mu,qdot0", [(-0.002, 0.01), (-0.001, -0.3), (0.0, -0.5)])
+    def test_threshold_times_invert_the_amplitude(self, mu, qdot0):
+        est = collapse_time(mu, qdot0)
+        for eps, t in est.threshold_times.items():
+            q, qd = _amplitude(mu, qdot0, t)
+            # q is ill-conditioned in t near collapse: allow cond * 8 eps
+            assert q == pytest.approx(eps, rel=1e-13 + 8 * EPS * abs(t * qd / q))
+
+    def test_linear_collapse(self):
+        est = collapse_time(0.0, -0.5)
+        assert est.time == 2.0
+        assert est.exponent == pytest.approx(1.0, abs=1e-12)
+        assert est.prefactor == pytest.approx(0.5, rel=1e-12)
+
+    def test_inward_unbound_exponent(self):
+        # A = |mu|/(2 e_eff) = 4e-3: the last default decade [1e-4, 1e-3] is
+        # not yet asymptotic, a decade far below A is.
+        coarse = collapse_time(-0.001, -0.5)
+        fine = collapse_time(-0.001, -0.5, thresholds=(1e-6, 1e-7, 1e-8))
+        assert fine.time == coarse.time
+        assert abs(fine.exponent - 2.0 / 3.0) <= 1e-3 < abs(coarse.exponent - 2.0 / 3.0)
+
+    def test_thresholds_must_lie_below_one(self):
+        with pytest.raises(ValueError):
+            collapse_time(-0.001, 0.0, thresholds=(2.0, 1e-3))
+        with pytest.raises(ValueError):
+            collapse_time(-0.001, 0.0, thresholds=(1e-2, 0.0))
 
     def test_not_collapsing(self):
         with pytest.raises(NotCollapsing):
@@ -212,18 +282,16 @@ class TestAssembleMotion:
             assert snap.mass == pytest.approx(expected, rel=1e-6)
             assert np.all(snap.rho > 0)
 
-    def test_interpolation_between_samples(self):
-        # rk4 path with Hermite interpolation off the sample points
-        temporal = evolve_q(0.001, 0.0, 1.0, 0.01, force_rk4=True)
-
-        def q_interp(t):
-            from gravelast.temporal import _amplitude_at
-
-            return _amplitude_at(temporal, t)[0]
-
-        fine = evolve_q(0.001, 0.0, 1.0, 0.0005, force_rk4=True)
-        j = 501  # t = 0.2505, halfway between coarse samples
-        assert q_interp(fine.t[j]) == pytest.approx(float(fine.q[j]), abs=1e-10)
+    def test_interpolation_between_samples(self, reference_profile):
+        # off the sample points assemble_motion evaluates the closed form
+        prof = reference_profile(brho=1.0)
+        temporal = evolve_q(0.001, 0.0, 1.0, 0.01)
+        snap = assemble_motion(prof, temporal, 0.2505)
+        q_rk, qd_rk = rk4_amplitude(0.001, 0.0, 0.2505, 501)
+        assert snap.q == pytest.approx(q_rk, abs=1e-14)
+        assert snap.qdot == pytest.approx(qd_rk, abs=1e-14)
+        on_sample = assemble_motion(prof, temporal, float(temporal.t[25]))
+        assert on_sample.q == temporal.q[25]
 
     def test_out_of_range(self, reference_profile):
         prof = reference_profile(brho=1.0)
@@ -236,3 +304,95 @@ class TestAssembleMotion:
         temporal = evolve_q(-0.0008, -0.04, 20.0, 1e-3)
         with pytest.raises(OutOfRange):
             assemble_motion(prof, temporal, 18.0)
+
+
+def _start(mu, e_eff, sign):
+    """qdot0 with sign(qdot0) = sign and qdot0**2/2 + mu = e_eff to rounding."""
+    return sign * math.sqrt(2.0 * (e_eff - mu))
+
+
+# One start per branch: bound outward, at the apex and inward; attractive
+# unbound outward and inward; repulsive outward, at pericentre and inward;
+# near-parabolic on both sides of e_eff = 0 in both directions.
+BRANCHES = [
+    (-0.002, 0.01), (-0.001, 0.0), (-0.001, -0.03),
+    (-0.001, 0.3), (-0.001, -0.3),
+    (0.001, 0.2), (0.002, 0.0), (0.001, -0.5),
+] + [(-0.001, _start(-0.001, e, s)) for e in (1e-13, -1e-13, 1e-10, -1e-10) for s in (1, -1)]
+
+
+class TestClosedForm:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        mu=st.one_of(st.just(0.0), st.floats(1e-4, 0.05), st.floats(-0.05, -1e-4)),
+        qdot0=st.floats(-1.0, 1.0),
+    )
+    @example(mu=-0.02, qdot0=0.2)
+    @example(mu=-0.002, qdot0=0.01)
+    @example(mu=-0.002, qdot0=-0.01)
+    @example(mu=-0.001, qdot0=0.5)
+    @example(mu=-0.001, qdot0=-0.5)
+    @example(mu=0.001, qdot0=0.5)
+    @example(mu=0.001, qdot0=-0.5)
+    @example(mu=0.0, qdot0=-0.5)
+    def test_matches_fine_rk4(self, mu, qdot0):
+        # while q >= 1/2 the speed is at most sqrt(qdot0**2 + 4|mu|)
+        speed = math.sqrt(qdot0**2 + 4.0 * abs(mu))
+        t_end = min(20.0, 0.5 / speed) if speed > 0 else 20.0
+        q_rk, qd_rk = rk4_amplitude(mu, qdot0, t_end, 2000)
+        q, qd = _amplitude(mu, qdot0, t_end)
+        assert q == pytest.approx(q_rk, rel=1e-10)
+        assert qd == pytest.approx(qd_rk, rel=1e-9, abs=1e-12)
+
+    @pytest.mark.parametrize("mu,qdot0", BRANCHES)
+    def test_matches_mpmath(self, mu, qdot0):
+        times = np.array([0.0, 0.1, 1.0, 3.0, 7.0, 12.0])
+        q, qd = _amplitude(mu, qdot0, times)
+        for t, qv, qdv in zip(times, q, qd):
+            q_ref, qd_ref, big_t = mp_amplitude(mu, qdot0, t)
+            if big_t is not None and t >= 0.9 * big_t:
+                continue
+            assert abs(qv - q_ref) <= 1e-12 * q_ref
+            assert abs(qdv - qd_ref) <= 1e-12 * abs(qd_ref) + 1e-15 * math.sqrt(abs(mu))
+
+    # Near-parabolic outward bound orbits collapse after ~1e12 or more, where
+    # float times no longer resolve the approach; their T is checked below.
+    @pytest.mark.parametrize(
+        "mu,qdot0",
+        [(m, v) for m, v in BRANCHES
+         if classify(m, v) == REGIME_COLLAPSING and (v <= 0 or abs(e_effective(m, v)) > 1e-9)],
+    )
+    def test_collapse_matches_mpmath(self, mu, qdot0):
+        est = collapse_time(mu, qdot0, thresholds=(1e-1, 1e-2, 1e-3, 1e-4, 1e-5))
+        big_t = mp_amplitude(mu, qdot0, 0.0)[2]
+        assert abs(est.time - big_t) <= 1e-12 * big_t
+        for t in est.threshold_times.values():
+            q_ref, qd_ref, _ = mp_amplitude(mu, qdot0, t)
+            q, qd = _amplitude(mu, qdot0, t)
+            # near collapse q is ill-conditioned in t: t qdot/q reaches ~1e7
+            # at q ~ 1e-5, so no float t pins q to better than cond * eps
+            rel = 1e-12 + 8 * EPS * float(abs(t * qd_ref / q_ref))
+            assert abs(q - q_ref) <= rel * q_ref
+            assert abs(qd - qd_ref) <= rel * abs(qd_ref)
+
+    @pytest.mark.parametrize("e_eff", [-1e-13, -1e-10])
+    def test_long_bound_orbit_collapse_time(self, e_eff):
+        # outward near-parabolic: T ~ |e_eff|**-1.5 needs e_eff to a few ulps
+        mu, qdot0 = -0.001, _start(-0.001, e_eff, 1)
+        big_t = mp_amplitude(mu, qdot0, 0.0)[2]
+        assert abs(collapse_time(mu, qdot0).time - big_t) <= 1e-12 * big_t
+
+    @pytest.mark.parametrize("e_eff", [1e-13, -1e-13, 1e-10, -1e-10])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_near_parabolic_against_parabolic_form(self, e_eff, sign):
+        mu = -0.001
+        qdot0 = _start(mu, e_eff, sign)
+        assert classify(mu, qdot0) != REGIME_SELF_SIMILAR
+        t = np.linspace(1.0, 14.0 if sign < 0 else 30.0, 40)
+        q, _ = _amplitude(mu, qdot0, t)
+        q_par = (1.0 + 1.5 * qdot0 * t) ** (2.0 / 3.0)
+        # First order in e_eff. q_par is the e_eff = 0 orbit with the same
+        # qdot0, so a stronger attraction: q stays above it iff e_eff > 0.
+        dev = (q - q_par) / q_par
+        assert np.all(np.abs(dev) <= 5.0 * abs(e_eff) / abs(mu))
+        assert np.all(np.sign(dev) == np.sign(e_eff))
