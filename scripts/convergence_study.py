@@ -9,7 +9,6 @@ import sys
 import numpy as np
 
 from gravelast.constitutive import make_builtin_model
-from gravelast.parameters import build_parameter_box
 from gravelast.radial import RadialGrid, apply_L
 from gravelast.shooting import solve_separable
 from gravelast.verify import residual_reformulation, residual_separated
@@ -20,7 +19,6 @@ GRIDS = (64, 128, 256, 512, 1024)
 def main():
     kappa = float(sys.argv[1]) if len(sys.argv) > 1 else 3100.0
     model = make_builtin_model(kappa)
-    box = build_parameter_box(model, 1.0)
 
     print("== monomial eigen-action  L(R^n) vs R^n (n+5)/(n+3), max over n in {1,2,3} ==")
     prev = None
@@ -37,7 +35,7 @@ def main():
     print("== separable solve at mu = 0: residuals under refinement ==")
     prev = None
     for cells in GRIDS:
-        sol = solve_separable(model, 0.0, 1.0, RadialGrid(cells), box=box)
+        sol = solve_separable(model, 0.0, 1.0, RadialGrid(cells))
         sup = residual_separated(model, sol)
         _, gap = residual_reformulation(model, sol)
         order = "" if prev is None else f"order {math.log2(prev / sup):5.2f}"

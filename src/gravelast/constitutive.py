@@ -40,6 +40,7 @@ EPS_E = 1e-4
 FD_STEP = 1e-4
 
 NORMALIZATION_TOL = 1e-9
+NORMALIZATION_FLAG_TOL = 1e-12
 SUP_SAMPLES = 10_001
 
 
@@ -117,6 +118,11 @@ class ConstitutiveModel:
         """
         return 10.0 / float(self.d2g(1.0))
 
+    @cached_property
+    def validation(self) -> ValidationReport:
+        """validate_model(self), evaluated once per model."""
+        return validate_model(self)
+
     def spec_string(self) -> str:
         if self.family == "builtin":
             return f"builtin:kappa={self.kappa:g}"
@@ -166,16 +172,18 @@ def validate_model(model: ConstitutiveModel) -> ValidationReport:
 
     The sup of |g'''| over [1/2, 3/2] is estimated by dense sampling
     (SUP_SAMPLES uniform points), which is a lower bound on the true sup;
-    a 1% margin on top of the threshold compensates.  A broken
-    normalization raises; a failed largeness condition is only flagged.
+    a 1% margin on top of the threshold compensates.  A normalization error
+    beyond NORMALIZATION_TOL raises; one beyond NORMALIZATION_FLAG_TOL, or a
+    failed largeness condition, is only flagged.
     """
     g1 = float(model.g(1.0))
     dg1 = float(model.dg(1.0))
-    if abs(g1 - 1.0) > NORMALIZATION_TOL or abs(dg1 + 1.0 / 3.0) > NORMALIZATION_TOL:
+    g_err, dg_err = abs(g1 - 1.0), abs(dg1 + 1.0 / 3.0)
+    if g_err > NORMALIZATION_TOL or dg_err > NORMALIZATION_TOL:
         raise NormalizationViolated(
             f"g(1) = {g1!r}, g'(1) = {dg1!r}; expected 1 and -1/3"
         )
-    normalization_ok = abs(g1 - 1.0) <= 1e-12 and abs(dg1 + 1.0 / 3.0) <= 1e-12
+    normalization_ok = g_err <= NORMALIZATION_FLAG_TOL and dg_err <= NORMALIZATION_FLAG_TOL
 
     ys = np.linspace(0.5, 1.5, SUP_SAMPLES)
     sup_d3g = float(np.max(np.abs(model.d3g(ys))))
@@ -200,11 +208,17 @@ def validate_model(model: ConstitutiveModel) -> ValidationReport:
 
 
 def ensure_validated(model: ConstitutiveModel) -> ValidationReport:
-    """validate_model, raising HypothesisFailed unless the report passes."""
-    report = validate_model(model)
-    if not report.passes:
+    """The model's cached validation report; raises HypothesisFailed, naming
+    the failed condition, unless the report passes."""
+    report = model.validation
+    if not report.normalization_ok:
         raise HypothesisFailed(
-            f"g''(1) = {report.g2_at_1:.6g} < required "
+            f"normalization: g(1) = {float(model.g(1.0))!r}, g'(1) = {float(model.dg(1.0))!r}"
+            f" differ from 1 and -1/3 by more than {NORMALIZATION_FLAG_TOL:g}"
+        )
+    if not report.margin_ok:
+        raise HypothesisFailed(
+            f"largeness: g''(1) = {report.g2_at_1:.6g} < required "
             f"50*(50 + sup|g'''|) * 1.01 = {1.01 * report.threshold:.6g}"
         )
     return report

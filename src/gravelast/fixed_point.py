@@ -10,6 +10,8 @@ admissible (mu, brho) box the composition shrinks sup-distances by roughly
 (7/5) (1/16 + K/400) < 0.126, so the ratio of successive updates is a live
 health check and plain iteration from z = 0 converges in a dozen steps;
 started from a nearby fixed point (a neighbouring brho) it needs fewer.
+Every entry point checks (brho, mu) against build_parameter_box(model, G),
+the box of the model and G it is given; no caller can substitute another.
 """
 
 from __future__ import annotations
@@ -18,9 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constitutive import ConstitutiveModel, K, V, ensure_validated
+from .constitutive import ConstitutiveModel, K, V
 from .errors import DomainExit, MaxIterExceeded, NotContracting
-from .parameters import ParameterBox, build_parameter_box
+from .parameters import build_parameter_box
 from .radial import RadialGrid, apply_L_inverse, reconstruct_geometry
 
 DEFAULT_TOL = 1e-13
@@ -72,24 +74,17 @@ def picard_solve(
     grid: RadialGrid,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    box: ParameterBox | None = None,
     zeta0: np.ndarray | None = None,
-    validate: bool = True,
 ) -> tuple[np.ndarray, PicardDiagnostics]:
     """Iterate z <- Linv F[z] from zeta0 (default z = 0) until the sup-norm
     update < tol.
 
-    Raises NotContracting on two consecutive non-shrinking updates,
+    Raises ParameterOutOfRange if (brho, mu) lies outside the box of
+    (model, G), NotContracting on two consecutive non-shrinking updates,
     MaxIterExceeded past the cap, DomainExit if an iterate leaves the ball.
-    With a box given, the model is validated here unless validate=False,
-    which a caller that has validated it already passes (one solve makes
-    many calls).
+    The model's validation is cached on it, so repeated calls are cheap.
     """
-    if box is None:
-        box = build_parameter_box(model, G)
-    elif validate:
-        ensure_validated(model)
-    box.check_brho(brho, mu)
+    build_parameter_box(model, G).check_brho(brho, mu)
 
     delta = model.delta
     diag = PicardDiagnostics(k_value=K(brho, mu, G))
@@ -135,7 +130,6 @@ def lipschitz_probe(
     grid: RadialGrid,
     trials: int = 100,
     seed: int = 0,
-    box: ParameterBox | None = None,
 ) -> float:
     """Empirical Lipschitz constant of Linv F over random pairs in the ball.
 
@@ -143,11 +137,7 @@ def lipschitz_probe(
     are rougher than actual iterates, which makes the estimate conservative.
     Coincident pairs (zero denominator) are skipped.
     """
-    if box is None:
-        box = build_parameter_box(model, G)
-    else:
-        ensure_validated(model)
-    box.check_brho(brho, mu)
+    build_parameter_box(model, G).check_brho(brho, mu)
 
     delta = model.delta
     rng = np.random.default_rng(seed)

@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .constitutive import ConstitutiveModel, ensure_validated
+from .constitutive import ConstitutiveModel
 from .errors import BracketFailure, SolverError
 from .fixed_point import (
     DEFAULT_MAX_ITER,
@@ -85,16 +85,11 @@ def boundary_mismatch(
     grid: RadialGrid,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    box: ParameterBox | None = None,
     zeta0: np.ndarray | None = None,
-    validate: bool = True,
 ) -> MismatchResult:
-    """g'(y(1)) at the fixed point for (brho, mu); zeta0 and validate are
-    passed on to picard_solve."""
-    zeta, diag = picard_solve(
-        model, brho, mu, G, grid, tol=tol, max_iter=max_iter, box=box,
-        zeta0=zeta0, validate=validate,
-    )
+    """g'(y(1)) at the fixed point for (brho, mu), from one picard_solve
+    (which checks the pair against the box of (model, G)) started at zeta0."""
+    zeta, diag = picard_solve(model, brho, mu, G, grid, tol=tol, max_iter=max_iter, zeta0=zeta0)
     y1 = y_at_boundary(grid, zeta)
     return MismatchResult(value=float(model.dg(y1)), y1=y1, zeta=zeta, diagnostics=diag)
 
@@ -175,22 +170,21 @@ def solve_separable(
     """Find brho0(mu) with |g'(y(1))| < tol_bc and assemble the profile.
 
     tol_brho is relative to brho_plus and bounds the final bracket width if
-    the boundary tolerance is not hit first.  The model is validated once
-    here; every Picard run after the two bracket ends starts from the
-    fixed point of the best bracket point so far.
+    the boundary tolerance is not hit first.  The box is
+    build_parameter_box(model, G); a box passed in must equal it, else
+    ValueError.  Every Picard run after the two bracket ends starts from
+    the fixed point of the best bracket point so far.
     """
     if grid is None:
         grid = RadialGrid(512)
-    if box is None:
-        box = build_parameter_box(model, G)
-    else:
-        ensure_validated(model)
+    derived = build_parameter_box(model, G)
+    if box is not None and box != derived:
+        raise ValueError(f"{box} is not the box of (model, G = {G:g}): {derived}")
+    box = derived
     box.check_mu(mu)
 
     def evaluate(brho: float, zeta0: np.ndarray | None = None) -> MismatchResult:
-        return boundary_mismatch(
-            model, brho, mu, G, grid, tol=tol_picard, box=box, zeta0=zeta0, validate=False
-        )
+        return boundary_mismatch(model, brho, mu, G, grid, tol=tol_picard, zeta0=zeta0)
 
     lo = box.brho_lower(mu)
     hi = box.brho_plus
@@ -264,13 +258,12 @@ def sweep(
     """
     if grid is None:
         grid = RadialGrid(512)
-    box = build_parameter_box(model, G)
+    build_parameter_box(model, G)  # a bad model or G aborts before any row
 
     def run(mu: float) -> SweepRow:
         try:
             sol = solve_separable(
-                model, mu, G, grid,
-                tol_bc=tol_bc, tol_brho=tol_brho, tol_picard=tol_picard, box=box,
+                model, mu, G, grid, tol_bc=tol_bc, tol_brho=tol_brho, tol_picard=tol_picard
             )
         except SolverError as exc:  # a failed row is data, not an abort
             return SweepRow(mu=mu, error=f"{type(exc).__name__}: {exc}")

@@ -23,8 +23,8 @@ def grid512():
 
 
 @pytest.fixture(scope="session")
-def solution_mu0(model, box, grid512):
-    return solve_separable(model, 0.0, 1.0, grid512, box=box)
+def solution_mu0(model, grid512):
+    return solve_separable(model, 0.0, 1.0, grid512)
 
 
 @pytest.fixture(scope="session")

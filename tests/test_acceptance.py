@@ -71,7 +71,7 @@ def bracket_runs(model, box, grid512):
     for mu in (-box.mu0 / 2, 0.0, box.mu0 / 2):
         for brho in np.linspace(box.brho_lower(mu), box.brho_plus, 5):
             zeta, diag = picard_solve(
-                model, float(brho), mu, 1.0, grid512, tol=1e-13, box=box
+                model, float(brho), mu, 1.0, grid512, tol=1e-13
             )
             runs.append((mu, float(brho), zeta, diag))
     return runs
@@ -114,8 +114,8 @@ def test_bracketing(model, box, grid512):
     t0 = time.perf_counter()
     delta = model.delta
     for mu in (-box.mu0 / 2, 0.0, box.mu0 / 2):
-        hi = boundary_mismatch(model, box.brho_plus, mu, 1.0, grid512, box=box)
-        lo = boundary_mismatch(model, box.brho_lower(mu), mu, 1.0, grid512, box=box)
+        hi = boundary_mismatch(model, box.brho_plus, mu, 1.0, grid512)
+        lo = boundary_mismatch(model, box.brho_lower(mu), mu, 1.0, grid512)
         assert lo.value < 0.0 < hi.value
         assert hi.y1 - 1.0 > delta / 27
         assert lo.y1 - 1.0 < delta / 33
@@ -134,7 +134,7 @@ def test_full_solve(model, box, solution_mu0):
     assert delta / 33 <= sol.y[-1] - 1.0 <= delta / 27
     assert box.brho_lower(0.0) < sol.brho0 < box.brho_plus
 
-    sol_fine = solve_separable(model, 0.0, 1.0, RadialGrid(1024), box=box)
+    sol_fine = solve_separable(model, 0.0, 1.0, RadialGrid(1024))
     rel = abs(sol_fine.brho0 - sol.brho0) / sol.brho0
     assert rel <= 1e-4
 
@@ -145,11 +145,11 @@ def test_full_solve(model, box, solution_mu0):
           f"brho0={sol.brho0:.8f}, refinement drift={rel:.2e} ({elapsed:.2f}s < 60s)")
 
 
-def test_residual_verification(model, box):
+def test_residual_verification(model):
     t0 = time.perf_counter()
     sups, gaps = [], []
     for cells in GRIDS:
-        sol = solve_separable(model, 0.0, 1.0, RadialGrid(cells), box=box)
+        sol = solve_separable(model, 0.0, 1.0, RadialGrid(cells))
         sup_sep = residual_separated(model, sol)
         _, gap = residual_reformulation(model, sol)
         sups.append(sup_sep)

@@ -75,8 +75,28 @@ class TestValidation:
         assert not rep.largeness_ok
         assert not rep.passes
         assert rep.g2_at_1 == pytest.approx(4.0 / 9.0, abs=1e-12)
-        with pytest.raises(HypothesisFailed):
+        with pytest.raises(HypothesisFailed, match="^largeness: g''\\(1\\)"):
             ensure_validated(make_builtin_model(0.0))
+
+    def test_flagged_normalization_named(self):
+        # g(1) - 1 = 1e-10 is flagged (> 1e-12) but not raised (<= 1e-9), while
+        # g''(1) clears the largeness margin: the failure is the normalization.
+        base = make_builtin_model(3100.0)
+        shifted = ConstitutiveModel(
+            g=lambda y: base.g(y) + 1e-10, dg=base.dg, d2g=base.d2g, d3g=base.d3g,
+            family="shifted",
+        )
+        rep = validate_model(shifted)
+        assert not rep.normalization_ok and rep.margin_ok
+        with pytest.raises(HypothesisFailed, match="^normalization") as info:
+            ensure_validated(shifted)
+        assert "g''(1)" not in str(info.value)
+
+    def test_report_cached_per_model(self):
+        m = make_builtin_model(3100.0)
+        assert ensure_validated(m) is m.validation is ensure_validated(m)
+        assert validate_model(m) is not m.validation
+        assert validate_model(m) == m.validation
 
     def test_broken_normalization_raises(self):
         base = make_builtin_model(3100.0)

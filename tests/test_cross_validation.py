@@ -48,7 +48,7 @@ def march_profile(model, brho, mu, G, fp0, r_end=1.0, r0=1e-3, dr=2e-4):
 @pytest.mark.parametrize("mu_frac", [0.0, -0.5, 1.0])
 def test_marched_profile_hits_both_boundary_conditions(model, box, mu_frac):
     mu = mu_frac * box.mu0
-    sol = solve_separable(model, mu, 1.0, RadialGrid(512), box=box)
+    sol = solve_separable(model, mu, 1.0, RadialGrid(512))
     f1, fp1 = march_profile(model, sol.brho0, mu, 1.0, sol.fprime0)
     y1 = fp1 / f1
     assert abs(f1 - 1.0) <= 1e-10

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 import gravelast.fixed_point as fp
+from gravelast import constitutive
+from gravelast.constitutive import make_builtin_model
 from gravelast.errors import (
     DomainExit,
     MaxIterExceeded,
@@ -41,7 +43,7 @@ class TestApplyF:
 class TestPicard:
     def test_converges_with_small_ratios(self, model, box, grid512):
         brho = 0.5 * (box.brho_lower(0.0) + box.brho_plus)
-        zeta, diag = picard_solve(model, brho, 0.0, 1.0, grid512, tol=1e-14, box=box)
+        zeta, diag = picard_solve(model, brho, 0.0, 1.0, grid512, tol=1e-14)
         assert diag.converged
         assert diag.updates[-1] <= 1e-14
         assert diag.ratios and max(diag.ratios) <= 0.13
@@ -49,83 +51,87 @@ class TestPicard:
     def test_ball_and_norm_bound(self, model, box, grid512):
         delta = model.delta
         for brho in np.linspace(box.brho_lower(0.0), box.brho_plus, 4):
-            zeta, diag = picard_solve(model, brho, 0.0, 1.0, grid512, box=box)
+            zeta, diag = picard_solve(model, brho, 0.0, 1.0, grid512)
             norm = np.max(np.abs(zeta))
             assert norm <= delta
             assert norm <= (3 / 40 * diag.k_value + 7 / 80) * delta
 
     def test_positive_floor_at_brho_plus(self, model, box, grid512):
-        zeta, _ = picard_solve(model, box.brho_plus, 0.0, 1.0, grid512, box=box)
+        zeta, _ = picard_solve(model, box.brho_plus, 0.0, 1.0, grid512)
         assert np.min(zeta) > model.delta / 9
 
     def test_pointwise_y_bound(self, model, box, grid512):
         delta = model.delta
         r = grid512.nodes
         for mu in (-box.mu0 / 2, box.mu0 / 2):
-            zeta, _ = picard_solve(model, 1.0, mu, 1.0, grid512, box=box)
+            zeta, _ = picard_solve(model, 1.0, mu, 1.0, grid512)
             from gravelast.radial import reconstruct_geometry
 
             geo = reconstruct_geometry(grid512, zeta)
             assert np.all(np.abs(geo.y - 1.0) <= r**2 * delta + 1e-15)
 
-    def test_fixed_point_residual(self, model, box, grid512):
+    def test_fixed_point_residual(self, model, grid512):
         tol = 1e-13
-        zeta, _ = picard_solve(model, 2.0, 0.0, 1.0, grid512, tol=tol, box=box)
+        zeta, _ = picard_solve(model, 2.0, 0.0, 1.0, grid512, tol=tol)
         image = apply_L_inverse(
             grid512, apply_F(model, 2.0, 0.0, 1.0, grid512, zeta)
         )
         assert np.max(np.abs(zeta - image)) <= 2 * tol
 
-    def test_deterministic(self, model, box, grid512):
-        z1, d1 = picard_solve(model, 1.3, 0.0, 1.0, grid512, box=box)
-        z2, d2 = picard_solve(model, 1.3, 0.0, 1.0, grid512, box=box)
+    def test_deterministic(self, model, grid512):
+        z1, d1 = picard_solve(model, 1.3, 0.0, 1.0, grid512)
+        z2, d2 = picard_solve(model, 1.3, 0.0, 1.0, grid512)
         assert np.array_equal(z1, z2)
         assert d1.updates == d2.updates
 
-    def test_warm_start_same_fixed_point(self, model, box, grid512):
-        cold, cold_diag = picard_solve(model, 1.3, 0.0, 1.0, grid512, box=box)
-        near, _ = picard_solve(model, 1.3 * (1.0 + 1e-7), 0.0, 1.0, grid512, box=box)
-        warm, warm_diag = picard_solve(model, 1.3, 0.0, 1.0, grid512, box=box, zeta0=near)
+    def test_warm_start_same_fixed_point(self, model, grid512):
+        cold, cold_diag = picard_solve(model, 1.3, 0.0, 1.0, grid512)
+        near, _ = picard_solve(model, 1.3 * (1.0 + 1e-7), 0.0, 1.0, grid512)
+        warm, warm_diag = picard_solve(model, 1.3, 0.0, 1.0, grid512, zeta0=near)
         assert warm_diag.converged
         assert warm_diag.iterations < cold_diag.iterations
         assert np.max(np.abs(warm - cold)) <= 1e-13
 
-    def test_warm_start_keeps_checks(self, model, box, grid512):
+    def test_warm_start_keeps_checks(self, model, grid512):
         with pytest.raises(ValueError):
-            picard_solve(model, 1.3, 0.0, 1.0, grid512, box=box, zeta0=np.zeros(5))
+            picard_solve(model, 1.3, 0.0, 1.0, grid512, zeta0=np.zeros(5))
         with pytest.raises(DomainExit):
             picard_solve(
-                model, 1.3, 0.0, 1.0, grid512, box=box, zeta0=np.full(513, 4 * model.delta)
+                model, 1.3, 0.0, 1.0, grid512, zeta0=np.full(513, 4 * model.delta)
             )
 
-    def test_validate_flag(self, model, box, grid512, monkeypatch):
+    def test_validates_each_model_once(self, grid512, monkeypatch):
+        # The session model is validated already; a fresh one shows the call.
         calls = []
-        original = fp.ensure_validated
-        monkeypatch.setattr(fp, "ensure_validated", lambda m: calls.append(m) or original(m))
-        picard_solve(model, 1.3, 0.0, 1.0, grid512, box=box)
-        assert len(calls) == 1
-        picard_solve(model, 1.3, 0.0, 1.0, grid512, box=box, validate=False)
-        assert len(calls) == 1
+        original = constitutive.validate_model
+        monkeypatch.setattr(
+            constitutive, "validate_model", lambda m: calls.append(m) or original(m)
+        )
+        fresh = make_builtin_model(3100.0)
+        picard_solve(fresh, 1.3, 0.0, 1.0, grid512)
+        picard_solve(fresh, 1.3, 0.0, 1.0, grid512)
+        lipschitz_probe(fresh, 1.3, 0.0, 1.0, grid512, trials=1)
+        assert len(calls) == 1 and calls[0] is fresh
 
-    def test_grid_convergence(self, model, box):
-        z512, _ = picard_solve(model, 1.8443, 0.0, 1.0, RadialGrid(512), box=box)
-        z1024, _ = picard_solve(model, 1.8443, 0.0, 1.0, RadialGrid(1024), box=box)
+    def test_grid_convergence(self, model):
+        z512, _ = picard_solve(model, 1.8443, 0.0, 1.0, RadialGrid(512))
+        z1024, _ = picard_solve(model, 1.8443, 0.0, 1.0, RadialGrid(1024))
         err = np.max(np.abs(z1024[::2] - z512))
         assert err <= C_GRID * (1.0 / 512) ** 2
 
     def test_rejects_mu_out_of_range(self, model, box, grid512):
         with pytest.raises(ParameterOutOfRange, match="mu outside proven range"):
-            picard_solve(model, 1.0, 2 * box.mu0, 1.0, grid512, box=box)
+            picard_solve(model, 1.0, 2 * box.mu0, 1.0, grid512)
 
     def test_rejects_brho_out_of_bracket(self, model, box, grid512):
         with pytest.raises(ParameterOutOfRange):
-            picard_solve(model, 2 * box.brho_plus, 0.0, 1.0, grid512, box=box)
+            picard_solve(model, 2 * box.brho_plus, 0.0, 1.0, grid512)
 
-    def test_max_iter_exceeded(self, model, box, grid512):
+    def test_max_iter_exceeded(self, model, grid512):
         with pytest.raises(MaxIterExceeded):
-            picard_solve(model, 1.0, 0.0, 1.0, grid512, tol=0.0, max_iter=3, box=box)
+            picard_solve(model, 1.0, 0.0, 1.0, grid512, tol=0.0, max_iter=3)
 
-    def test_not_contracting_detected(self, model, box, grid512, monkeypatch):
+    def test_not_contracting_detected(self, model, grid512, monkeypatch):
         # synthetic diverging map: iterates with geometrically growing gaps
         state = {"k": 0}
 
@@ -136,25 +142,25 @@ class TestPicard:
         monkeypatch.setattr(fp, "apply_F", fake_F)
         monkeypatch.setattr(fp, "apply_L_inverse", lambda grid, eta: eta)
         with pytest.raises(NotContracting):
-            picard_solve(model, 1.0, 0.0, 1.0, grid512, box=box)
+            picard_solve(model, 1.0, 0.0, 1.0, grid512)
 
 
 class TestLipschitzProbe:
-    def test_estimate_below_contraction_bound(self, model, box):
+    def test_estimate_below_contraction_bound(self, model):
         grid = RadialGrid(128)
-        est = lipschitz_probe(model, 1.8, 0.0, 1.0, grid, trials=100, seed=0, box=box)
+        est = lipschitz_probe(model, 1.8, 0.0, 1.0, grid, trials=100, seed=0)
         assert 0.0 < est <= 0.13
 
-    def test_deterministic_for_fixed_seed(self, model, box):
+    def test_deterministic_for_fixed_seed(self, model):
         grid = RadialGrid(64)
-        a = lipschitz_probe(model, 1.0, 0.0, 1.0, grid, trials=20, seed=5, box=box)
-        b = lipschitz_probe(model, 1.0, 0.0, 1.0, grid, trials=20, seed=5, box=box)
+        a = lipschitz_probe(model, 1.0, 0.0, 1.0, grid, trials=20, seed=5)
+        b = lipschitz_probe(model, 1.0, 0.0, 1.0, grid, trials=20, seed=5)
         assert a == b
 
 
 def test_boundary_value_reaches_lower_and_upper_windows(model, box, grid512):
     delta = model.delta
-    z_hi, _ = picard_solve(model, box.brho_plus, 0.0, 1.0, grid512, box=box)
+    z_hi, _ = picard_solve(model, box.brho_plus, 0.0, 1.0, grid512)
     assert y_at_boundary(grid512, z_hi) - 1.0 > delta / 27
-    z_lo, _ = picard_solve(model, box.brho_lower(0.0), 0.0, 1.0, grid512, box=box)
+    z_lo, _ = picard_solve(model, box.brho_lower(0.0), 0.0, 1.0, grid512)
     assert y_at_boundary(grid512, z_lo) - 1.0 < delta / 33

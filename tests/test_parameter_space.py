@@ -30,8 +30,7 @@ class TestGravitationalConstant:
 
     def test_solve_and_residual(self, model, G):
         grid = RadialGrid(128)
-        box = build_parameter_box(model, G)
-        sol = solve_separable(model, 0.0, G, grid, box=box)
+        sol = solve_separable(model, 0.0, G, grid)
         d = model.delta
         assert abs(sol.boundary_residual) <= 1e-10
         assert d / 33 <= sol.y[-1] - 1.0 <= d / 27
@@ -41,7 +40,7 @@ class TestGravitationalConstant:
 
     def test_nonzero_mu(self, model, G):
         box = build_parameter_box(model, G)
-        sol = solve_separable(model, -box.mu0 / 2, G, RadialGrid(64), box=box)
+        sol = solve_separable(model, -box.mu0 / 2, G, RadialGrid(64))
         assert box.brho_minus(-box.mu0 / 2) < sol.brho0 < box.brho_plus
 
 
@@ -49,7 +48,7 @@ class TestExtremeEigenvalues:
     @pytest.mark.parametrize("sign", [-1.0, 1.0])
     def test_full_interval_endpoint(self, model, box, sign):
         mu = sign * box.mu0
-        sol = solve_separable(model, mu, 1.0, RadialGrid(128), box=box)
+        sol = solve_separable(model, mu, 1.0, RadialGrid(128))
         assert abs(sol.boundary_residual) <= 1e-10
         assert np.max(np.abs(sol.zeta)) <= model.delta
 
@@ -57,7 +56,7 @@ class TestExtremeEigenvalues:
         # the boundary value solves g'(y) = 0, a model property alone
         grid = RadialGrid(128)
         y1s = [
-            solve_separable(model, mu, 1.0, grid, box=box).y[-1]
+            solve_separable(model, mu, 1.0, grid).y[-1]
             for mu in (-box.mu0, 0.0, box.mu0)
         ]
         assert max(y1s) - min(y1s) <= 1e-10
@@ -82,8 +81,8 @@ class TestStiffnessRange:
         assert validate_model(make_builtin_model(3053.0)).passes
 
 
-def test_minimum_grid(model, box):
-    sol = solve_separable(model, 0.0, 1.0, RadialGrid(16), box=box)
+def test_minimum_grid(model):
+    sol = solve_separable(model, 0.0, 1.0, RadialGrid(16))
     assert abs(sol.boundary_residual) <= 1e-10
     assert abs(sol.f[-1] - 1.0) <= 1e-12
     assert residual_separated(model, sol) <= 5e-5 / 16**2
@@ -98,7 +97,7 @@ def test_solve_invariants_hold_across_parameters(kappa, mu_frac):
     model = make_builtin_model(kappa)
     box = build_parameter_box(model, 1.0)
     mu = mu_frac * box.mu0
-    sol = solve_separable(model, mu, 1.0, RadialGrid(64), box=box)
+    sol = solve_separable(model, mu, 1.0, RadialGrid(64))
     d = model.delta
     assert abs(sol.boundary_residual) <= 1e-10
     assert box.brho_lower(mu) <= sol.brho0 <= box.brho_plus

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from gravelast import constitutive, shooting
 from gravelast.constitutive import EIGHT_PI_3, FOUR_PI_3, K, make_builtin_model
 from gravelast.errors import ParameterOutOfRange
+from gravelast.fixed_point import lipschitz_probe, picard_solve
 from gravelast.parameters import build_parameter_box, k_minimum, mu_ceiling
 from gravelast.radial import RadialGrid
 from gravelast.shooting import (
@@ -106,8 +108,8 @@ class TestBoundaryMismatch:
         grid = RadialGrid(256)
         mu = frac * box.mu0
         delta = model.delta
-        hi = boundary_mismatch(model, box.brho_plus, mu, 1.0, grid, box=box)
-        lo = boundary_mismatch(model, box.brho_lower(mu), mu, 1.0, grid, box=box)
+        hi = boundary_mismatch(model, box.brho_plus, mu, 1.0, grid)
+        lo = boundary_mismatch(model, box.brho_lower(mu), mu, 1.0, grid)
         assert hi.value > 0 > lo.value
         assert hi.y1 - 1.0 > delta / 27
         assert lo.y1 - 1.0 < delta / 33
@@ -130,14 +132,14 @@ class TestSolve:
         assert abs(sol.f[-1] - 1.0) <= 1e-12
         assert np.max(np.abs(sol.zeta)) <= d
 
-    def test_grid_refinement_stability(self, model, box, solution_mu0):
-        sol2 = solve_separable(model, 0.0, 1.0, RadialGrid(1024), box=box)
+    def test_grid_refinement_stability(self, model, solution_mu0):
+        sol2 = solve_separable(model, 0.0, 1.0, RadialGrid(1024))
         assert abs(sol2.brho0 - solution_mu0.brho0) / solution_mu0.brho0 <= 1e-4
 
     @pytest.mark.parametrize("sign", [-1.0, 1.0])
     def test_nonzero_mu(self, model, box, sign):
         mu = sign * box.mu0 / 2
-        sol = solve_separable(model, mu, 1.0, RadialGrid(256), box=box)
+        sol = solve_separable(model, mu, 1.0, RadialGrid(256))
         assert abs(sol.boundary_residual) <= 1e-10
         assert box.brho_minus(mu) < sol.brho0 < box.brho_plus
 
@@ -148,7 +150,7 @@ class TestSolve:
 
     @pytest.mark.parametrize("frac", [-1.0, 0.0, 1.0])
     def test_few_root_evaluations(self, model, box, grid512, frac):
-        sol = solve_separable(model, frac * box.mu0, 1.0, grid512, box=box)
+        sol = solve_separable(model, frac * box.mu0, 1.0, grid512)
         assert sol.root_evaluations <= 12
         assert abs(sol.boundary_residual) < 1e-10
 
@@ -158,22 +160,46 @@ class TestSolve:
         # the oracle and the solver see the same mismatch on the same grid.
         grid = RadialGrid(256)
         mu = frac * box.mu0
-        sol = solve_separable(model, mu, 1.0, grid, box=box)
+        sol = solve_separable(model, mu, 1.0, grid)
         root = bisect_oracle(
-            lambda r: boundary_mismatch(model, r, mu, 1.0, grid, box=box).value,
+            lambda r: boundary_mismatch(model, r, mu, 1.0, grid).value,
             box.brho_lower(mu), box.brho_plus,
         )
         assert sol.brho0 == pytest.approx(root, rel=1e-9)
 
-    def test_validates_model_once(self, model, box, monkeypatch):
+    def test_validates_model_once(self, monkeypatch):
+        # The session model is validated already; fresh ones show the calls.
         calls = []
         original = constitutive.validate_model
         monkeypatch.setattr(
             constitutive, "validate_model", lambda m: calls.append(m) or original(m)
         )
-        sol = solve_separable(model, 0.0, 1.0, RadialGrid(64), box=box)
+        fresh = make_builtin_model(3100.0)
+        sol = solve_separable(fresh, 0.0, 1.0, RadialGrid(64))
         assert sol.root_evaluations > 2
-        assert len(calls) == 1
+        assert len(calls) == 1 and calls[0] is fresh
+        other = make_builtin_model(3100.0)
+        mus = np.linspace(-sol.box.mu0 / 2, sol.box.mu0 / 2, 9)
+        rows = sweep(other, 1.0, mus, RadialGrid(64))
+        assert all(row.error is None for row in rows)
+        assert len(calls) == 2 and calls[1] is other
+
+    def test_box_must_be_that_of_model_and_G(self, model, box):
+        grid = RadialGrid(64)
+        sol = solve_separable(model, 0.0, 1.0, grid, box=build_parameter_box(model, 1.0))
+        assert sol.box == box
+        # |mu| = 2.5e-3 is inside the box of G = 0.5, outside that of G = 1.
+        wide = build_parameter_box(model, 0.5)
+        assert box.mu0 < 2.5e-3 < wide.mu0
+        with pytest.raises(ValueError, match="not the box"):
+            solve_separable(model, 2.5e-3, 1.0, grid, box=wide)
+
+    @pytest.mark.parametrize("fn", [picard_solve, boundary_mismatch, lipschitz_probe])
+    def test_no_caller_supplied_box(self, model, fn):
+        # No argument can widen the range a Picard run accepts.
+        assert {"box", "validate"}.isdisjoint(inspect.signature(fn).parameters)
+        with pytest.raises(ParameterOutOfRange, match="mu outside proven range"):
+            fn(model, 3.0, 2.5e-3, 1.0, RadialGrid(64))
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -186,30 +212,30 @@ class TestSolve:
         box = build_parameter_box(model, 1.0)
         mu = frac * box.mu0
         grid = RadialGrid(n)
-        lo = boundary_mismatch(model, box.brho_lower(mu), mu, 1.0, grid, box=box)
-        hi = boundary_mismatch(model, box.brho_plus, mu, 1.0, grid, box=box)
+        lo = boundary_mismatch(model, box.brho_lower(mu), mu, 1.0, grid)
+        hi = boundary_mismatch(model, box.brho_plus, mu, 1.0, grid)
         assert lo.value < 0.0 < hi.value
-        sol = solve_separable(model, mu, 1.0, grid, box=box)
+        sol = solve_separable(model, mu, 1.0, grid)
         assert abs(sol.f[-1] - 1.0) <= 1e-12
         assert np.all(sol.fprime > 0.0) and np.all(sol.lam > 0.0)
         assert abs(sol.boundary_residual) < DEFAULT_TOL_BC
 
     def test_rejects_mu_beyond_range(self, model, box):
         with pytest.raises(ParameterOutOfRange, match="mu outside proven range"):
-            solve_separable(model, 2 * box.mu0, 1.0, RadialGrid(64), box=box)
+            solve_separable(model, 2 * box.mu0, 1.0, RadialGrid(64))
 
-    def test_boundary_tolerance_propagates(self, model, box):
+    def test_boundary_tolerance_propagates(self, model):
         sol = solve_separable(
-            model, 0.0, 1.0, RadialGrid(128), tol_bc=1e-6, box=box
+            model, 0.0, 1.0, RadialGrid(128), tol_bc=1e-6
         )
         assert abs(sol.boundary_residual) <= 1e-6
 
 
 class TestSweep:
-    def test_single_mu_matches_solve(self, model, box):
+    def test_single_mu_matches_solve(self, model):
         grid = RadialGrid(128)
         rows = sweep(model, 1.0, [0.0], grid)
-        sol = solve_separable(model, 0.0, 1.0, grid, box=box)
+        sol = solve_separable(model, 0.0, 1.0, grid)
         row = rows[0]
         assert row.error is None
         assert row.brho0 == sol.brho0

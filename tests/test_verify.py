@@ -31,13 +31,14 @@ class TestResidualSeparated:
         res = residual_separated(model, solution_mu0)
         assert res <= C_RESIDUAL * solution_mu0.grid.h**2
 
-    def test_refinement_order(self, model, box):
+    @pytest.mark.parametrize("mu_frac", [-0.9, 0.0, 0.9])
+    def test_refinement_order(self, model, box, mu_frac):
         sups = []
-        for n in (128, 256):
-            sol = solve_separable(model, 0.0, 1.0, RadialGrid(n), box=box)
+        for n in (128, 256, 512):
+            sol = solve_separable(model, mu_frac * box.mu0, 1.0, RadialGrid(n))
             sups.append(residual_separated(model, sol))
-        order = math.log2(sups[0] / sups[1])
-        assert 1.8 <= order <= 2.2
+        orders = [math.log2(sups[i] / sups[i + 1]) for i in range(2)]
+        assert all(1.8 <= order <= 2.2 for order in orders)
 
     def test_straight_probe_with_mismatched_params(self, model, reference_profile):
         # f = R solves nothing unless the force balance is tuned; the defect
@@ -150,3 +151,21 @@ class TestReport:
     def test_profile_handle(self, model, solution_mu0):
         rep = solution_mu0.residual_report()
         assert rep == residual_report(model, solution_mu0)
+
+    @pytest.mark.parametrize("brho", [None, 1.3])
+    def test_defects_assembled_once(self, model, solution_mu0, reference_profile,
+                                    monkeypatch, brho):
+        profile = solution_mu0 if brho is None else reference_profile(brho=brho)
+        sup_sep = residual_separated(model, profile)
+        sup_ref, gap = residual_reformulation(model, profile)
+        calls = []
+        original = verify._residual_arrays
+        monkeypatch.setattr(
+            verify, "_residual_arrays", lambda m, p: calls.append(p) or original(m, p)
+        )
+        rep = residual_report(model, profile)
+        assert len(calls) == 1
+        # Bit-identical, not approximately equal.
+        assert rep.residual_separated == sup_sep
+        assert rep.residual_reformulation == sup_ref
+        assert rep.equivalence_gap == gap
