@@ -22,14 +22,17 @@ CASES = [
 
 
 def main():
-    print(f"{'mu':>10} {'qdot0':>8} {'e_eff':>12} {'regime':>24} {'T':>12} {'exponent':>9}")
+    print(f"{'mu':>10} {'qdot0':>8} {'e_eff':>12} {'regime':>24} {'T':>12} "
+          f"{'exponent':>9} {'local@1e-4':>10}")
     for mu, qdot0 in CASES:
         tag = classify(mu, qdot0)
-        t_col, alpha = "", ""
+        t_col, alpha, local = "", "", ""
         if tag == "collapsing":
             est = collapse_time(mu, qdot0)
             t_col, alpha = f"{est.time:12.6f}", f"{est.exponent:9.5f}"
-        print(f"{mu:10.4f} {qdot0:8.3f} {e_effective(mu, qdot0):12.4e} {tag:>24} {t_col:>12} {alpha:>9}")
+            local = f"{est.local_exponents[1e-4]:10.6f}"
+        print(f"{mu:10.4f} {qdot0:8.3f} {e_effective(mu, qdot0):12.4e} {tag:>24} "
+              f"{t_col:>12} {alpha:>9} {local:>10}")
 
     print("\nfree-fall check: mu = -0.001 from rest vs pi/(2 sqrt(2|mu|))")
     est = collapse_time(-0.001, 0.0)

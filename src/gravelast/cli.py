@@ -288,13 +288,13 @@ def _load_profile_dir(path: Path) -> tuple[SolutionProfile, dict]:
         raise UsageError(f"corrupt profile directory {path}: {exc}") from exc
     if len(cols["R"]) != grid.n + 1 or np.any(cols["R"] != grid.nodes):
         raise UsageError(f"profile radius column does not match an N={grid.n} grid")
-    box = build_parameter_box(model, G)
+    build_parameter_box(model, G)  # validates (model, G): a failing model exits 3
     profile = SolutionProfile(
         model=model, mu=mu, brho0=brho0, G=G, grid=grid,
         zeta=cols["zeta"], f=cols["f"], fprime=cols["fprime"],
-        lam=cols["lambda"], y=cols["y"], fprime0=float(cols["fprime"][0]),
+        lam=cols["lambda"], y=cols["y"],
         boundary_residual=float(model.dg(cols["y"][-1])),
-        diagnostics=None, root_evaluations=0, box=box,
+        diagnostics=None, root_evaluations=0,
     )
     return profile, manifest
 
@@ -336,7 +336,8 @@ def cmd_evolve(args, argv) -> int:
     collapse = None
     if temporal.regime == REGIME_COLLAPSING:
         est = collapse_time(mu, qdot0)
-        collapse = {"T": est.time, "exponent": est.exponent, "prefactor": est.prefactor}
+        collapse = {"T": est.time, "exponent": est.exponent, "prefactor": est.prefactor,
+                    "local_exponents": est.local_exponents}
     wall = time.perf_counter() - t0
 
     out = args.out

@@ -61,9 +61,6 @@ class ConstitutiveModel:
         """h(y) = 3 y g'(y) + g(y); vanishes at y = 1 for normalized models."""
         return 3.0 * y * self.dg(y) + self.g(y)
 
-    def dh(self, y):
-        return 4.0 * self.dg(y) + 3.0 * y * self.d2g(y)
-
     def d2h(self, y):
         return 7.0 * self.d2g(y) + 3.0 * y * self.d3g(y)
 
@@ -72,21 +69,26 @@ class ConstitutiveModel:
         d4g = (self.d3g(y + FD_STEP) - self.d3g(y - FD_STEP)) / (2.0 * FD_STEP)
         return 10.0 * self.d3g(y) + 3.0 * y * d4g
 
+    def strain_terms(self, y):
+        """(g''(y), E(y)), from one evaluation each of g, g' and g''."""
+        y = np.asarray(y, dtype=float)
+        g, dg, d2g = self.g(y), self.dg(y), self.d2g(y)
+        t = y - 1.0
+        near = np.abs(t) < EPS_E
+        # Guard the quotient where it is not used.
+        t_safe = np.where(near, 1.0, t)
+        h1, d2h1, d3h1 = self._h_at_1
+        raw = (3.0 * y * dg + g - h1) / t_safe - (4.0 * dg + 3.0 * y * d2g)
+        series = -0.5 * d2h1 * t - d3h1 * t**2 / 3.0
+        return d2g, np.where(near, series, raw)
+
     def E(self, y):
         """Difference-quotient curvature defect of h.
 
         E(y) = (h(y) - h(1))/(y - 1) - h'(y) away from y = 1, extended by
         continuity with a second-order series inside |y - 1| < EPS_E.
         """
-        y = np.asarray(y, dtype=float)
-        t = y - 1.0
-        near = np.abs(t) < EPS_E
-        # Guard the quotient where it is not used.
-        t_safe = np.where(near, 1.0, t)
-        h1, d2h1, d3h1 = self._h_at_1
-        raw = (self.h(y) - h1) / t_safe - self.dh(y)
-        series = -0.5 * d2h1 * t - d3h1 * t**2 / 3.0
-        out = np.where(near, series, raw)
+        out = self.strain_terms(y)[1]
         return out if out.ndim else float(out)
 
     @cached_property
@@ -102,7 +104,8 @@ class ConstitutiveModel:
             raise DomainExit(
                 f"strain ratio left the window |y-1| <= {self.delta:.3e}"
             )
-        out = 2.0 * (y - 1.0) + self.E(y) / self.d2g(y)
+        d2g, big_e = self.strain_terms(y)
+        out = 2.0 * (y - 1.0) + big_e / d2g
         return out if out.ndim else float(out)
 
     def f(self, y):

@@ -61,8 +61,10 @@ def apply_F(
             f"(brho={brho:.6g}, mu={mu:.6g})"
         )
     r = grid.nodes
-    out = V(brho, mu, G, geo.lam) / model.d2g(geo.y)
-    out[1:] -= geo.moment2[1:] / r[1:] ** 3 * model.U(geo.y[1:])
+    d2g, big_e = model.strain_terms(geo.y)
+    out = V(brho, mu, G, geo.lam) / d2g
+    u = 2.0 * (geo.y[1:] - 1.0) + big_e[1:] / d2g[1:]  # U(y), window checked above
+    out[1:] -= geo.moment2[1:] / r[1:] ** 3 * u
     return out
 
 

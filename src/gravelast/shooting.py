@@ -62,14 +62,20 @@ class SolutionProfile:
     fprime: np.ndarray
     lam: np.ndarray
     y: np.ndarray
-    fprime0: float
     boundary_residual: float
     # Picard record of the returned bracket point; None for a profile
     # loaded from disk, which carries no solver history.
     diagnostics: PicardDiagnostics | None
     # Mismatch evaluations of the root search, the two bracket ends included.
     root_evaluations: int
-    box: ParameterBox
+
+    @property
+    def fprime0(self) -> float:
+        return float(self.fprime[0])
+
+    @property
+    def box(self) -> ParameterBox:
+        return build_parameter_box(self.model, self.G)
 
     def residual_report(self):
         from .verify import residual_report
@@ -222,11 +228,9 @@ def solve_separable(
         fprime=geo.fprime,
         lam=geo.lam,
         y=geo.y,
-        fprime0=geo.fprime0,
         boundary_residual=best.value,
         diagnostics=best.diagnostics,
         root_evaluations=2 + evals,
-        box=box,
     )
 
 

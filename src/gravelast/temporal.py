@@ -14,7 +14,7 @@ clock unit k = sqrt(A**3/|mu|):
 
 A time sample is found by Newton's method on Kepler's equation, vectorised
 over the samples and safeguarded by a bracket; q = eps inverts to x with no
-iteration, so collapse and threshold passage times are closed forms.
+iteration, so collapse times, threshold passages and rates are closed forms.
 """
 
 from __future__ import annotations
@@ -249,12 +249,15 @@ def evolve_q(
 
 @dataclass
 class CollapseEstimate:
-    """Collapse time and threshold passages in closed form, plus the local rate fit."""
+    """Collapse time T, last passages through each threshold q = eps, the exact
+    law q ~ prefactor (T - t)**exponent ((9|mu|/2)**(1/3), 2/3; free: |qdot0|, 1)
+    and the local exponent d ln q / d ln(T - t) = (T - t)|qdot|/q at each eps."""
 
     time: float
     exponent: float
     prefactor: float
     threshold_times: dict[float, float]
+    local_exponents: dict[float, float]
 
 
 def _time_to_collapse(mu: float, qdot0: float, q: np.ndarray) -> tuple[float, np.ndarray]:
@@ -278,28 +281,24 @@ def collapse_time(
     qdot0: float,
     thresholds: tuple[float, ...] = (1e-2, 1e-3, 1e-4),
 ) -> CollapseEstimate:
-    """Collapse time T and the local exponent in q ~ c (T-t)**a.
-
-    T and the first-passage times at the thresholds (each in (0, 1)) are
-    exact; the exponent and prefactor are fit over the last threshold
-    decade, on the closed form sampled at 40 values of q.
-    """
+    """CollapseEstimate of (mu, qdot0) at thresholds in (0, 1)."""
     if classify(mu, qdot0) != REGIME_COLLAPSING:
         raise NotCollapsing(f"(mu={mu:g}, qdot0={qdot0:g}) does not collapse")
     thresholds = tuple(sorted(thresholds, reverse=True))
     if not 0.0 < thresholds[-1] <= thresholds[0] < 1.0:
         raise ValueError(f"thresholds must lie in (0, 1), got {thresholds}")
 
-    big_t, to_go = _time_to_collapse(mu, qdot0, np.array(thresholds))
-    passage = {eps: float(big_t - w) for eps, w in zip(thresholds, to_go)}
-    qs_fit = np.geomspace(thresholds[-1], thresholds[-1] * 10.0, 40)
-    _, to_go_fit = _time_to_collapse(mu, qdot0, qs_fit)
-    slope, intercept = np.polyfit(np.log(to_go_fit), np.log(qs_fit), 1)
+    eps = np.array(thresholds)
+    big_t, to_go = _time_to_collapse(mu, qdot0, eps)
+    # |qdot| at q = eps from the energy integral qdot**2/2 + mu/q = e_eff
+    local = to_go * np.sqrt(2.0 * (e_effective(mu, qdot0) - mu / eps)) / eps
+    free = abs(mu) < MU_FREE
     return CollapseEstimate(
         time=float(big_t),
-        exponent=float(slope),
-        prefactor=float(math.exp(intercept)),
-        threshold_times=passage,
+        exponent=1.0 if free else 2.0 / 3.0,
+        prefactor=abs(qdot0) if free else (4.5 * abs(mu)) ** (1.0 / 3.0),
+        threshold_times={th: float(big_t - w) for th, w in zip(thresholds, to_go)},
+        local_exponents={th: float(a) for th, a in zip(thresholds, local)},
     )
 
 
@@ -319,11 +318,13 @@ def assemble_motion(
 ) -> MotionSnapshot:
     """Radial fields of the motion phi(t, R) = q(t) f(R) at one time.
 
-    t must lie within the trajectory's samples. The density comes from mass
-    conservation through the deformation determinant,
-    rho = brho / (q**3 f' lambda**2); the total mass equals (4 pi/3) brho
-    independent of t.
+    profile and temporal must share mu exactly (else ValueError), and t must
+    lie within the trajectory's samples. The density comes from mass
+    conservation through the deformation determinant, rho = brho / (q**3 f'
+    lambda**2); the total mass equals (4 pi/3) brho independent of t.
     """
+    if profile.mu != temporal.mu:
+        raise ValueError(f"profile mu {profile.mu!r} != trajectory mu {temporal.mu!r}")
     tiny = 1e-12 * max(1.0, abs(float(temporal.t[-1])))
     if t < temporal.t[0] - tiny or t > temporal.t[-1] + tiny:
         raise OutOfRange(

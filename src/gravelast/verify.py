@@ -57,8 +57,8 @@ def _interior(profile: SolutionProfile) -> np.ndarray:
     return profile.grid.nodes[1:] >= 2.0 * profile.grid.h - 1e-15
 
 
-def _residual_arrays(model, profile) -> tuple[np.ndarray, np.ndarray]:
-    """Signed pointwise defects of both forms on the nodes R > 0.
+def _residual_arrays(model, profile) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Signed pointwise defects of both forms on the nodes R > 0, and g''(y).
 
     f'' comes from the stencil applied to f' - 1; the stencil annihilates
     constants exactly, and the deviation (fprime0 - 1) + m1 is assembled
@@ -77,10 +77,9 @@ def _residual_arrays(model, profile) -> tuple[np.ndarray, np.ndarray]:
     fpp = _derivative_stencil(fprime_dev, grid.h)[1:]
     e = m2[1:] / (lam * r)
 
-    gpp = model.d2g(y)
+    gpp, big_e = model.strain_terms(y)
     if np.any(gpp <= 0.0):
         raise NonconvexModel("g'' <= 0 along the profile")
-    big_e = model.E(y)
 
     brho, mu, G = profile.brho0, profile.mu, profile.G
     rhs_sep = (FOUR_PI_3 * G * brho + mu * lam**3) * brho ** (-1.0 / 3.0) * f
@@ -89,15 +88,15 @@ def _residual_arrays(model, profile) -> tuple[np.ndarray, np.ndarray]:
     lhs_ref = fpp / r + 2.0 * m2[1:] / r**3
     rhs_ref = -m2[1:] / r**3 * (2.0 * e + big_e / gpp) + V(brho, mu, G, lam) / gpp
 
-    return lhs_sep - rhs_sep, lhs_ref - rhs_ref
+    return lhs_sep - rhs_sep, lhs_ref - rhs_ref, gpp
 
 
 def _residual_sups(model, profile) -> tuple[float, float, float]:
     """Sup-node separated and reformulated residuals and equivalence gap over
     R >= 2h, all from one assembly of the defects."""
-    sep, ref = _residual_arrays(model, profile)
+    sep, ref, gpp = _residual_arrays(model, profile)
     mask = _interior(profile)
-    gap = ref * profile.grid.nodes[1:] * model.d2g(profile.y[1:]) - sep
+    gap = ref * profile.grid.nodes[1:] * gpp - sep
     return tuple(float(np.max(np.abs(d[mask]))) for d in (sep, ref, gap))
 
 

@@ -28,7 +28,7 @@ def solution_mu0(model, grid512):
 
 
 @pytest.fixture(scope="session")
-def reference_profile(model, box):
+def reference_profile(model):
     """Factory for zeta = 0 profiles (f = R, y = lambda = 1) at chosen params."""
 
     def make(brho, mu=0.0, n=256):
@@ -37,9 +37,8 @@ def reference_profile(model, box):
         return SolutionProfile(
             model=model, mu=mu, brho0=brho, G=1.0, grid=grid,
             zeta=np.zeros(n + 1), f=geo.f, fprime=geo.fprime, lam=geo.lam,
-            y=geo.y, fprime0=geo.fprime0,
-            boundary_residual=float(model.dg(geo.y[-1])),
-            diagnostics=None, root_evaluations=0, box=box,
+            y=geo.y, boundary_residual=float(model.dg(geo.y[-1])),
+            diagnostics=None, root_evaluations=0,
         )
 
     return make

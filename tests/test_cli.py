@@ -194,6 +194,9 @@ class TestEvolve:
         assert manifest["results"]["collapse"]["T"] == pytest.approx(
             50.0 / 3.0, rel=1e-6
         )
+        local = manifest["results"]["collapse"]["local_exponents"]
+        assert set(local) == {"0.01", "0.001", "0.0001"}
+        assert all(a == pytest.approx(2.0 / 3.0, rel=1e-12) for a in local.values())
 
     def test_negative_t_end(self, tmp_path):
         assert run("evolve", "--mu", "0", "--qdot0", "0", "--t-end", "-1",
@@ -295,6 +298,15 @@ class TestVerify:
         assert not (tmp_path / "vf" / "report.txt").exists()
         intact = _copy_profile(solved_dir, tmp_path / "intact")
         assert run("verify", "--profile", intact, "--out", tmp_path / "vi") == 0
+
+    def test_failing_model_in_manifest_exits_3(self, tmp_path, solved_dir, capsys):
+        soft = _copy_profile(solved_dir, tmp_path / "soft")
+        manifest = json.loads((soft / "manifest.json").read_text())
+        manifest["model"] = "builtin:kappa=1"
+        (soft / "manifest.json").write_text(json.dumps(manifest))
+        assert run("verify", "--profile", soft, "--out", tmp_path / "vs") == 3
+        assert "HypothesisFailed: largeness" in capsys.readouterr().err
+        assert not (tmp_path / "vs" / "report.txt").exists()
 
     def test_missing_manifest(self, tmp_path, solved_dir):
         partial = tmp_path / "partial"

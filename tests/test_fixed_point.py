@@ -1,9 +1,12 @@
+import dataclasses
+from collections import Counter
+
 import numpy as np
 import pytest
 
 import gravelast.fixed_point as fp
 from gravelast import constitutive
-from gravelast.constitutive import make_builtin_model
+from gravelast.constitutive import V, make_builtin_model
 from gravelast.errors import (
     DomainExit,
     MaxIterExceeded,
@@ -11,7 +14,7 @@ from gravelast.errors import (
     ParameterOutOfRange,
 )
 from gravelast.fixed_point import apply_F, lipschitz_probe, picard_solve
-from gravelast.radial import RadialGrid, apply_L_inverse, y_at_boundary
+from gravelast.radial import RadialGrid, apply_L_inverse, reconstruct_geometry, y_at_boundary
 
 # Frozen from a 512-vs-1024 refinement study: common-node difference of the
 # fixed point is ~3.3e-8 h^2.
@@ -38,6 +41,31 @@ class TestApplyF:
     def test_domain_exit_for_large_zeta(self, model, box, grid512):
         with pytest.raises(DomainExit):
             apply_F(model, 1.0, 0.0, 1.0, grid512, np.full(513, 4 * model.delta))
+
+    def test_one_strain_evaluation_per_call(self, model, grid512):
+        counts = Counter()
+
+        def counted(name):
+            fn = getattr(model, name)
+            return lambda y: counts.update([name]) or fn(y)
+
+        spied = dataclasses.replace(model, **{n: counted(n) for n in ("g", "dg", "d2g")})
+        zeta, _ = picard_solve(model, 1.8, 0.0, 1.0, grid512)
+        apply_F(spied, 1.8, 0.0, 1.0, grid512, zeta)  # fills the per-model constants
+        counts.clear()
+        apply_F(spied, 1.8, 0.0, 1.0, grid512, zeta)
+        assert counts == {"g": 1, "dg": 1, "d2g": 1}
+
+    @pytest.mark.parametrize("mu_frac", [-0.5, 0.0, 0.5])
+    def test_equals_assembly_from_public_pieces(self, model, box, grid512, mu_frac):
+        brho, mu = 1.8, mu_frac * box.mu0
+        zeta, _ = picard_solve(model, brho, mu, 1.0, grid512)
+        geo = reconstruct_geometry(grid512, zeta)
+        r = grid512.nodes
+        expected = V(brho, mu, 1.0, geo.lam) / model.d2g(geo.y)
+        expected[1:] -= geo.moment2[1:] / r[1:] ** 3 * model.U(geo.y[1:])
+        out = apply_F(model, brho, mu, 1.0, grid512, zeta)
+        np.testing.assert_allclose(out, expected, rtol=1e-12, atol=0)
 
 
 class TestPicard:

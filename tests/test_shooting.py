@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import math
 
@@ -11,7 +12,7 @@ from gravelast.constitutive import EIGHT_PI_3, FOUR_PI_3, K, make_builtin_model
 from gravelast.errors import ParameterOutOfRange
 from gravelast.fixed_point import lipschitz_probe, picard_solve
 from gravelast.parameters import build_parameter_box, k_minimum, mu_ceiling
-from gravelast.radial import RadialGrid
+from gravelast.radial import RadialGrid, reconstruct_geometry
 from gravelast.shooting import (
     DEFAULT_TOL_BC,
     boundary_mismatch,
@@ -193,6 +194,16 @@ class TestSolve:
         assert box.mu0 < 2.5e-3 < wide.mu0
         with pytest.raises(ValueError, match="not the box"):
             solve_separable(model, 2.5e-3, 1.0, grid, box=wide)
+
+    def test_derived_state_not_stored(self, model, solution_mu0):
+        # box and fprime0 follow from (model, G) and fprime, so no copy drifts
+        sol = solution_mu0
+        assert {"box", "fprime0"}.isdisjoint(f.name for f in dataclasses.fields(sol))
+        assert sol.box == build_parameter_box(model, 1.0)
+        assert sol.fprime0 == reconstruct_geometry(sol.grid, sol.zeta).fprime0
+        with pytest.raises(TypeError):
+            dataclasses.replace(sol, box=build_parameter_box(model, 0.5))
+        assert dataclasses.replace(sol, G=0.5).box == build_parameter_box(model, 0.5)
 
     @pytest.mark.parametrize("fn", [picard_solve, boundary_mismatch, lipschitz_probe])
     def test_no_caller_supplied_box(self, model, fn):

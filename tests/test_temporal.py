@@ -198,8 +198,8 @@ class TestCollapseTime:
         # free-fall time of q'' = mu/q^2 from rest: pi / (2 sqrt(2 |mu|))
         t_ff = math.pi / (2 * math.sqrt(2 * abs(mu)))
         assert est.time == pytest.approx(t_ff, rel=1e-12)
-        assert est.exponent == pytest.approx(2.0 / 3.0, abs=1e-3)
-        assert est.prefactor == pytest.approx((9 * abs(mu) / 2) ** (1 / 3), rel=1e-2)
+        assert est.exponent == 2.0 / 3.0
+        assert est.prefactor == pytest.approx((9 * abs(mu) / 2) ** (1 / 3), rel=4 * EPS)
 
     @pytest.mark.parametrize(
         "mu,qdot0",
@@ -235,16 +235,40 @@ class TestCollapseTime:
     def test_linear_collapse(self):
         est = collapse_time(0.0, -0.5)
         assert est.time == 2.0
-        assert est.exponent == pytest.approx(1.0, abs=1e-12)
-        assert est.prefactor == pytest.approx(0.5, rel=1e-12)
+        assert est.exponent == 1.0
+        assert est.prefactor == 0.5
+        assert all(a == pytest.approx(1.0, rel=4 * EPS) for a in est.local_exponents.values())
 
     def test_inward_unbound_exponent(self):
-        # A = |mu|/(2 e_eff) = 4e-3: the last default decade [1e-4, 1e-3] is
-        # not yet asymptotic, a decade far below A is.
+        # A = |mu|/(2 e_eff) = 4e-3: at q = 1e-4 the local exponent is not
+        # yet 2/3, far below A it is; the asymptotic law is exact either way.
         coarse = collapse_time(-0.001, -0.5)
         fine = collapse_time(-0.001, -0.5, thresholds=(1e-6, 1e-7, 1e-8))
         assert fine.time == coarse.time
-        assert abs(fine.exponent - 2.0 / 3.0) <= 1e-3 < abs(coarse.exponent - 2.0 / 3.0)
+        assert coarse.exponent == fine.exponent == 2.0 / 3.0
+        assert coarse.prefactor == 0.0045 ** (1.0 / 3.0)
+        assert coarse.local_exponents[1e-4] == pytest.approx(0.6683083809, rel=1e-10)
+        assert abs(fine.local_exponents[1e-8] - 2.0 / 3.0) <= 1e-6
+        local = [coarse.local_exponents[e] for e in (1e-2, 1e-3, 1e-4)]
+        assert local[0] > local[1] > local[2] > 2.0 / 3.0
+
+    @pytest.mark.parametrize(
+        "mu,qdot0",
+        [
+            (-0.001, 0.0), (-0.002, 0.01), (-0.001, -0.03),  # bound
+            (-0.001, -0.5), (-0.0015, -0.3),  # inward unbound
+            (-0.0008, -0.04), (-0.02, -0.2),  # e_eff = 0 to 1e-14
+        ],
+    )
+    def test_local_exponents_match_mpmath(self, mu, qdot0):
+        # (T - t)|qdot|/q of the 50-digit orbit at each reported passage time
+        thresholds = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
+        est = collapse_time(mu, qdot0, thresholds)
+        for eps in thresholds:
+            t = est.threshold_times[eps]
+            q, qd, big_t = mp_amplitude(mu, qdot0, t)
+            exact = float((big_t - t) * abs(qd) / q)
+            assert est.local_exponents[eps] == pytest.approx(exact, rel=1e-11)
 
     def test_thresholds_must_lie_below_one(self):
         with pytest.raises(ValueError):
@@ -258,6 +282,12 @@ class TestCollapseTime:
 
 
 class TestAssembleMotion:
+    def test_mismatched_mu_rejected(self, reference_profile):
+        prof = reference_profile(brho=1.0, mu=0.0)
+        temporal = evolve_q(0.001, 0.0, 1.0, 0.01)
+        with pytest.raises(ValueError, match="mu"):
+            assemble_motion(prof, temporal, 0.5)
+
     def test_reference_state(self, reference_profile):
         prof = reference_profile(brho=2.0)
         temporal = evolve_q(0.0, 0.3, 1.0, 0.01)
@@ -284,7 +314,7 @@ class TestAssembleMotion:
 
     def test_interpolation_between_samples(self, reference_profile):
         # off the sample points assemble_motion evaluates the closed form
-        prof = reference_profile(brho=1.0)
+        prof = reference_profile(brho=1.0, mu=0.001)
         temporal = evolve_q(0.001, 0.0, 1.0, 0.01)
         snap = assemble_motion(prof, temporal, 0.2505)
         q_rk, qd_rk = rk4_amplitude(0.001, 0.0, 0.2505, 501)
@@ -300,7 +330,7 @@ class TestAssembleMotion:
             assemble_motion(prof, temporal, 2.0)
 
     def test_past_collapse_rejected(self, reference_profile):
-        prof = reference_profile(brho=1.0)
+        prof = reference_profile(brho=1.0, mu=-0.0008)
         temporal = evolve_q(-0.0008, -0.04, 20.0, 1e-3)
         with pytest.raises(OutOfRange):
             assemble_motion(prof, temporal, 18.0)

@@ -82,8 +82,8 @@ class TestEquivalence:
         original = verify._residual_arrays
 
         def flipped(model_, profile):
-            sep, ref = original(model_, profile)
-            return sep, -ref
+            sep, ref, gpp = original(model_, profile)
+            return sep, -ref, gpp
 
         monkeypatch.setattr(verify, "_residual_arrays", flipped)
         _, gap = residual_reformulation(model, probe)
