@@ -1,8 +1,9 @@
 """Separable motions of a self-gravitating hyperelastic ball.
 
 The flow map factors as phi(t, R) = q(t) f(R): the spatial profile f comes
-from a contraction fixed point plus a root search in the reference density,
-the amplitude q from the elementary ODE q**2 qddot = mu.
+from a contraction fixed point plus a root search for the reference density
+(run in the forcing scale w), the amplitude q from the elementary ODE
+q**2 qddot = mu.
 """
 
 __version__ = "0.1.0"

@@ -9,7 +9,8 @@ All constants are closed forms in the gravitational constant G:
 
 Within the box, K(brho, mu) < 21/2 and the map being iterated shrinks
 distances by a factor around 0.12, so plain fixed-point iteration and a
-bracketing sign-change search in brho suffice downstream.
+bracketing sign-change search for brho (run in the forcing scale w, see
+shooting) suffice downstream.
 """
 
 from __future__ import annotations

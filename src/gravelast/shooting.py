@@ -1,4 +1,4 @@
-"""Root search in the reference density for the stress-free boundary.
+"""Root search for the stress-free boundary, in the forcing scale w.
 
 For fixed mu the fixed point z(brho, mu) exists on the whole bracket
 [brho_lower, brho_plus] and the boundary mismatch brho -> g'(y(1)) is
@@ -9,6 +9,17 @@ secant and inverse quadratic interpolation steps on the smooth mismatch,
 safeguarded by bisection so the bracket always shrinks around a sign
 change.  Monotonicity of the mismatch is not guaranteed; the search
 returns one root.
+
+The mismatch is concave in brho, which costs Brent several bisection-like
+steps.  The search variable is therefore the forcing scale
+
+    w(brho) = brho**(-1/3) ((4 pi/3) G brho + mu),
+
+which is V at lam = 1, the scale that drives F; against w the mismatch is
+nearly linear.  w increases on the bracket for every admissible mu,
+because the bracket starts at brho_minus(mu), where dw/dbrho = 0 for
+mu > 0.  Each trial w maps back to brho = u**3 through the upper root u of
+the cubic (4 pi/3) G u**3 - w u + mu = 0 (_brho_from_w).
 """
 
 from __future__ import annotations
@@ -19,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .constitutive import ConstitutiveModel
+from .constitutive import FOUR_PI_3, ConstitutiveModel, V
 from .errors import BracketFailure, SolverError
 from .fixed_point import (
     DEFAULT_MAX_ITER,
@@ -163,6 +174,40 @@ def brent_root(
         evals += 1
 
 
+def _brho_from_w(w: float, mu: float, G: float, lo: float, hi: float) -> float:
+    """Inverse of the forcing scale w = V(brho, mu, G, 1) on the bracket
+    [lo, hi] = [brho_lower(mu), brho_plus]: brho = u**3 for the root
+    u >= lo**(1/3) of
+
+        c(u) = (4 pi/3) G u**3 - w u + mu = u (w(u**3) - w).
+
+    For mu > 0 the cubic has two positive roots, one on each side of
+    brho_minus(mu)**(1/3), where dw/dbrho = 0; the bracket is the upper
+    branch.  c is convex for u > 0 and c(hi**(1/3)) >= 0, so Newton steps
+    from hi**(1/3) decrease monotonically onto the largest root below it,
+    the upper one; the loop ends when c, the slope or the step stops being
+    positive.
+    w at or beyond the value of an end returns that end exactly, and the
+    result is clamped to [lo, hi], so rounding never leaves the bracket.
+    """
+    if w <= V(lo, mu, G, 1.0):
+        return lo
+    if w >= V(hi, mu, G, 1.0):
+        return hi
+    a = FOUR_PI_3 * G
+    u = hi ** (1.0 / 3.0)
+    while True:
+        c = (a * u * u - w) * u + mu
+        slope = 3.0 * a * u * u - w
+        if c <= 0.0 or slope <= 0.0:
+            break
+        nxt = u - c / slope
+        if nxt >= u:
+            break
+        u = nxt
+    return min(max(u**3, lo), hi)
+
+
 def solve_separable(
     model: ConstitutiveModel,
     mu: float,
@@ -175,8 +220,16 @@ def solve_separable(
 ) -> SolutionProfile:
     """Find brho0(mu) with |g'(y(1))| < tol_bc and assemble the profile.
 
-    tol_brho is relative to brho_plus and bounds the final bracket width if
-    the boundary tolerance is not hit first.  The box is
+    Brent's method runs on the forcing scale w = V(brho, mu, G, 1) between
+    the images of the bracket ends brho_lower(mu) and brho_plus; each trial
+    w maps back to brho through _brho_from_w.  If the boundary tolerance is
+    not hit first, the search stops once the final bracket is narrower than
+    tol_brho * brho_plus in brho.  Brent sees that width in w, converted as
+    tol_brho * brho_plus * dw/dbrho at brho_plus: for mu <= 0 dw/dbrho
+    decreases along the bracket, so that w width is no wider in brho
+    anywhere; for mu > 0 the same holds wherever dw/dbrho is at least its
+    value at brho_plus, that is everywhere but below about
+    1.043 brho_minus(mu), where dw/dbrho falls to 0.  The box is
     build_parameter_box(model, G); a box passed in must equal it, else
     ValueError.  Every Picard run after the two bracket ends starts from
     the fixed point of the best bracket point so far.
@@ -211,9 +264,12 @@ def solve_separable(
             best_brho, best = brho, res
         return res.value
 
+    # dw/dbrho at brho_plus converts the brho width into a w width
+    dw_hi = (2.0 * FOUR_PI_3 * G * hi - mu) / (3.0 * hi ** (4.0 / 3.0))
     _, evals = brent_root(
-        mismatch, lo, hi, res_lo.value, res_hi.value,
-        xtol=tol_brho * box.brho_plus, ftol=tol_bc, max_evals=MAX_ROOT_EVALUATIONS - 2,
+        lambda w: mismatch(_brho_from_w(w, mu, G, lo, hi)),
+        V(lo, mu, G, 1.0), V(hi, mu, G, 1.0), res_lo.value, res_hi.value,
+        xtol=tol_brho * hi * dw_hi, ftol=tol_bc, max_evals=MAX_ROOT_EVALUATIONS - 2,
     )
 
     geo = reconstruct_geometry(grid, best.zeta)

@@ -149,8 +149,9 @@ def stress_profiles(profile: SolutionProfile) -> tuple[np.ndarray, np.ndarray]:
     model = profile.model
     scale = profile.brho0 ** (4.0 / 3.0)
     lam2 = profile.lam**2
-    c1 = scale / lam2 * model.dg(profile.y)
-    c2 = -0.5 * scale / lam2 * (profile.y * model.dg(profile.y) + model.g(profile.y))
+    dg = model.dg(profile.y)
+    c1 = scale / lam2 * dg
+    c2 = -0.5 * scale / lam2 * (profile.y * dg + model.g(profile.y))
     return c1, c2
 
 

@@ -2,13 +2,14 @@ import dataclasses
 import inspect
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gravelast import constitutive, shooting
-from gravelast.constitutive import EIGHT_PI_3, FOUR_PI_3, K, make_builtin_model
+from gravelast import constitutive, fixed_point, shooting
+from gravelast.constitutive import EIGHT_PI_3, FOUR_PI_3, K, V, make_builtin_model
 from gravelast.errors import ParameterOutOfRange
 from gravelast.fixed_point import lipschitz_probe, picard_solve
 from gravelast.parameters import build_parameter_box, k_minimum, mu_ceiling
@@ -59,6 +60,30 @@ class TestBrentRoot:
     def test_requires_sign_change(self):
         with pytest.raises(ValueError):
             brent_root(lambda x: 1.0, 0.0, 1.0, 1.0, 1.0, xtol=1e-12, ftol=0.0, max_evals=10)
+
+
+class TestForcingScaleInverse:
+    @pytest.mark.parametrize("frac", [-1.0, -0.5, 0.0, 0.5, 1.0])
+    def test_round_trip_and_upper_root(self, box, frac):
+        # 50-digit oracle: the largest real root of (4 pi/3) G u**3 - w u + mu.
+        # The lower end is left out of the root comparison: for mu > 0,
+        # dw/dbrho = 0 there and the cubic's root moves like sqrt(w - w_lo).
+        mu = frac * box.mu0
+        lo, hi = box.brho_lower(mu), box.brho_plus
+        brhos = np.geomspace(lo, hi, 33)
+        brhos[0], brhos[-1] = lo, hi
+        w_all = [V(b, mu, 1.0, 1.0) for b in brhos]
+        assert all(np.diff(w_all) > 0.0)
+        for brho, w in zip(brhos, w_all):
+            back = shooting._brho_from_w(w, mu, 1.0, lo, hi)
+            assert lo <= back <= hi
+            assert back == pytest.approx(brho, rel=1e-14, abs=0.0)
+            if brho == lo:
+                continue
+            with mp.workdps(50):
+                roots = mp.polyroots([mp.mpf(FOUR_PI_3), 0, -mp.mpf(w), mp.mpf(mu)])
+                upper = max(r.real for r in roots if abs(r.imag) < mp.mpf(10) ** -30) ** 3
+            assert back == pytest.approx(float(upper), rel=1e-14, abs=0.0)
 
 
 class TestParameterBox:
@@ -144,16 +169,25 @@ class TestSolve:
         assert abs(sol.boundary_residual) <= 1e-10
         assert box.brho_minus(mu) < sol.brho0 < box.brho_plus
 
-    def test_root_evaluation_bound(self, model, box, solution_mu0):
-        width = box.brho_plus - box.brho_lower(0.0)
-        bound = math.ceil(math.log2(width / (1e-12 * box.brho_plus))) + 2
-        assert solution_mu0.root_evaluations <= bound
+    def test_root_evaluation_bound(self, solution_mu0):
+        assert solution_mu0.root_evaluations <= 6
 
     @pytest.mark.parametrize("frac", [-1.0, 0.0, 1.0])
     def test_few_root_evaluations(self, model, box, grid512, frac):
         sol = solve_separable(model, frac * box.mu0, 1.0, grid512)
-        assert sol.root_evaluations <= 12
+        assert sol.root_evaluations <= 6
         assert abs(sol.boundary_residual) < 1e-10
+
+    @pytest.mark.parametrize("frac", [-1.0, 0.0, 1.0])
+    def test_few_apply_F_calls(self, model, box, grid512, frac, monkeypatch):
+        # An exact count, so a costlier search shows without any timing.
+        calls = []
+        original = fixed_point.apply_F
+        monkeypatch.setattr(
+            fixed_point, "apply_F", lambda *args: calls.append(1) or original(*args)
+        )
+        solve_separable(model, frac * box.mu0, 1.0, grid512)
+        assert len(calls) <= 16
 
     @pytest.mark.parametrize("frac", [-1.0, 0.0, 1.0])
     def test_brho0_matches_bisection_oracle(self, model, box, frac):
@@ -162,6 +196,19 @@ class TestSolve:
         grid = RadialGrid(256)
         mu = frac * box.mu0
         sol = solve_separable(model, mu, 1.0, grid)
+        root = bisect_oracle(
+            lambda r: boundary_mismatch(model, r, mu, 1.0, grid).value,
+            box.brho_lower(mu), box.brho_plus,
+        )
+        assert sol.brho0 == pytest.approx(root, rel=1e-9)
+
+    @pytest.mark.parametrize("frac", [-1.0, 0.0, 1.0])
+    def test_width_stop_matches_bisection_oracle(self, model, box, frac):
+        # tol_bc = 0 never stops the search, so it ends on the tol_brho width.
+        grid = RadialGrid(256)
+        mu = frac * box.mu0
+        sol = solve_separable(model, mu, 1.0, grid, tol_bc=0.0)
+        assert sol.root_evaluations <= 8
         root = bisect_oracle(
             lambda r: boundary_mismatch(model, r, mu, 1.0, grid).value,
             box.brho_lower(mu), box.brho_plus,

@@ -137,6 +137,17 @@ class TestStress:
         rhs = abs(model.dg(solution_mu0.y[-1])) * solution_mu0.lam[-1] ** -2
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
+    def test_one_dg_evaluation(self, model, solution_mu0):
+        calls = []
+        spied = dataclasses.replace(model, dg=lambda y: calls.append(y) or model.dg(y))
+        c1, c2 = stress_profiles(dataclasses.replace(solution_mu0, model=spied))
+        assert len(calls) == 1
+        # Bit-identical to the components assembled from g' and g directly.
+        y, lam2 = solution_mu0.y, solution_mu0.lam**2
+        scale = solution_mu0.brho0 ** (4.0 / 3.0)
+        assert np.array_equal(c1, scale / lam2 * model.dg(y))
+        assert np.array_equal(c2, -0.5 * scale / lam2 * (y * model.dg(y) + model.g(y)))
+
 
 class TestReport:
     def test_fields(self, model, solution_mu0):
