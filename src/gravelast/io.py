@@ -5,6 +5,13 @@ Arrays go to CSV with one leading unit-comment line, a header row, and
 directory gets a JSON manifest recording inputs, results and sha256 hashes
 of the emitted CSVs; wall time and timestamps live only in the manifest,
 so identical reruns produce byte-identical CSVs.
+
+The writer builds one ``%`` row template per file ("%.17g" for a float
+column, "%d" for an integer one, "%s" for text; the same bytes as ``fmt``
+cell by cell) and formats rows in bounded chunks of ``_CHUNK_ROWS``, so no
+whole column is ever held as a Python list.  The reader checks each row's
+field count against the header, then parses only the requested columns
+with ``np.loadtxt``, which reads a number as ``float`` does.
 """
 
 from __future__ import annotations
@@ -38,6 +45,9 @@ TEMPORAL_UNITS = "# units: t time; q dimensionless amplitude; qdot 1/time; energ
 SNAPSHOT_COLUMNS = ("R", "phi", "u", "rho")
 SNAPSHOT_UNITS = "# units: R reference radius; phi current radius; u velocity; rho mass density"
 
+# Rows formatted per write: bounds the Python lists built from each column slice.
+_CHUNK_ROWS = 1024
+
 
 def fmt(x) -> str:
     if isinstance(x, (int, np.integer)):
@@ -45,38 +55,53 @@ def fmt(x) -> str:
     return format(float(x), ".17g")
 
 
+def _column_spec(column) -> tuple[str, object]:
+    """The ``%`` spec under which every cell of ``column`` reads as ``fmt`` writes it.
+
+    Returns the spec and the column to format with it: a column mixing str,
+    int and float cells is pre-formatted cell by cell and written with "%s".
+    """
+    if isinstance(column, np.ndarray) and column.dtype.kind in "fiub":
+        return ("%.17g" if column.dtype.kind == "f" else "%d"), column
+    if all(isinstance(x, str) for x in column):
+        return "%s", column
+    if all(isinstance(x, (int, np.integer)) for x in column):
+        return "%d", column
+    if not any(isinstance(x, (str, int, np.integer)) for x in column):
+        return "%.17g", column
+    return "%s", [x if isinstance(x, str) else fmt(x) for x in column]
+
+
 def write_csv(path: Path, comment: str, header, columns) -> None:
-    rows = zip(*columns)
-    lines = [comment, ",".join(header)]
-    for row in rows:
-        lines.append(",".join(x if isinstance(x, str) else fmt(x) for x in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    typed = [_column_spec(c) for c in columns]
+    template = ",".join(spec for spec, _ in typed) + "\n"
+    columns = [c for _, c in typed]
+    n_rows = min(map(len, columns), default=0)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(f"{comment}\n{','.join(header)}\n")
+        for start in range(0, n_rows, _CHUNK_ROWS):
+            chunk = [c[start:start + _CHUNK_ROWS] for c in columns]
+            rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in chunk))
+            fh.write("".join(map(template.__mod__, rows)))
 
 
-def read_csv(path: Path) -> dict[str, list[str]]:
+def read_float_columns(path: Path, names) -> dict[str, np.ndarray]:
     lines = path.read_text(encoding="utf-8").splitlines()
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines:
         raise ValueError(f"{path} has no header row")
-    header = lines[0].split(",")
-    cols: dict[str, list[str]] = {name: [] for name in header}
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != len(header):
-            raise ValueError(f"{path}: malformed row {ln!r}")
-        for name, val in zip(header, parts):
-            cols[name].append(val)
-    return cols
-
-
-def read_float_columns(path: Path, names) -> dict[str, np.ndarray]:
-    cols = read_csv(path)
-    out = {}
+    header, body = lines[0].split(","), lines[1:]
     for name in names:
-        if name not in cols:
+        if name not in header:
             raise ValueError(f"{path}: missing column {name!r}")
-        out[name] = np.array([float(v) for v in cols[name]])
-    return out
+    for ln in body:
+        if ln.count(",") != len(header) - 1:
+            raise ValueError(f"{path}: malformed row {ln!r}")
+    if not body:
+        return {name: np.empty(0) for name in names}
+    data = np.loadtxt(body, delimiter=",", comments=None, ndmin=2, dtype=float,
+                      usecols=[header.index(name) for name in names])
+    return {name: np.ascontiguousarray(data[:, k]) for k, name in enumerate(names)}
 
 
 def sha256_of(path: Path) -> str:

@@ -327,6 +327,22 @@ class TestVerify:
         (broken / "profile.csv").write_text((solved_dir / "profile.csv").read_text())
         assert run("verify", "--profile", broken, "--out", tmp_path / "vbn") == 2
 
+    @pytest.mark.parametrize(
+        "edit",
+        [lambda p: p + ["0"], lambda p: p[:-1], lambda p: p[:2] + [""] + p[3:],
+         lambda p: p[:2] + ["abc"] + p[3:]],
+        ids=["extra-field", "missing-field", "empty-cell", "non-numeric-cell"],
+    )
+    def test_malformed_row_rejected(self, tmp_path, solved_dir, edit, capsys):
+        # one row edited at R = 0.5, the manifest re-hashed to match
+        def edit_row(parts):
+            return edit(parts) if parts[0] == fmt(0.5) else parts
+
+        broken = _copy_profile(solved_dir, tmp_path / "malformed", edit_row, rehash=True)
+        assert run("verify", "--profile", broken, "--out", tmp_path / "vm") == 2
+        assert "corrupt profile directory" in capsys.readouterr().err
+        assert not (tmp_path / "vm" / "report.txt").exists()
+
     def test_corrupt_zeta_column_fails(self, tmp_path, solved_dir):
         def shift_zeta(parts):
             parts[1] = fmt(float(parts[1]) + 1e-4)  # columns stay consistent
