@@ -17,7 +17,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .constitutive import ConstitutiveModel
 from .errors import SolverError
 from .io import (
     MANIFEST_FILE,
@@ -41,9 +40,16 @@ from .io import (
     write_csv,
     write_manifest,
 )
+from .fixed_point import DEFAULT_TOL
 from .parameters import build_parameter_box
 from .radial import RadialGrid
-from .shooting import SolutionProfile, solve_separable, sweep as sweep_rows
+from .shooting import (
+    DEFAULT_TOL_BC,
+    DEFAULT_TOL_BRHO,
+    SolutionProfile,
+    solve_separable,
+    sweep as sweep_rows,
+)
 from .temporal import REGIME_COLLAPSING, assemble_motion, collapse_time, evolve_q
 from .verify import residual_report, stress_profiles
 
@@ -53,19 +59,11 @@ EXIT_SOLVER = 3
 EXIT_SWEEP_EMPTY = 4
 EXIT_VERIFY = 5
 
-DEFAULTS = {
-    "model": "builtin:kappa=3100",
-    "G": 1.0,
-    "N": 512,
-    "tol_picard": 1e-13,
-    "tol_bc": 1e-10,
-    "tol_brho": 1e-12,
-    "qdot0": 0.0,
-    "dt": 1e-3,
-    "max_residual": 1e-6,
-    "max_equivalence": 1e-8,
-    "max_boundary": 1e-8,
-}
+# The keys a --config file may set; each names an option's dest.
+CONFIG_KEYS = (
+    "model", "G", "N", "tol_picard", "tol_bc", "tol_brho",
+    "mu", "qdot0", "dt", "max_residual", "max_equivalence", "max_boundary",
+)
 
 
 class UsageError(Exception):
@@ -79,23 +77,43 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-\d*\.?\d+(?:[eE][-+]?\d+)?$")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _checked(convert):
+    """An argparse type whose ValueError message becomes the usage error."""
+    def parse(text: str):
+        try:
+            return convert(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+    return parse
+
+
+def _build_parser() -> tuple[argparse.ArgumentParser, argparse.Action]:
+    # String defaults of --model and --N pass through their type, as a flag would.
     shared = _Parser(add_help=False)
-    shared.add_argument("--model", help="model spec, e.g. builtin:kappa=3100")
-    shared.add_argument("--G", type=float, help="gravitational constant (default 1)")
-    shared.add_argument("--N", type=int, help="grid cells, even and >= 16 (default 512)")
-    shared.add_argument("--tol-picard", type=float, dest="tol_picard")
-    shared.add_argument("--tol-bc", type=float, dest="tol_bc")
-    shared.add_argument("--tol-brho", type=float, dest="tol_brho")
-    shared.add_argument("--out", type=Path, default=Path("out"), help="output directory")
-    shared.add_argument("--config", type=Path, help="flat key = value config file")
+    shared.add_argument("--model", type=_checked(parse_model_spec), default="builtin:kappa=3100",
+                        help="model spec (default %(default)s)")
+    shared.add_argument("--G", type=float, default=1.0,
+                        help="gravitational constant (default %(default)s)")
+    shared.add_argument("--N", type=_checked(lambda s: RadialGrid(int(s))), default="512",
+                        help="grid cells, even and >= 16 (default %(default)s)")
+    shared.add_argument("--tol-picard", type=float, dest="tol_picard", default=DEFAULT_TOL,
+                        help="Picard update tolerance (default %(default)s)")
+    shared.add_argument("--tol-bc", type=float, dest="tol_bc", default=DEFAULT_TOL_BC,
+                        help="boundary mismatch tolerance (default %(default)s)")
+    shared.add_argument("--tol-brho", type=float, dest="tol_brho", default=DEFAULT_TOL_BRHO,
+                        help="brho0 tolerance relative to brho_plus (default %(default)s)")
+    shared.add_argument("--out", type=Path, default=Path("out"),
+                        help="output directory (default %(default)s)")
+    shared.add_argument("--config", type=Path,
+                        help="flat key = value file of option defaults; flags win")
 
     p = _Parser(prog="gravelast", description=__doc__)
     p.add_argument("--version", action="version", version=f"gravelast {__version__}")
     sub = p.add_subparsers(dest="cmd", required=True)
 
     solve = sub.add_parser("solve", parents=[shared], help="solve one (mu, brho0) profile")
-    solve.add_argument("--mu", type=float, help="separation eigenvalue (default 0)")
+    solve.add_argument("--mu", type=float, default=0.0,
+                       help="separation eigenvalue (default %(default)s)")
 
     swp = sub.add_parser("sweep", parents=[shared], help="solve a family of mu values")
     swp.add_argument("--mu-min", type=float, dest="mu_min", required=True)
@@ -104,69 +122,71 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ev = sub.add_parser("evolve", parents=[shared], help="sample the amplitude q(t)")
     ev.add_argument("--mu", type=float, help="eigenvalue (default: profile's, else 0)")
-    ev.add_argument("--qdot0", type=float, help="initial amplitude rate (default 0)")
+    ev.add_argument("--qdot0", type=float, default=0.0,
+                    help="initial amplitude rate (default %(default)s)")
     ev.add_argument("--t-end", type=float, dest="t_end", required=True)
-    ev.add_argument("--dt", type=float, help="sample step (default 1e-3)")
-    ev.add_argument("--snapshot-times", dest="snapshot_times",
+    ev.add_argument("--dt", type=float, default=1e-3, help="sample step (default %(default)s)")
+    ev.add_argument("--snapshot-times", dest="snapshot_times", default=(),
+                    type=_checked(lambda s: [float(t) for t in s.split(",") if t.strip()]),
                     help="comma-separated times for radial field snapshots")
     ev.add_argument("--profile", type=Path, help="directory of a solved profile")
 
     ver = sub.add_parser("verify", parents=[shared], help="residual-check a solved profile")
     ver.add_argument("--profile", type=Path, required=True)
-    ver.add_argument("--max-residual", type=float, dest="max_residual")
-    ver.add_argument("--max-equivalence", type=float, dest="max_equivalence")
-    ver.add_argument("--max-boundary", type=float, dest="max_boundary")
-    return p
+    ver.add_argument("--max-residual", type=float, dest="max_residual", default=1e-6,
+                     help="residual threshold (default %(default)s)")
+    ver.add_argument("--max-equivalence", type=float, dest="max_equivalence", default=1e-8,
+                     help="equivalence gap threshold (default %(default)s)")
+    ver.add_argument("--max-boundary", type=float, dest="max_boundary", default=1e-8,
+                     help="|g'(y(1))| threshold (default %(default)s)")
+    return p, sub
 
 
-def _resolve(args, config: dict, name: str, cast):
-    val = getattr(args, name, None)
-    if val is not None:
-        return val
-    if name in config:
-        try:
-            return cast(config[name])
-        except ValueError as exc:
-            raise UsageError(f"config value for {name!r} is not valid: {config[name]!r}") from exc
-    return DEFAULTS[name]
+def _parse_args(argv) -> argparse.Namespace:
+    """Parse argv; a --config file's values become the command's option defaults.
 
-
-def _load_config(args) -> dict:
-    if getattr(args, "config", None) is None:
-        return {}
-    path = Path(args.config)
-    if not path.exists():
-        raise UsageError(f"config file not found: {path}")
-    return read_config(path)
-
-
-def _tolerances(args, config) -> dict[str, float]:
-    names = ("tol_picard", "tol_bc", "tol_brho")
-    return {k: float(_resolve(args, config, k, float)) for k in names}
-
-
-def _grid(args, config) -> RadialGrid:
-    n = int(_resolve(args, config, "N", int))
+    Parsing again casts each config value exactly as the flag, so a bad one
+    exits 2 naming the option. Keys outside CONFIG_KEYS or outside the
+    command's options are ignored.
+    """
+    parser, commands = _build_parser()
+    args = parser.parse_args(argv)
+    if args.config is None:
+        return args
     try:
-        return RadialGrid(n)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+        config = read_config(args.config)
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"cannot read config file: {exc}") from exc
+    commands.choices[args.cmd].set_defaults(
+        **{k: v for k, v in config.items() if k in CONFIG_KEYS and hasattr(args, k)}
+    )
+    return parser.parse_args(argv)
 
 
-def _model(args, config) -> ConstitutiveModel:
-    spec = _resolve(args, config, "model", str)
-    try:
-        return parse_model_spec(spec)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+def _tolerances(args) -> dict[str, float]:
+    return {"tol_picard": args.tol_picard, "tol_bc": args.tol_bc, "tol_brho": args.tol_brho}
 
 
-def _manifest_skeleton(argv) -> dict:
+def _solver_settings(args) -> dict:
+    """Manifest fields of the model, grid and tolerances a solve ran with."""
     return {
+        "model": args.model.spec_string(), "G": args.G, "N": args.N.n,
+        "tolerances": {k.removeprefix("tol_"): v for k, v in _tolerances(args).items()},
+    }
+
+
+def _write_manifest(args, argv, wall: float, results: dict, files, **inputs) -> None:
+    """manifest.json in args.out: the command, its inputs, results and file hashes."""
+    manifest = {
         "tool": {"name": "gravelast", "version": __version__},
         "command": "gravelast " + " ".join(argv),
         "timestamp_utc": datetime.now(timezone.utc).isoformat(),
+        "wall_time_s": wall,
+        "results": results,
+        "files": {name: file_entry(args.out / name) for name in files},
+        **inputs,
     }
+    write_manifest(args.out / MANIFEST_FILE, manifest)
 
 
 def _profile_csv_arrays(sol: SolutionProfile):
@@ -175,10 +195,15 @@ def _profile_csv_arrays(sol: SolutionProfile):
     return (sol.grid.nodes, sol.zeta, sol.f, sol.fprime, sol.lam, sol.y, c1, c2, rho_t0)
 
 
-def _write_solution(out: Path, sol: SolutionProfile, manifest: dict) -> None:
+def cmd_solve(args, argv) -> int:
+    t0 = time.perf_counter()
+    sol = solve_separable(args.model, args.mu, args.G, args.N, **_tolerances(args))
+    wall = time.perf_counter() - t0
+
+    out = args.out
     out.mkdir(parents=True, exist_ok=True)
     write_csv(out / PROFILE_FILE, PROFILE_UNITS, PROFILE_COLUMNS, _profile_csv_arrays(sol))
-    manifest["results"] = {
+    results = {
         "brho0": sol.brho0,
         "boundary_residual": sol.boundary_residual,
         "y1": float(sol.y[-1]),
@@ -193,46 +218,20 @@ def _write_solution(out: Path, sol: SolutionProfile, manifest: dict) -> None:
             "brho_lower": sol.box.brho_lower(sol.mu),
         },
     }
-    manifest["files"] = {PROFILE_FILE: file_entry(out / PROFILE_FILE)}
-    write_manifest(out / MANIFEST_FILE, manifest)
-
-
-def cmd_solve(args, argv) -> int:
-    config = _load_config(args)
-    model = _model(args, config)
-    grid = _grid(args, config)
-    G = float(_resolve(args, config, "G", float))
-    mu = float(args.mu if args.mu is not None else config.get("mu", 0.0))
-    tols = _tolerances(args, config)
-
-    t0 = time.perf_counter()
-    sol = solve_separable(model, mu, G, grid, **tols)
-    wall = time.perf_counter() - t0
-
-    manifest = _manifest_skeleton(argv)
-    manifest.update(
-        model=model.spec_string(), G=G, mu=mu, N=grid.n,
-        tolerances={"picard": tols["tol_picard"], "bc": tols["tol_bc"], "brho": tols["tol_brho"]},
-        wall_time_s=wall,
-    )
-    _write_solution(args.out, sol, manifest)
-    print(f"solved mu={mu:g}: brho0={sol.brho0:.12g}, "
-          f"|g'(y(1))|={abs(sol.boundary_residual):.3e} -> {args.out / PROFILE_FILE}")
+    _write_manifest(args, argv, wall, results, [PROFILE_FILE],
+                    mu=args.mu, **_solver_settings(args))
+    print(f"solved mu={args.mu:g}: brho0={sol.brho0:.12g}, "
+          f"|g'(y(1))|={abs(sol.boundary_residual):.3e} -> {out / PROFILE_FILE}")
     return EXIT_OK
 
 
 def cmd_sweep(args, argv) -> int:
-    config = _load_config(args)
-    model = _model(args, config)
-    grid = _grid(args, config)
-    G = float(_resolve(args, config, "G", float))
-    tols = _tolerances(args, config)
     if args.steps < 0:
         raise UsageError("--steps must be >= 0")
     mu_values = np.linspace(args.mu_min, args.mu_max, args.steps) if args.steps else []
 
     t0 = time.perf_counter()
-    rows = sweep_rows(model, G, mu_values, grid, **tols)
+    rows = sweep_rows(args.model, args.G, mu_values, args.N, **_tolerances(args))
     wall = time.perf_counter() - t0
 
     out = args.out
@@ -250,24 +249,16 @@ def cmd_sweep(args, argv) -> int:
     write_csv(out / "sweep.csv", SWEEP_UNITS, SWEEP_COLUMNS, cols)
 
     n_ok = sum(1 for r in rows if r.error is None)
-    manifest = _manifest_skeleton(argv)
-    manifest.update(
-        model=model.spec_string(), G=G, N=grid.n,
-        mu_min=args.mu_min, mu_max=args.mu_max, steps=args.steps,
-        tolerances={"picard": tols["tol_picard"], "bc": tols["tol_bc"], "brho": tols["tol_brho"]},
-        wall_time_s=wall,
-        results={"rows": len(rows), "succeeded": n_ok,
-                 "errors": [r.error for r in rows if r.error]},
-        files={"sweep.csv": file_entry(out / "sweep.csv")},
-    )
-    write_manifest(out / MANIFEST_FILE, manifest)
+    results = {"rows": len(rows), "succeeded": n_ok, "errors": [r.error for r in rows if r.error]}
+    _write_manifest(args, argv, wall, results, ["sweep.csv"], mu_min=args.mu_min,
+                    mu_max=args.mu_max, steps=args.steps, **_solver_settings(args))
     print(f"sweep: {n_ok}/{len(rows)} rows ok -> {out / 'sweep.csv'}")
     if args.steps > 0 and n_ok == 0:
         return EXIT_SWEEP_EMPTY
     return EXIT_OK
 
 
-def _load_profile_dir(path: Path) -> tuple[SolutionProfile, dict]:
+def _load_profile_dir(path: Path) -> SolutionProfile:
     manifest_path = path / MANIFEST_FILE
     csv_path = path / PROFILE_FILE
     if not manifest_path.exists():
@@ -289,53 +280,38 @@ def _load_profile_dir(path: Path) -> tuple[SolutionProfile, dict]:
     if len(cols["R"]) != grid.n + 1 or np.any(cols["R"] != grid.nodes):
         raise UsageError(f"profile radius column does not match an N={grid.n} grid")
     build_parameter_box(model, G)  # validates (model, G): a failing model exits 3
-    profile = SolutionProfile(
+    return SolutionProfile(
         model=model, mu=mu, brho0=brho0, G=G, grid=grid,
         zeta=cols["zeta"], f=cols["f"], fprime=cols["fprime"],
         lam=cols["lambda"], y=cols["y"],
         boundary_residual=float(model.dg(cols["y"][-1])),
         diagnostics=None, root_evaluations=0,
     )
-    return profile, manifest
 
 
 def cmd_evolve(args, argv) -> int:
-    config = _load_config(args)
-    qdot0 = float(_resolve(args, config, "qdot0", float))
-    dt = float(_resolve(args, config, "dt", float))
-    if args.t_end <= 0 or dt <= 0:
+    if args.t_end <= 0 or args.dt <= 0:
         raise UsageError("--t-end and --dt must be positive")
 
     profile = None
     if args.profile is not None:
-        profile, _ = _load_profile_dir(args.profile)
+        profile = _load_profile_dir(args.profile)
         mu = profile.mu
         if args.mu is not None and abs(args.mu - mu) > 1e-15 * max(1.0, abs(mu)):
-            raise UsageError(
-                f"--mu {args.mu:g} disagrees with profile mu {mu:g}"
-            )
+            raise UsageError(f"--mu {args.mu:g} disagrees with profile mu {mu:g}")
     else:
-        mu = float(args.mu if args.mu is not None else config.get("mu", 0.0))
-    if not (math.isfinite(mu) and math.isfinite(qdot0)):
+        mu = 0.0 if args.mu is None else args.mu
+    if not (math.isfinite(mu) and math.isfinite(args.qdot0)):
         raise UsageError("mu and qdot0 must be finite")
 
-    snapshot_times = []
-    if args.snapshot_times:
-        try:
-            snapshot_times = [float(s) for s in args.snapshot_times.split(",") if s.strip()]
-        except ValueError as exc:
-            raise UsageError(f"bad --snapshot-times: {args.snapshot_times!r}") from exc
-        if profile is None:
-            model = _model(args, config)
-            grid = _grid(args, config)
-            G = float(_resolve(args, config, "G", float))
-            profile = solve_separable(model, mu, G, grid, **_tolerances(args, config))
+    if args.snapshot_times and profile is None:
+        profile = solve_separable(args.model, mu, args.G, args.N, **_tolerances(args))
 
     t0 = time.perf_counter()
-    temporal = evolve_q(mu, qdot0, args.t_end, dt)
+    temporal = evolve_q(mu, args.qdot0, args.t_end, args.dt)
     collapse = None
     if temporal.regime == REGIME_COLLAPSING:
-        est = collapse_time(mu, qdot0)
+        est = collapse_time(mu, args.qdot0)
         collapse = {"T": est.time, "exponent": est.exponent, "prefactor": est.prefactor,
                     "local_exponents": est.local_exponents}
     wall = time.perf_counter() - t0
@@ -346,32 +322,28 @@ def cmd_evolve(args, argv) -> int:
         out / "temporal.csv", TEMPORAL_UNITS, TEMPORAL_COLUMNS,
         (temporal.t, temporal.q, temporal.qdot, temporal.energy_drift),
     )
-    files = {"temporal.csv": file_entry(out / "temporal.csv")}
+    files = ["temporal.csv"]
     snapshots = {}
-    for idx, t_snap in enumerate(snapshot_times):
+    for idx, t_snap in enumerate(args.snapshot_times):
         snap = assemble_motion(profile, temporal, t_snap)
         name = f"snapshot_{idx:03d}.csv"
         write_csv(out / name, SNAPSHOT_UNITS, SNAPSHOT_COLUMNS,
                   (profile.grid.nodes, snap.phi, snap.u, snap.rho))
-        files[name] = file_entry(out / name)
+        files.append(name)
         snapshots[name] = {"t": snap.t, "q": snap.q, "mass": snap.mass}
 
-    manifest = _manifest_skeleton(argv)
-    manifest.update(
-        mu=mu, qdot0=qdot0, t_end=args.t_end, dt=dt, wall_time_s=wall,
-        results={
-            "regime": temporal.regime,
-            "e_eff": temporal.e_eff,
-            "max_energy_drift": temporal.max_energy_drift,
-            "stopped_early": temporal.stopped_early,
-            "samples": int(len(temporal.t)),
-            "collapse": collapse,
-            "snapshots": snapshots,
-        },
-        files=files,
-    )
-    write_manifest(out / MANIFEST_FILE, manifest)
-    msg = f"evolve mu={mu:g} qdot0={qdot0:g}: regime={temporal.regime}"
+    results = {
+        "regime": temporal.regime,
+        "e_eff": temporal.e_eff,
+        "max_energy_drift": temporal.max_energy_drift,
+        "stopped_early": temporal.stopped_early,
+        "samples": int(len(temporal.t)),
+        "collapse": collapse,
+        "snapshots": snapshots,
+    }
+    _write_manifest(args, argv, wall, results, files,
+                    mu=mu, qdot0=args.qdot0, t_end=args.t_end, dt=args.dt)
+    msg = f"evolve mu={mu:g} qdot0={args.qdot0:g}: regime={temporal.regime}"
     if collapse:
         msg += f", T={collapse['T']:.6g}"
     print(msg + f" -> {out / 'temporal.csv'}")
@@ -379,12 +351,7 @@ def cmd_evolve(args, argv) -> int:
 
 
 def cmd_verify(args, argv) -> int:
-    config = _load_config(args)
-    max_res = float(_resolve(args, config, "max_residual", float))
-    max_equiv = float(_resolve(args, config, "max_equivalence", float))
-    max_bc = float(_resolve(args, config, "max_boundary", float))
-
-    profile, _ = _load_profile_dir(args.profile)
+    profile = _load_profile_dir(args.profile)
     r = profile.grid.nodes
 
     # Column consistency: lambda and y must match what f and f' imply.
@@ -405,11 +372,11 @@ def cmd_verify(args, argv) -> int:
     if consistent:
         report = residual_report(profile.model, profile)
         passed = {
-            "residual_separated": report.residual_separated <= max_res,
-            "residual_reformulation": report.residual_reformulation <= max_res,
+            "residual_separated": report.residual_separated <= args.max_residual,
+            "residual_reformulation": report.residual_reformulation <= args.max_residual,
             "equivalence_gap": report.equivalence_gap
-            <= max_equiv * (1.0 + report.residual_separated),
-            "boundary_residual": abs(report.boundary_residual) <= max_bc,
+            <= args.max_equivalence * (1.0 + report.residual_separated),
+            "boundary_residual": abs(report.boundary_residual) <= args.max_boundary,
         }
         ok = all(passed.values())
         lines += [
@@ -419,9 +386,9 @@ def cmd_verify(args, argv) -> int:
             f"boundary_residual = {fmt(report.boundary_residual)}",
             f"grid_n = {report.grid_n}",
             f"stencil_order = {report.stencil_order}",
-            f"max_residual = {fmt(max_res)}",
-            f"max_equivalence = {fmt(max_equiv)}",
-            f"max_boundary = {fmt(max_bc)}",
+            f"max_residual = {fmt(args.max_residual)}",
+            f"max_equivalence = {fmt(args.max_equivalence)}",
+            f"max_boundary = {fmt(args.max_boundary)}",
         ] + [f"pass_{k} = {v}" for k, v in passed.items()]
     else:
         lines.append("pass_consistency = False")
@@ -436,20 +403,17 @@ def cmd_verify(args, argv) -> int:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
-
-    handler = {
+    handlers = {
         "solve": cmd_solve,
         "sweep": cmd_sweep,
         "evolve": cmd_evolve,
         "verify": cmd_verify,
-    }[args.cmd]
+    }
     try:
-        return handler(args, argv)
+        args = _parse_args(argv)
+        return handlers[args.cmd](args, argv)
+    except SystemExit as exc:
+        return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -36,7 +36,6 @@ class PicardDiagnostics:
     iterations: int = 0
     updates: list[float] = field(default_factory=list)
     ratios: list[float] = field(default_factory=list)
-    final_norm: float = 0.0
     k_value: float = 0.0
     converged: bool = False
 
@@ -120,7 +119,6 @@ def picard_solve(
     else:
         raise MaxIterExceeded(f"no convergence to {tol:g} in {max_iter} iterations")
 
-    diag.final_norm = float(np.max(np.abs(zeta)))
     return zeta, diag
 
 

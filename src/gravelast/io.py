@@ -73,10 +73,15 @@ def _column_spec(column) -> tuple[str, object]:
 
 
 def write_csv(path: Path, comment: str, header, columns) -> None:
+    lengths = {len(c) for c in columns}
+    if len(lengths) > 1:
+        raise ValueError(f"{path}: columns differ in length: {sorted(lengths)}")
+    if len(header) != len(columns):
+        raise ValueError(f"{path}: {len(header)} header names for {len(columns)} columns")
     typed = [_column_spec(c) for c in columns]
     template = ",".join(spec for spec, _ in typed) + "\n"
     columns = [c for _, c in typed]
-    n_rows = min(map(len, columns), default=0)
+    n_rows = max(lengths, default=0)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"{comment}\n{','.join(header)}\n")
         for start in range(0, n_rows, _CHUNK_ROWS):

@@ -77,7 +77,7 @@ class ParameterBox:
         return k_minimum(mu, self.G)
 
     def check_mu(self, mu: float) -> None:
-        if abs(mu) > self.mu0:
+        if not abs(mu) <= self.mu0:  # NaN fails too
             raise ParameterOutOfRange(
                 f"mu outside proven range: |{mu:g}| > mu0 = {self.mu0:.6g}"
             )

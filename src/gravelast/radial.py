@@ -115,7 +115,6 @@ class GeometryProfile:
     fixed-point operator and the boundary value y(1) reuse it verbatim.
     """
 
-    grid: RadialGrid
     f: np.ndarray
     fprime: np.ndarray
     lam: np.ndarray
@@ -152,9 +151,7 @@ def reconstruct_geometry(grid: RadialGrid, zeta: np.ndarray) -> GeometryProfile:
 
     if np.any(fprime <= 0) or np.any(lam <= 0):
         raise DegenerateGeometry("f' or lambda not strictly positive")
-    return GeometryProfile(
-        grid=grid, f=f, fprime=fprime, lam=lam, y=y, fprime0=fprime0, moment2=m2
-    )
+    return GeometryProfile(f=f, fprime=fprime, lam=lam, y=y, fprime0=fprime0, moment2=m2)
 
 
 def y_at_boundary(grid: RadialGrid, zeta: np.ndarray) -> float:

@@ -88,11 +88,6 @@ class SolutionProfile:
     def box(self) -> ParameterBox:
         return build_parameter_box(self.model, self.G)
 
-    def residual_report(self):
-        from .verify import residual_report
-
-        return residual_report(self.model, self)
-
 
 def boundary_mismatch(
     model: ConstitutiveModel,

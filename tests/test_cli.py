@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -137,6 +141,10 @@ class TestSolve:
     def test_version_flag(self, capsys):
         assert run("--version") == 0
         assert "gravelast" in capsys.readouterr().out
+
+    def test_nan_mu_is_solver_error(self, tmp_path, capsys):
+        assert run("solve", "--mu", "nan", "--N", "64", "--out", tmp_path / "x") == 3
+        assert "mu outside proven range" in capsys.readouterr().err
 
 
 class TestSweep:
@@ -350,6 +358,115 @@ class TestVerify:
 
         broken = _copy_profile(solved_dir, tmp_path / "zbroken", shift_zeta)
         assert run("verify", "--profile", broken, "--out", tmp_path / "vz") == 5
+
+
+def _config(tmp_path, text):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    return cfg
+
+
+class TestConfig:
+    # Each key under a command that reads it; with the value ignored the run would exit 0.
+    @pytest.mark.parametrize(
+        "key,value,cmd",
+        [("model", "builtin:kappa=x", "solve"), ("G", "abc", "solve"), ("N", "15", "solve"),
+         ("tol_picard", "abc", "sweep"), ("tol_bc", "abc", "sweep"), ("tol_brho", "abc", "solve"),
+         ("mu", "abc", "solve"), ("mu", "abc", "evolve"), ("qdot0", "abc", "evolve"),
+         ("dt", "abc", "evolve"), ("max_residual", "abc", "verify"),
+         ("max_equivalence", "abc", "verify"), ("max_boundary", "abc", "verify")],
+    )
+    def test_bad_value_exits_2(self, tmp_path, solved_dir, capsys, key, value, cmd):
+        argv = {
+            "solve": [],
+            "sweep": ["--mu-min", "0", "--mu-max", "0", "--steps", "1"],
+            "evolve": ["--t-end", "1"],
+            "verify": ["--profile", solved_dir],
+        }[cmd]
+        cfg = _config(tmp_path, f"{key} = {value}\n")
+        assert run(cmd, *argv, "--config", cfg, "--out", tmp_path / "o") == 2
+        option = "--" + key.replace("_", "-")
+        assert f"argument {option}:" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "flag,key,default,from_config,from_flag,field",
+        [("--tol-bc", "tol_bc", 1e-10, "1e-9", "2e-9", lambda m: m["tolerances"]["bc"]),
+         ("--N", "N", 512, "64", "96", lambda m: m["N"]),
+         ("--model", "model", "builtin:kappa=3100", "builtin:kappa=3500",
+          "builtin:kappa=4000", lambda m: m["model"])],
+        ids=["tol_bc", "N", "model"],
+    )
+    def test_flag_beats_config_beats_default(self, tmp_path, flag, key, default,
+                                             from_config, from_flag, field):
+        cfg = _config(tmp_path, f"{key} = {from_config}\n")
+        seen = []
+        for extra in ([], ["--config", cfg], ["--config", cfg, flag, from_flag]):
+            out = tmp_path / f"run{len(seen)}"
+            assert run("solve", *extra, "--out", out) == 0
+            seen.append(field(json.loads((out / "manifest.json").read_text())))
+        cast = type(default)
+        assert seen == [default, cast(from_config), cast(from_flag)]
+
+    def test_mu_conflict_with_profile(self, tmp_path, solved_dir, capsys):
+        args = ("evolve", "--profile", solved_dir, "--t-end", "1")
+        cfg = _config(tmp_path, "mu = 1e-4\n")
+        assert run(*args, "--config", cfg, "--out", tmp_path / "x") == 2
+        assert "disagrees with profile mu" in capsys.readouterr().err
+        same = _config(tmp_path, "mu = 0\n")
+        assert run(*args, "--config", same, "--out", tmp_path / "y") == 0
+
+    def test_unread_keys_ignored(self, tmp_path):
+        # qdot0 is not a solve option; cmd and out are parser dests, not config keys
+        cfg = _config(tmp_path, "qdot0 = abc\ncmd = sweep\nout = elsewhere\nN = 64\n")
+        out = tmp_path / "o"
+        assert run("solve", "--config", cfg, "--out", out) == 0
+        assert json.loads((out / "manifest.json").read_text())["N"] == 64
+
+    @pytest.mark.parametrize("text", [None, "N 64\n"], ids=["missing", "malformed"])
+    def test_unreadable_config(self, tmp_path, capsys, text):
+        cfg = tmp_path / "run.cfg"
+        if text is not None:
+            cfg.write_text(text)
+        assert run("solve", "--config", cfg, "--out", tmp_path / "o") == 2
+        assert "cannot read config file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,value", [("--model", "poly:kappa=1"), ("--N", "15")])
+    def test_bad_model_or_grid_on_any_command(self, tmp_path, solved_dir, flag, value):
+        # verify and a profile-driven evolve read neither, yet reject a malformed one
+        assert run("verify", "--profile", solved_dir, flag, value,
+                   "--out", tmp_path / "v") == 2
+        assert run("evolve", "--profile", solved_dir, "--t-end", "1", flag, value,
+                   "--out", tmp_path / "e") == 2
+
+    def test_bad_snapshot_times(self, tmp_path, capsys):
+        assert run("evolve", "--t-end", "1", "--snapshot-times", "0.5,x",
+                   "--out", tmp_path / "x") == 2
+        assert "argument --snapshot-times:" in capsys.readouterr().err
+
+
+class TestEntryPoint:
+    """The real ``python -m gravelast.cli`` process, not main() in-process."""
+
+    @staticmethod
+    def _cli(*argv):
+        env = dict(os.environ)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        return subprocess.run([sys.executable, "-m", "gravelast.cli", *map(str, argv)],
+                              capture_output=True, text=True, env=env, timeout=120)
+
+    def test_version_and_help(self):
+        assert self._cli("--version").returncode == 0
+        shown = self._cli("solve", "--help")
+        assert shown.returncode == 0
+        assert "512" in shown.stdout and "builtin:kappa=3100" in shown.stdout
+
+    def test_bad_config_value_exits_2(self, tmp_path):
+        cfg = _config(tmp_path, "mu = abc\n")
+        done = self._cli("solve", "--config", cfg, "--out", tmp_path / "o")
+        assert done.returncode == 2
+        assert "argument --mu:" in done.stderr and "Traceback" not in done.stderr
 
 
 class TestIoHelpers:

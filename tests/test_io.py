@@ -104,6 +104,22 @@ class TestWriterBytes:
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
+class TestWriterChecks:
+    @pytest.mark.parametrize(
+        "header,columns,match",
+        [(("a", "b"), ([1.0, 2.0], [3.0]), "differ in length"),
+         (("a", "b", "c"), ([1.0, 2.0], [3.0, 4.0]), "3 header names for 2 columns"),
+         (("a",), (np.zeros(3), np.zeros(3)), "1 header names for 2 columns")],
+        ids=["ragged", "extra-name", "missing-name"],
+    )
+    def test_rejected_before_open(self, tmp_path, header, columns, match):
+        # zip would silently write the shortest column's rows
+        path = tmp_path / "x.csv"
+        with pytest.raises(ValueError, match=match):
+            write_csv(path, "# units: none", header, columns)
+        assert not path.exists()
+
+
 class TestReader:
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(3)

@@ -282,6 +282,13 @@ class TestSolve:
         with pytest.raises(ParameterOutOfRange, match="mu outside proven range"):
             solve_separable(model, 2 * box.mu0, 1.0, RadialGrid(64))
 
+    def test_rejects_nan_mu(self, model, box):
+        # abs(nan) > mu0 is False: the check must not let NaN through to the bracket
+        with pytest.raises(ParameterOutOfRange, match="mu outside proven range"):
+            box.check_mu(math.nan)
+        with pytest.raises(ParameterOutOfRange, match="mu outside proven range"):
+            solve_separable(model, math.nan, 1.0, RadialGrid(64))
+
     def test_boundary_tolerance_propagates(self, model):
         sol = solve_separable(
             model, 0.0, 1.0, RadialGrid(128), tol_bc=1e-6
@@ -316,6 +323,10 @@ class TestSweep:
         rows = sweep(model, 1.0, [0.0, 5 * box.mu0], RadialGrid(64))
         assert rows[0].error is None
         assert rows[1].error is not None and "ParameterOutOfRange" in rows[1].error
+
+    def test_nan_row_error(self, model):
+        rows = sweep(model, 1.0, [math.nan], RadialGrid(64))
+        assert rows[0].error.startswith("ParameterOutOfRange: mu outside proven range")
 
     def test_non_solver_error_propagates(self, model, monkeypatch):
         original = shooting.solve_separable

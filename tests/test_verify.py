@@ -159,10 +159,6 @@ class TestReport:
             solution_mu0.boundary_residual, abs=1e-15
         )
 
-    def test_profile_handle(self, model, solution_mu0):
-        rep = solution_mu0.residual_report()
-        assert rep == residual_report(model, solution_mu0)
-
     @pytest.mark.parametrize("brho", [None, 1.3])
     def test_defects_assembled_once(self, model, solution_mu0, reference_profile,
                                     monkeypatch, brho):
