@@ -11,7 +11,7 @@ import numpy as np
 from gravelast.constitutive import make_builtin_model
 from gravelast.radial import RadialGrid, apply_L
 from gravelast.shooting import solve_separable
-from gravelast.verify import residual_reformulation, residual_separated
+from gravelast.verify import residual_report
 
 GRIDS = (64, 128, 256, 512, 1024)
 
@@ -36,12 +36,12 @@ def main():
     prev = None
     for cells in GRIDS:
         sol = solve_separable(model, 0.0, 1.0, RadialGrid(cells))
-        sup = residual_separated(model, sol)
-        _, gap = residual_reformulation(model, sol)
+        rep = residual_report(sol)
+        sup = rep.residual_separated
         order = "" if prev is None else f"order {math.log2(prev / sup):5.2f}"
         print(
             f"  N={cells:5d}  brho0={sol.brho0:.12f}  residual={sup:.3e}  "
-            f"equiv-gap={gap:.1e}  {order}"
+            f"equiv-gap={rep.equivalence_gap:.1e}  {order}"
         )
         prev = sup
 

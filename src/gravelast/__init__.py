@@ -49,8 +49,6 @@ from .verify import (
     ResidualReport,
     check_derivatives,
     residual_report,
-    residual_reformulation,
-    residual_separated,
     stress_profiles,
 )
 
@@ -91,8 +89,6 @@ __all__ = [
     "assemble_motion",
     "ResidualReport",
     "check_derivatives",
-    "residual_separated",
-    "residual_reformulation",
     "residual_report",
     "stress_profiles",
 ]

@@ -11,6 +11,7 @@ import math
 import re
 import sys
 import time
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -41,7 +42,7 @@ from .io import (
     write_manifest,
 )
 from .fixed_point import DEFAULT_TOL
-from .parameters import build_parameter_box
+from .parameters import build_parameter_box, check_G
 from .radial import RadialGrid
 from .shooting import (
     DEFAULT_TOL_BC,
@@ -92,7 +93,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.Action]:
     shared = _Parser(add_help=False)
     shared.add_argument("--model", type=_checked(parse_model_spec), default="builtin:kappa=3100",
                         help="model spec (default %(default)s)")
-    shared.add_argument("--G", type=float, default=1.0,
+    shared.add_argument("--G", type=_checked(lambda s: check_G(float(s))), default=1.0,
                         help="gravitational constant (default %(default)s)")
     shared.add_argument("--N", type=_checked(lambda s: RadialGrid(int(s))), default="512",
                         help="grid cells, even and >= 16 (default %(default)s)")
@@ -275,11 +276,11 @@ def _load_profile_dir(path: Path) -> SolutionProfile:
         grid = RadialGrid(int(manifest["N"]))
         brho0 = float(manifest["results"]["brho0"])
         cols = read_float_columns(csv_path, PROFILE_COLUMNS[:6])
+        if len(cols["R"]) != grid.n + 1 or np.any(cols["R"] != grid.nodes):
+            raise UsageError(f"profile radius column does not match an N={grid.n} grid")
+        build_parameter_box(model, G)  # a bad G exits 2, a failing model 3
     except (KeyError, ValueError, TypeError) as exc:
         raise UsageError(f"corrupt profile directory {path}: {exc}") from exc
-    if len(cols["R"]) != grid.n + 1 or np.any(cols["R"] != grid.nodes):
-        raise UsageError(f"profile radius column does not match an N={grid.n} grid")
-    build_parameter_box(model, G)  # validates (model, G): a failing model exits 3
     return SolutionProfile(
         model=model, mu=mu, brho0=brho0, G=G, grid=grid,
         zeta=cols["zeta"], f=cols["f"], fprime=cols["fprime"],
@@ -370,7 +371,7 @@ def cmd_verify(args, argv) -> int:
     lines = [f"{k} = {fmt(v)}" for k, v in checks.items()]
     ok = consistent
     if consistent:
-        report = residual_report(profile.model, profile)
+        report = residual_report(profile)
         passed = {
             "residual_separated": report.residual_separated <= args.max_residual,
             "residual_reformulation": report.residual_reformulation <= args.max_residual,
@@ -379,17 +380,10 @@ def cmd_verify(args, argv) -> int:
             "boundary_residual": abs(report.boundary_residual) <= args.max_boundary,
         }
         ok = all(passed.values())
-        lines += [
-            f"residual_separated = {fmt(report.residual_separated)}",
-            f"residual_reformulation = {fmt(report.residual_reformulation)}",
-            f"equivalence_gap = {fmt(report.equivalence_gap)}",
-            f"boundary_residual = {fmt(report.boundary_residual)}",
-            f"grid_n = {report.grid_n}",
-            f"stencil_order = {report.stencil_order}",
-            f"max_residual = {fmt(args.max_residual)}",
-            f"max_equivalence = {fmt(args.max_equivalence)}",
-            f"max_boundary = {fmt(args.max_boundary)}",
-        ] + [f"pass_{k} = {v}" for k, v in passed.items()]
+        lines += [f"{k} = {fmt(v)}" for k, v in asdict(report).items()]
+        lines += [f"{k} = {fmt(getattr(args, k))}"
+                  for k in ("max_residual", "max_equivalence", "max_boundary")]
+        lines += [f"pass_{k} = {v}" for k, v in passed.items()]
     else:
         lines.append("pass_consistency = False")
     lines.append(f"verdict = {'pass' if ok else 'fail'}")

@@ -37,7 +37,6 @@ class PicardDiagnostics:
     updates: list[float] = field(default_factory=list)
     ratios: list[float] = field(default_factory=list)
     k_value: float = 0.0
-    converged: bool = False
 
 
 def apply_F(
@@ -114,7 +113,6 @@ def picard_solve(
                 f"iterate left the ball: ||z|| = {norm:.3e} > delta = {delta:.3e}"
             )
         if update < tol:
-            diag.converged = True
             break
     else:
         raise MaxIterExceeded(f"no convergence to {tol:g} in {max_iter} iterations")

@@ -91,10 +91,16 @@ class ParameterBox:
             )
 
 
+def check_G(G: float) -> float:
+    """G itself; ValueError unless it is finite and positive."""
+    if not (math.isfinite(G) and G > 0):
+        raise ValueError(f"G must be finite and positive, got {G!r}")
+    return G
+
+
 def build_parameter_box(model: ConstitutiveModel, G: float) -> ParameterBox:
     """Assemble the box and re-check the two smallness conditions post hoc."""
-    if G <= 0:
-        raise ValueError("G must be positive")
+    check_G(G)
     ensure_validated(model)
     bp = brho_plus(G)
     mu0 = mu_ceiling(G)

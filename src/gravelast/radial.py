@@ -119,7 +119,6 @@ class GeometryProfile:
     fprime: np.ndarray
     lam: np.ndarray
     y: np.ndarray
-    fprime0: float
     moment2: np.ndarray
 
 
@@ -151,7 +150,7 @@ def reconstruct_geometry(grid: RadialGrid, zeta: np.ndarray) -> GeometryProfile:
 
     if np.any(fprime <= 0) or np.any(lam <= 0):
         raise DegenerateGeometry("f' or lambda not strictly positive")
-    return GeometryProfile(f=f, fprime=fprime, lam=lam, y=y, fprime0=fprime0, moment2=m2)
+    return GeometryProfile(f=f, fprime=fprime, lam=lam, y=y, moment2=m2)
 
 
 def y_at_boundary(grid: RadialGrid, zeta: np.ndarray) -> float:

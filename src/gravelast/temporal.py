@@ -61,22 +61,22 @@ def e_effective(mu: float, qdot0: float) -> float:
 
 
 def classify(mu: float, qdot0: float) -> str:
-    """Regime tag of the trajectory.
+    """Regime tag of the trajectory, decided as _amplitude decides its branch.
 
-    "collapsing" for every start that reaches q = 0: e_eff < 0, or mu <= 0
-    (to MU_FREE) with qdot0 < 0 (e_eff = 0 decided with absolute tolerance
-    1e-14). Other starts expand: self-similarly at e_eff = 0 with qdot0 > 0,
-    linearly for e_eff > 0; e_eff = 0 with qdot0 = 0 is the stationary
-    state q = 1.
+    Free motion (|mu| < MU_FREE) goes by the sign of qdot0 alone: linear
+    expansion, collapse, or the stationary state q = 1. Otherwise
+    "collapsing" for every start that reaches q = 0: e_eff < 0, or mu < 0
+    with qdot0 < 0 (e_eff = 0 decided with absolute tolerance 1e-14).
+    Other starts expand: self-similarly at e_eff = 0 with qdot0 > 0,
+    linearly for e_eff > 0; e_eff = 0 with qdot0 = 0 is stationary.
     """
+    free = abs(mu) < MU_FREE
     e = e_effective(mu, qdot0)
-    if abs(e) <= E_EFF_ZERO_TOL:
+    if free or abs(e) <= E_EFF_ZERO_TOL:
         if qdot0 > 0:
-            return REGIME_SELF_SIMILAR
-        if qdot0 < 0:
-            return REGIME_COLLAPSING
-        return REGIME_STATIONARY
-    if e < 0 or (mu < MU_FREE and qdot0 < 0):
+            return REGIME_LINEAR if free else REGIME_SELF_SIMILAR
+        return REGIME_COLLAPSING if qdot0 < 0 else REGIME_STATIONARY
+    if e < 0 or (mu < 0 and qdot0 < 0):
         return REGIME_COLLAPSING
     return REGIME_LINEAR
 

@@ -52,12 +52,7 @@ def _derivative_stencil(values: np.ndarray, h: float) -> np.ndarray:
     return d
 
 
-def _interior(profile: SolutionProfile) -> np.ndarray:
-    """Node mask R_i >= 2h (removable-origin exclusion zone), origin dropped."""
-    return profile.grid.nodes[1:] >= 2.0 * profile.grid.h - 1e-15
-
-
-def _residual_arrays(model, profile) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _residual_arrays(profile: SolutionProfile) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Signed pointwise defects of both forms on the nodes R > 0, and g''(y).
 
     f'' comes from the stencil applied to f' - 1; the stencil annihilates
@@ -77,7 +72,7 @@ def _residual_arrays(model, profile) -> tuple[np.ndarray, np.ndarray, np.ndarray
     fpp = _derivative_stencil(fprime_dev, grid.h)[1:]
     e = m2[1:] / (lam * r)
 
-    gpp, big_e = model.strain_terms(y)
+    gpp, big_e = profile.model.strain_terms(y)
     if np.any(gpp <= 0.0):
         raise NonconvexModel("g'' <= 0 along the profile")
 
@@ -89,33 +84,6 @@ def _residual_arrays(model, profile) -> tuple[np.ndarray, np.ndarray, np.ndarray
     rhs_ref = -m2[1:] / r**3 * (2.0 * e + big_e / gpp) + V(brho, mu, G, lam) / gpp
 
     return lhs_sep - rhs_sep, lhs_ref - rhs_ref, gpp
-
-
-def _residual_sups(model, profile) -> tuple[float, float, float]:
-    """Sup-node separated and reformulated residuals and equivalence gap over
-    R >= 2h, all from one assembly of the defects."""
-    sep, ref, gpp = _residual_arrays(model, profile)
-    mask = _interior(profile)
-    gap = ref * profile.grid.nodes[1:] * gpp - sep
-    return tuple(float(np.max(np.abs(d[mask]))) for d in (sep, ref, gap))
-
-
-def residual_separated(model: ConstitutiveModel, profile: SolutionProfile) -> float:
-    """Sup-node residual of the separated equation over R >= 2h."""
-    return _residual_sups(model, profile)[0]
-
-
-def residual_reformulation(
-    model: ConstitutiveModel, profile: SolutionProfile
-) -> tuple[float, float]:
-    """Sup-node residual of the reformulated equation plus the equivalence gap.
-
-    The gap is sup |R g''(y) * (reformulated defect) - (separated defect)|
-    over R >= 2h, with both defects signed, so a sign error in either form
-    shows; by the exact identity between the two forms it sits at
-    accumulation-roundoff level for any profile, solved or not.
-    """
-    return _residual_sups(model, profile)[1:]
 
 
 def check_derivatives(model: ConstitutiveModel) -> dict[str, float]:
@@ -165,12 +133,25 @@ class ResidualReport:
     stencil_order: int = STENCIL_ORDER
 
 
-def residual_report(model: ConstitutiveModel, profile: SolutionProfile) -> ResidualReport:
-    sup_sep, sup_ref, gap = _residual_sups(model, profile)
+def residual_report(profile: SolutionProfile) -> ResidualReport:
+    """Residuals of the profile against the model it carries, from one
+    assembly of the defects.
+
+    The sup norms run over the nodes R >= 2h. The equivalence gap is
+    sup |R g''(y) * (reformulated defect) - (separated defect)| with both
+    defects signed, so a sign error in either form shows; by the exact
+    identity between the two forms it sits at accumulation-roundoff level
+    for any profile, solved or not.
+    """
+    sep, ref, gpp = _residual_arrays(profile)
+    r = profile.grid.nodes[1:]
+    interior = r >= 2.0 * profile.grid.h - 1e-15
+    gap = ref * r * gpp - sep
+    sup_sep, sup_ref, sup_gap = (float(np.max(np.abs(d[interior]))) for d in (sep, ref, gap))
     return ResidualReport(
         residual_separated=sup_sep,
         residual_reformulation=sup_ref,
-        equivalence_gap=gap,
-        boundary_residual=float(model.dg(profile.y[-1])),
+        equivalence_gap=sup_gap,
+        boundary_residual=float(profile.model.dg(profile.y[-1])),
         grid_n=profile.grid.n,
     )

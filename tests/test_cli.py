@@ -147,6 +147,21 @@ class TestSolve:
         assert "mu outside proven range" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["solve"], ["sweep", "--mu-min", "0", "--mu-max", "0", "--steps", "1"],
+         ["evolve", "--t-end", "1", "--snapshot-times", "0.5"]],
+        ids=["solve", "sweep", "evolve-snapshots"],
+    )
+    def test_bad_G_exits_2(self, tmp_path, capsys, argv, value):
+        assert run(*argv, "--G", value, "--out", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert "argument --G: G must be finite and positive" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+
 class TestSweep:
     def test_five_rows(self, tmp_path):
         out = tmp_path / "sw"
@@ -284,6 +299,18 @@ class TestEvolve:
         assert np.all(snap["rho"] > 0)
 
 
+# report.txt of a consistent profile: the column checks, the ResidualReport
+# fields, the thresholds, the per-check verdicts, the verdict.
+REPORT_KEYS = [
+    "f_boundary", "lambda_consistency", "y_consistency",
+    "residual_separated", "residual_reformulation", "equivalence_gap",
+    "boundary_residual", "grid_n", "stencil_order",
+    "max_residual", "max_equivalence", "max_boundary",
+    "pass_residual_separated", "pass_residual_reformulation",
+    "pass_equivalence_gap", "pass_boundary_residual", "verdict",
+]
+
+
 class TestVerify:
     def test_fresh_solve_passes(self, tmp_path, solved_dir):
         out = tmp_path / "ver"
@@ -315,6 +342,32 @@ class TestVerify:
         assert run("verify", "--profile", soft, "--out", tmp_path / "vs") == 3
         assert "HypothesisFailed: largeness" in capsys.readouterr().err
         assert not (tmp_path / "vs" / "report.txt").exists()
+
+    @pytest.mark.parametrize("G", [-1.0, 0.0, math.nan, math.inf])
+    def test_bad_manifest_G_exits_2(self, tmp_path, solved_dir, capsys, G):
+        bad = _copy_profile(solved_dir, tmp_path / "badg")
+        manifest = json.loads((bad / "manifest.json").read_text())
+        manifest["G"] = G
+        (bad / "manifest.json").write_text(json.dumps(manifest))
+        assert run("verify", "--profile", bad, "--out", tmp_path / "vg") == 2
+        err = capsys.readouterr().err
+        assert "corrupt profile directory" in err and "G must be finite and positive" in err
+        assert not (tmp_path / "vg" / "report.txt").exists()
+
+    @pytest.mark.parametrize(
+        "extra,code,verdict",
+        [([], 0, "pass"), (["--max-residual", "1e-20"], 5, "fail")], ids=["pass", "fail"],
+    )
+    def test_report_keys_in_order(self, tmp_path, solved_dir, extra, code, verdict):
+        out = tmp_path / "v"
+        assert run("verify", "--profile", solved_dir, *extra, "--out", out) == code
+        lines = (out / "report.txt").read_text().splitlines()
+        pairs = dict(line.split(" = ") for line in lines)
+        assert list(pairs) == REPORT_KEYS and len(lines) == len(REPORT_KEYS)
+        assert pairs["verdict"] == verdict
+        assert pairs["pass_residual_separated"] == str(code == 0)
+        assert pairs["grid_n"] == "128" and pairs["stencil_order"] == "4"
+        assert pairs["max_residual"] == fmt(1e-20 if extra else 1e-6)
 
     def test_missing_manifest(self, tmp_path, solved_dir):
         partial = tmp_path / "partial"
@@ -374,7 +427,8 @@ class TestConfig:
          ("tol_picard", "abc", "sweep"), ("tol_bc", "abc", "sweep"), ("tol_brho", "abc", "solve"),
          ("mu", "abc", "solve"), ("mu", "abc", "evolve"), ("qdot0", "abc", "evolve"),
          ("dt", "abc", "evolve"), ("max_residual", "abc", "verify"),
-         ("max_equivalence", "abc", "verify"), ("max_boundary", "abc", "verify")],
+         ("max_equivalence", "abc", "verify"), ("max_boundary", "abc", "verify"),
+         ("G", "-1", "sweep"), ("G", "inf", "solve")],
     )
     def test_bad_value_exits_2(self, tmp_path, solved_dir, capsys, key, value, cmd):
         argv = {
@@ -467,6 +521,18 @@ class TestEntryPoint:
         done = self._cli("solve", "--config", cfg, "--out", tmp_path / "o")
         assert done.returncode == 2
         assert "argument --mu:" in done.stderr and "Traceback" not in done.stderr
+
+    def test_bad_G_exits_2(self, tmp_path, solved_dir):
+        done = self._cli("solve", "--G", "nan", "--out", tmp_path / "o")
+        assert done.returncode == 2
+        assert "argument --G:" in done.stderr and "Traceback" not in done.stderr
+        bad = _copy_profile(solved_dir, tmp_path / "badg")
+        manifest = json.loads((bad / "manifest.json").read_text())
+        manifest["G"] = -1
+        (bad / "manifest.json").write_text(json.dumps(manifest))
+        done = self._cli("verify", "--profile", bad, "--out", tmp_path / "v")
+        assert done.returncode == 2
+        assert "corrupt profile directory" in done.stderr and "Traceback" not in done.stderr
 
 
 class TestIoHelpers:

@@ -72,7 +72,6 @@ class TestPicard:
     def test_converges_with_small_ratios(self, model, box, grid512):
         brho = 0.5 * (box.brho_lower(0.0) + box.brho_plus)
         zeta, diag = picard_solve(model, brho, 0.0, 1.0, grid512, tol=1e-14)
-        assert diag.converged
         assert diag.updates[-1] <= 1e-14
         assert diag.ratios and max(diag.ratios) <= 0.13
 
@@ -116,7 +115,6 @@ class TestPicard:
         cold, cold_diag = picard_solve(model, 1.3, 0.0, 1.0, grid512)
         near, _ = picard_solve(model, 1.3 * (1.0 + 1e-7), 0.0, 1.0, grid512)
         warm, warm_diag = picard_solve(model, 1.3, 0.0, 1.0, grid512, zeta0=near)
-        assert warm_diag.converged
         assert warm_diag.iterations < cold_diag.iterations
         assert np.max(np.abs(warm - cold)) <= 1e-13
 

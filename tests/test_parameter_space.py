@@ -11,7 +11,7 @@ from gravelast.constitutive import FOUR_PI_3, K, make_builtin_model, validate_mo
 from gravelast.parameters import build_parameter_box
 from gravelast.radial import RadialGrid
 from gravelast.shooting import solve_separable
-from gravelast.verify import residual_reformulation, residual_separated
+from gravelast.verify import residual_report
 
 # Smallest stiffness whose validation margin (1% over the sampled threshold)
 # holds: 1.01 * 50 * (50 + sup|g'''|) - 4/9 ~ 3052.4.
@@ -34,14 +34,20 @@ class TestGravitationalConstant:
         d = model.delta
         assert abs(sol.boundary_residual) <= 1e-10
         assert d / 33 <= sol.y[-1] - 1.0 <= d / 27
-        assert residual_separated(model, sol) <= 5e-5 * grid.h**2
-        _, gap = residual_reformulation(model, sol)
-        assert gap <= 1e-8
+        rep = residual_report(sol)
+        assert rep.residual_separated <= 5e-5 * grid.h**2
+        assert rep.equivalence_gap <= 1e-8
 
     def test_nonzero_mu(self, model, G):
         box = build_parameter_box(model, G)
         sol = solve_separable(model, -box.mu0 / 2, G, RadialGrid(64))
         assert box.brho_minus(-box.mu0 / 2) < sol.brho0 < box.brho_plus
+
+
+@pytest.mark.parametrize("G", [-1.0, 0.0, float("nan"), float("inf")])
+def test_bad_G_rejected(model, G):
+    with pytest.raises(ValueError, match="G must be finite and positive"):
+        build_parameter_box(model, G)
 
 
 class TestExtremeEigenvalues:
@@ -85,7 +91,7 @@ def test_minimum_grid(model):
     sol = solve_separable(model, 0.0, 1.0, RadialGrid(16))
     assert abs(sol.boundary_residual) <= 1e-10
     assert abs(sol.f[-1] - 1.0) <= 1e-12
-    assert residual_separated(model, sol) <= 5e-5 / 16**2
+    assert residual_report(sol).residual_separated <= 5e-5 / 16**2
 
 
 @settings(max_examples=10, deadline=None)

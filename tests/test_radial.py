@@ -166,13 +166,13 @@ class TestReconstruction:
         assert np.array_equal(geo.f, g.nodes)
         assert np.all(geo.lam == 1.0)
         assert np.all(geo.y == 1.0)
-        assert geo.fprime0 == 1.0
+        assert geo.fprime[0] == 1.0
 
     def test_constant_curvature(self):
         g = RadialGrid(512)
         c = 0.5
         geo = reconstruct_geometry(g, np.full(513, c))
-        assert geo.fprime0 == pytest.approx(1 - c / 6, abs=1e-15)
+        assert geo.fprime[0] == pytest.approx(1 - c / 6, abs=1e-15)
         assert geo.y[-1] == pytest.approx(1 + c / 3, abs=1e-14)
         assert abs(geo.f[-1] - 1.0) <= 1e-12
 

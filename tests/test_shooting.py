@@ -247,7 +247,7 @@ class TestSolve:
         sol = solution_mu0
         assert {"box", "fprime0"}.isdisjoint(f.name for f in dataclasses.fields(sol))
         assert sol.box == build_parameter_box(model, 1.0)
-        assert sol.fprime0 == reconstruct_geometry(sol.grid, sol.zeta).fprime0
+        assert sol.fprime0 == reconstruct_geometry(sol.grid, sol.zeta).fprime[0]
         with pytest.raises(TypeError):
             dataclasses.replace(sol, box=build_parameter_box(model, 0.5))
         assert dataclasses.replace(sol, G=0.5).box == build_parameter_box(model, 0.5)

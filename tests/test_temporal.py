@@ -52,12 +52,20 @@ class TestClassify:
         qdot0=st.floats(-2.0, 2.0, allow_nan=False),
     )
     @example(mu=1e-310, qdot0=-0.5)
+    @example(mu=0.0, qdot0=1.19e-7)
     def test_depends_only_on_e_eff_and_velocity_sign(self, mu, qdot0):
         # ... and, for e_eff > 0 with an inward start, on the sign of mu:
-        # an attracting or free inward start reaches q = 0.
+        # an attracting or free inward start reaches q = 0. Free motion
+        # (|mu| < MU_FREE) is q = 1 + qdot0 t, whatever e_eff is.
         e = e_effective(mu, qdot0)
         tag = classify(mu, qdot0)
-        if abs(e) <= 1e-14:
+        if abs(mu) < temporal_mod.MU_FREE:
+            expected = (
+                REGIME_LINEAR if qdot0 > 0
+                else REGIME_COLLAPSING if qdot0 < 0
+                else REGIME_STATIONARY
+            )
+        elif abs(e) <= 1e-14:
             expected = (
                 REGIME_SELF_SIMILAR if qdot0 > 0
                 else REGIME_COLLAPSING if qdot0 < 0
@@ -68,6 +76,13 @@ class TestClassify:
         else:
             expected = REGIME_LINEAR
         assert tag == expected
+
+    def test_slow_free_start_is_linear(self):
+        # e_eff = 5e-15 is within the parabolic tolerance, but with mu = 0
+        # q grows linearly, to 11 at t = 1e8 (the self-similar law gives 6.35)
+        sol = evolve_q(0.0, 1e-7, 1e8, 1e7)
+        assert classify(0.0, 1e-7) == sol.regime == REGIME_LINEAR
+        assert sol.q[-1] == 11.0
 
     @pytest.mark.parametrize(
         "mu,qdot0",

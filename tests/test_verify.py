@@ -13,13 +13,7 @@ from gravelast import verify
 from gravelast.errors import NonconvexModel
 from gravelast.radial import RadialGrid
 from gravelast.shooting import solve_separable
-from gravelast.verify import (
-    check_derivatives,
-    residual_report,
-    residual_reformulation,
-    residual_separated,
-    stress_profiles,
-)
+from gravelast.verify import check_derivatives, residual_report, stress_profiles
 
 # Frozen from the refinement study over N in {128, 256, 512, 1024}:
 # sup residual ~ 1.3e-5 h^2 on converged profiles.
@@ -27,8 +21,8 @@ C_RESIDUAL = 5e-5
 
 
 class TestResidualSeparated:
-    def test_converged_profile_small(self, model, solution_mu0):
-        res = residual_separated(model, solution_mu0)
+    def test_converged_profile_small(self, solution_mu0):
+        res = residual_report(solution_mu0).residual_separated
         assert res <= C_RESIDUAL * solution_mu0.grid.h**2
 
     @pytest.mark.parametrize("mu_frac", [-0.9, 0.0, 0.9])
@@ -36,58 +30,58 @@ class TestResidualSeparated:
         sups = []
         for n in (128, 256, 512):
             sol = solve_separable(model, mu_frac * box.mu0, 1.0, RadialGrid(n))
-            sups.append(residual_separated(model, sol))
+            sups.append(residual_report(sol).residual_separated)
         orders = [math.log2(sups[i] / sups[i + 1]) for i in range(2)]
         assert all(1.8 <= order <= 2.2 for order in orders)
 
-    def test_straight_probe_with_mismatched_params(self, model, reference_profile):
+    def test_straight_probe_with_mismatched_params(self, reference_profile):
         # f = R solves nothing unless the force balance is tuned; the defect
         # is exactly the right-hand side, coefficient * R
         brho, mu = 2.0, 0.0
         probe = reference_profile(brho=brho, mu=mu)
         coeff = abs(brho ** (-1 / 3) * (4 * math.pi / 3 * brho + mu))
-        assert residual_separated(model, probe) == pytest.approx(coeff, rel=1e-12)
+        assert residual_report(probe).residual_separated == pytest.approx(coeff, rel=1e-12)
 
-    def test_scaling_violation_increases_residual(self, model, solution_mu0):
-        res = residual_separated(model, solution_mu0)
+    def test_scaling_violation_increases_residual(self, solution_mu0):
+        res = residual_report(solution_mu0).residual_separated
         bad = dataclasses.replace(
             solution_mu0,
             f=1.01 * solution_mu0.f,
             fprime=1.01 * solution_mu0.fprime,
             lam=1.01 * solution_mu0.lam,
         )
-        assert residual_separated(model, bad) > res
+        assert residual_report(bad).residual_separated > res
 
 
 class TestEquivalence:
-    def test_converged_profile(self, model, solution_mu0):
-        sup_sep = residual_separated(model, solution_mu0)
-        sup_ref, gap = residual_reformulation(model, solution_mu0)
-        assert gap <= 1e-8 * (1.0 + sup_sep)
-        assert sup_ref <= C_RESIDUAL * solution_mu0.grid.h**2
+    def test_converged_profile(self, solution_mu0):
+        rep = residual_report(solution_mu0)
+        assert rep.equivalence_gap <= 1e-8 * (1.0 + rep.residual_separated)
+        assert rep.residual_reformulation <= C_RESIDUAL * solution_mu0.grid.h**2
 
     def test_probe_proportionality(self, model, reference_profile):
         # zeta = 0: separated defect = R g''(1) * reformulated defect
         probe = reference_profile(brho=1.3, mu=0.0)
-        sup_sep = residual_separated(model, probe)
-        sup_ref, gap = residual_reformulation(model, probe)
-        assert gap <= 1e-12 * (1.0 + sup_sep)
-        assert sup_sep == pytest.approx(sup_ref * model.d2g(1.0), rel=1e-10)
+        rep = residual_report(probe)
+        assert rep.equivalence_gap <= 1e-12 * (1.0 + rep.residual_separated)
+        assert rep.residual_separated == pytest.approx(
+            rep.residual_reformulation * model.d2g(1.0), rel=1e-10
+        )
 
     @pytest.mark.parametrize("brho", [1.3, 2.0])
-    def test_sign_flip_detected(self, model, reference_profile, monkeypatch, brho):
+    def test_sign_flip_detected(self, reference_profile, monkeypatch, brho):
         # a reformulated defect with the wrong sign has the right magnitude;
         # the signed gap must still exceed the CLI's max_equivalence
         probe = reference_profile(brho=brho)
         original = verify._residual_arrays
 
-        def flipped(model_, profile):
-            sep, ref, gpp = original(model_, profile)
+        def flipped(profile):
+            sep, ref, gpp = original(profile)
             return sep, -ref, gpp
 
         monkeypatch.setattr(verify, "_residual_arrays", flipped)
-        _, gap = residual_reformulation(model, probe)
-        assert gap > 1e-8 * (1.0 + residual_separated(model, probe))
+        rep = residual_report(probe)
+        assert rep.equivalence_gap > 1e-8 * (1.0 + rep.residual_separated)
 
     def test_nonconvex_model_rejected(self, reference_profile):
         base = make_builtin_model(3100.0)
@@ -98,7 +92,7 @@ class TestEquivalence:
         probe = reference_profile(brho=1.0)
         probe = dataclasses.replace(probe, model=bent)
         with pytest.raises(NonconvexModel):
-            residual_reformulation(bent, probe)
+            residual_report(probe)
 
 
 class TestCheckDerivatives:
@@ -150,8 +144,8 @@ class TestStress:
 
 
 class TestReport:
-    def test_fields(self, model, solution_mu0):
-        rep = residual_report(model, solution_mu0)
+    def test_fields(self, solution_mu0):
+        rep = residual_report(solution_mu0)
         assert rep.grid_n == 512
         assert rep.stencil_order == 4
         assert rep.residual_separated >= 0
@@ -160,17 +154,21 @@ class TestReport:
         )
 
     @pytest.mark.parametrize("brho", [None, 1.3])
-    def test_defects_assembled_once(self, model, solution_mu0, reference_profile,
-                                    monkeypatch, brho):
+    def test_defects_assembled_once(self, solution_mu0, reference_profile, monkeypatch, brho):
         profile = solution_mu0 if brho is None else reference_profile(brho=brho)
-        sup_sep = residual_separated(model, profile)
-        sup_ref, gap = residual_reformulation(model, profile)
+        # The sup norms over R >= 2h of one assembly of the signed defects.
+        sep, ref, gpp = verify._residual_arrays(profile)
+        r = profile.grid.nodes[1:]
+        interior = r >= 2.0 * profile.grid.h - 1e-15
+        sup_sep, sup_ref, gap = (
+            float(np.max(np.abs(d[interior]))) for d in (sep, ref, ref * r * gpp - sep)
+        )
         calls = []
         original = verify._residual_arrays
         monkeypatch.setattr(
-            verify, "_residual_arrays", lambda m, p: calls.append(p) or original(m, p)
+            verify, "_residual_arrays", lambda p: calls.append(p) or original(p)
         )
-        rep = residual_report(model, profile)
+        rep = residual_report(profile)
         assert len(calls) == 1
         # Bit-identical, not approximately equal.
         assert rep.residual_separated == sup_sep
