@@ -9,7 +9,7 @@ import sys
 import numpy as np
 
 from gravelast.constitutive import make_builtin_model
-from gravelast.radial import RadialGrid, apply_L
+from gravelast.radial import RadialGrid, apply_L_inverse
 from gravelast.shooting import solve_separable
 from gravelast.verify import residual_report
 
@@ -20,12 +20,13 @@ def main():
     kappa = float(sys.argv[1]) if len(sys.argv) > 1 else 3100.0
     model = make_builtin_model(kappa)
 
-    print("== monomial eigen-action  L(R^n) vs R^n (n+5)/(n+3), max over n in {1,2,3} ==")
+    print("== monomial eigen-action  Linv(R^n (n+5)/(n+3)) vs R^n, max over n in {1,2,3} ==")
     prev = None
     for cells in GRIDS:
         grid = RadialGrid(cells)
+        r = grid.nodes
         err = max(
-            float(np.max(np.abs(apply_L(grid, grid.nodes**n) - grid.nodes**n * (n + 5) / (n + 3))))
+            float(np.max(np.abs(apply_L_inverse(grid, r**n * (n + 5) / (n + 3)) - r**n)))
             for n in (1, 2, 3)
         )
         order = "" if prev is None else f"order {math.log2(prev / err):5.2f}"

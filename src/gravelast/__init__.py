@@ -14,15 +14,13 @@ from .constitutive import (
     V,
     ValidationReport,
     make_builtin_model,
-    residual_pressure,
     validate_model,
 )
-from .fixed_point import PicardDiagnostics, apply_F, lipschitz_probe, picard_solve
+from .fixed_point import PicardDiagnostics, apply_F, picard_solve
 from .parameters import ParameterBox, build_parameter_box
 from .radial import (
     GeometryProfile,
     RadialGrid,
-    apply_L,
     apply_L_inverse,
     moment_integral,
     reconstruct_geometry,
@@ -45,12 +43,7 @@ from .temporal import (
     collapse_time,
     evolve_q,
 )
-from .verify import (
-    ResidualReport,
-    check_derivatives,
-    residual_report,
-    stress_profiles,
-)
+from .verify import ResidualReport, residual_report, stress_profiles
 
 __all__ = [
     "__version__",
@@ -60,11 +53,9 @@ __all__ = [
     "validate_model",
     "K",
     "V",
-    "residual_pressure",
     "RadialGrid",
     "GeometryProfile",
     "moment_integral",
-    "apply_L",
     "apply_L_inverse",
     "reconstruct_geometry",
     "y_at_boundary",
@@ -73,7 +64,6 @@ __all__ = [
     "PicardDiagnostics",
     "apply_F",
     "picard_solve",
-    "lipschitz_probe",
     "MismatchResult",
     "SolutionProfile",
     "SweepRow",
@@ -88,7 +78,6 @@ __all__ = [
     "collapse_time",
     "assemble_motion",
     "ResidualReport",
-    "check_derivatives",
     "residual_report",
     "stress_profiles",
 ]

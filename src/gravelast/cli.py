@@ -88,6 +88,12 @@ def _checked(convert):
     return parse
 
 
+def _positive(text: str) -> float:
+    if not 0 < (value := float(text)) < math.inf:
+        raise ValueError(f"must be finite and positive, got {value!r}")
+    return value
+
+
 def _build_parser() -> tuple[argparse.ArgumentParser, argparse.Action]:
     # String defaults of --model and --N pass through their type, as a flag would.
     shared = _Parser(add_help=False)
@@ -125,8 +131,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.Action]:
     ev.add_argument("--mu", type=float, help="eigenvalue (default: profile's, else 0)")
     ev.add_argument("--qdot0", type=float, default=0.0,
                     help="initial amplitude rate (default %(default)s)")
-    ev.add_argument("--t-end", type=float, dest="t_end", required=True)
-    ev.add_argument("--dt", type=float, default=1e-3, help="sample step (default %(default)s)")
+    ev.add_argument("--t-end", type=_checked(_positive), dest="t_end", required=True)
+    ev.add_argument("--dt", type=_checked(_positive), default=1e-3,
+                    help="sample step (default %(default)s)")
     ev.add_argument("--snapshot-times", dest="snapshot_times", default=(),
                     type=_checked(lambda s: [float(t) for t in s.split(",") if t.strip()]),
                     help="comma-separated times for radial field snapshots")
@@ -291,9 +298,6 @@ def _load_profile_dir(path: Path) -> SolutionProfile:
 
 
 def cmd_evolve(args, argv) -> int:
-    if args.t_end <= 0 or args.dt <= 0:
-        raise UsageError("--t-end and --dt must be positive")
-
     profile = None
     if args.profile is not None:
         profile = _load_profile_dir(args.profile)
@@ -309,7 +313,10 @@ def cmd_evolve(args, argv) -> int:
         profile = solve_separable(args.model, mu, args.G, args.N, **_tolerances(args))
 
     t0 = time.perf_counter()
-    temporal = evolve_q(mu, args.qdot0, args.t_end, args.dt)
+    try:
+        temporal = evolve_q(mu, args.qdot0, args.t_end, args.dt)
+    except ValueError as exc:  # t_end/dt beyond the float range
+        raise UsageError(str(exc)) from exc
     collapse = None
     if temporal.regime == REGIME_COLLAPSING:
         est = collapse_time(mu, args.qdot0)

@@ -70,7 +70,8 @@ class ConstitutiveModel:
         return 10.0 * self.d3g(y) + 3.0 * y * d4g
 
     def strain_terms(self, y):
-        """(g''(y), E(y)), from one evaluation each of g, g' and g''."""
+        """(g''(y), E(y)), E(y) = (h(y) - h(1))/(y - 1) - h'(y) (a series inside
+        |y - 1| < EPS_E), from one evaluation each of g, g' and g''."""
         y = np.asarray(y, dtype=float)
         g, dg, d2g = self.g(y), self.dg(y), self.d2g(y)
         t = y - 1.0
@@ -81,15 +82,6 @@ class ConstitutiveModel:
         raw = (3.0 * y * dg + g - h1) / t_safe - (4.0 * dg + 3.0 * y * d2g)
         series = -0.5 * d2h1 * t - d3h1 * t**2 / 3.0
         return d2g, np.where(near, series, raw)
-
-    def E(self, y):
-        """Difference-quotient curvature defect of h.
-
-        E(y) = (h(y) - h(1))/(y - 1) - h'(y) away from y = 1, extended by
-        continuity with a second-order series inside |y - 1| < EPS_E.
-        """
-        out = self.strain_terms(y)[1]
-        return out if out.ndim else float(out)
 
     @cached_property
     def _h_at_1(self) -> tuple[float, float, float]:
@@ -107,10 +99,6 @@ class ConstitutiveModel:
         d2g, big_e = self.strain_terms(y)
         out = 2.0 * (y - 1.0) + big_e / d2g
         return out if out.ndim else float(out)
-
-    def f(self, y):
-        """The alternative profile f(y) = y**(1/3) g(y); f'(1) = 0."""
-        return y ** (1.0 / 3.0) * self.g(y)
 
     @cached_property
     def delta(self) -> float:
@@ -140,8 +128,6 @@ class ValidationReport:
     g2_at_1: float
     sup_d3g: float
     big_m: float
-    delta: float
-    margin: float
     threshold: float
 
     @property
@@ -192,7 +178,6 @@ def validate_model(model: ConstitutiveModel) -> ValidationReport:
     sup_d3g = float(np.max(np.abs(model.d3g(ys))))
     g2_1 = float(model.d2g(1.0))
     threshold = 50.0 * (50.0 + sup_d3g)
-    margin = g2_1 - threshold
     largeness_ok = g2_1 > 0 and g2_1 >= threshold
     margin_ok = g2_1 >= 1.01 * threshold
 
@@ -204,8 +189,6 @@ def validate_model(model: ConstitutiveModel) -> ValidationReport:
         g2_at_1=g2_1,
         sup_d3g=sup_d3g,
         big_m=big_m,
-        delta=10.0 / g2_1 if g2_1 > 0 else math.inf,
-        margin=margin,
         threshold=threshold,
     )
 
@@ -241,10 +224,3 @@ def K(brho: float, mu: float, G: float) -> float:
     if brho <= 0:
         raise ValueError("brho must be positive")
     return brho ** (-1.0 / 3.0) * (FOUR_PI_3 * G * brho + abs(mu))
-
-
-def residual_pressure(brho: float) -> float:
-    """Isotropic pressure brho**(4/3)/3 of the undeformed reference state."""
-    if brho <= 0:
-        raise ValueError("brho must be positive")
-    return brho ** (4.0 / 3.0) / 3.0

@@ -118,35 +118,3 @@ def picard_solve(
         raise MaxIterExceeded(f"no convergence to {tol:g} in {max_iter} iterations")
 
     return zeta, diag
-
-
-def lipschitz_probe(
-    model: ConstitutiveModel,
-    brho: float,
-    mu: float,
-    G: float,
-    grid: RadialGrid,
-    trials: int = 100,
-    seed: int = 0,
-) -> float:
-    """Empirical Lipschitz constant of Linv F over random pairs in the ball.
-
-    Node values are drawn i.i.d. uniform in [-delta, delta]; such profiles
-    are rougher than actual iterates, which makes the estimate conservative.
-    Coincident pairs (zero denominator) are skipped.
-    """
-    build_parameter_box(model, G).check_brho(brho, mu)
-
-    delta = model.delta
-    rng = np.random.default_rng(seed)
-    best = 0.0
-    for _ in range(trials):
-        z1 = rng.uniform(-delta, delta, grid.n + 1)
-        z2 = rng.uniform(-delta, delta, grid.n + 1)
-        gap = float(np.max(np.abs(z1 - z2)))
-        if gap == 0.0:
-            continue
-        im1 = apply_L_inverse(grid, apply_F(model, brho, mu, G, grid, z1))
-        im2 = apply_L_inverse(grid, apply_F(model, brho, mu, G, grid, z2))
-        best = max(best, float(np.max(np.abs(im1 - im2))) / gap)
-    return best

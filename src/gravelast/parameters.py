@@ -16,15 +16,10 @@ shooting) suffice downstream.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
-from .constitutive import (
-    EIGHT_PI_3,
-    FOUR_PI_3,
-    ConstitutiveModel,
-    K,
-    ensure_validated,
-)
+from .constitutive import EIGHT_PI_3, FOUR_PI_3, ConstitutiveModel, ensure_validated
 from .errors import ParameterOutOfRange
 
 # Lower bracket endpoint never goes below this fraction of brho_plus; K is
@@ -70,12 +65,6 @@ class ParameterBox:
         """Lower bracket endpoint, floored away from zero."""
         return max(self.brho_minus(mu), BRHO_FLOOR_FRACTION * self.brho_plus)
 
-    def k_upper(self, mu: float) -> float:
-        return K(self.brho_plus, mu, self.G)
-
-    def k_lower(self, mu: float) -> float:
-        return k_minimum(mu, self.G)
-
     def check_mu(self, mu: float) -> None:
         if not abs(mu) <= self.mu0:  # NaN fails too
             raise ParameterOutOfRange(
@@ -92,9 +81,17 @@ class ParameterBox:
 
 
 def check_G(G: float) -> float:
-    """G itself; ValueError unless it is finite and positive."""
+    """G itself; ValueError unless G > 0 is finite and brho_plus, the stress scale
+    brho_plus**(4/3) and mu_ceiling are normal floats (about 2e-154 < G < 2e154)."""
     if not (math.isfinite(G) and G > 0):
         raise ValueError(f"G must be finite and positive, got {G!r}")
+    try:
+        bp = brho_plus(G)
+        constants = (bp, bp ** (4.0 / 3.0), mu_ceiling(G))
+    except OverflowError:
+        constants = (math.inf,)
+    if not all(sys.float_info.min <= c < math.inf for c in constants):
+        raise ValueError(f"G = {G!r} puts the parameter box outside the float range")
     return G
 
 

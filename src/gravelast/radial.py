@@ -87,16 +87,6 @@ def moment_integral(grid: RadialGrid, values: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def apply_L(grid: RadialGrid, zeta: np.ndarray) -> np.ndarray:
-    z = np.asarray(zeta, dtype=float)
-    m2 = moment_integral(grid, z, 2)
-    r = grid.nodes
-    out = np.empty_like(z)
-    out[0] = (5.0 / 3.0) * z[0]
-    out[1:] = z[1:] + 2.0 * m2[1:] / r[1:] ** 3
-    return out
-
-
 def apply_L_inverse(grid: RadialGrid, eta: np.ndarray) -> np.ndarray:
     e = np.asarray(eta, dtype=float)
     m4 = moment_integral(grid, e, 4)

@@ -221,8 +221,8 @@ def evolve_q(
     with q < q_min_stop; the ODE is singular at q = 0. energy_drift is the
     roundoff of the energy invariant along the samples.
     """
-    if dt <= 0 or t_end <= 0:
-        raise ValueError("t_end and dt must be positive")
+    if not (0 < dt < math.inf and 0 < t_end / dt < math.inf):
+        raise ValueError(f"t_end, dt and t_end/dt must be finite and > 0, got {t_end!r}, {dt!r}")
     e_eff = e_effective(mu, qdot0)
     times = _sample_times(t_end, dt)
     q, qd = _amplitude(mu, qdot0, times)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constitutive import FOUR_PI_3, ConstitutiveModel, V
+from .constitutive import FOUR_PI_3, V
 from .errors import NonconvexModel
 from .radial import moment_integral
 from .shooting import SolutionProfile
@@ -84,27 +84,6 @@ def _residual_arrays(profile: SolutionProfile) -> tuple[np.ndarray, np.ndarray, 
     rhs_ref = -m2[1:] / r**3 * (2.0 * e + big_e / gpp) + V(brho, mu, G, lam) / gpp
 
     return lhs_sep - rhs_sep, lhs_ref - rhs_ref, gpp
-
-
-def check_derivatives(model: ConstitutiveModel) -> dict[str, float]:
-    """Max mismatch of analytic (g', g'', g''') against central differences.
-
-    Differences use step 1e-5 in extended working precision; mismatches are
-    normalized by each derivative's own scale on [1/2, 3/2].
-    """
-    ys = np.linspace(0.5, 1.5, 201).astype(np.longdouble)
-    s = np.longdouble(1e-5)
-    out = {}
-    for name, analytic, lower in (
-        ("dg", model.dg, model.g),
-        ("d2g", model.d2g, model.dg),
-        ("d3g", model.d3g, model.d2g),
-    ):
-        fd = (lower(ys + s) - lower(ys - s)) / (2.0 * s)
-        exact = analytic(ys)
-        scale = max(float(np.max(np.abs(exact))), 1.0)
-        out[name] = float(np.max(np.abs(exact - fd))) / scale
-    return out
 
 
 def stress_profiles(profile: SolutionProfile) -> tuple[np.ndarray, np.ndarray]:

@@ -161,6 +161,14 @@ class TestSolve:
         assert "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("value", ["1e-250", "1e250"])
+    def test_G_beyond_float_range_exits_2(self, tmp_path, capsys, value):
+        # was an OverflowError (1e-250) or AssertionError (1e250) traceback, exit 1
+        assert run("solve", "--G", value, "--N", "16", "--out", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert "argument --G:" in err and "outside the float range" in err
+        assert not (tmp_path / "o").exists()
+
 
 class TestSweep:
     def test_five_rows(self, tmp_path):
@@ -224,6 +232,19 @@ class TestEvolve:
     def test_negative_t_end(self, tmp_path):
         assert run("evolve", "--mu", "0", "--qdot0", "0", "--t-end", "-1",
                    "--out", tmp_path / "x") == 2
+
+    @pytest.mark.parametrize(
+        "times",
+        [["--t-end", "nan"], ["--t-end", "inf", "--dt", "1"], ["--t-end", "1", "--dt", "nan"],
+         ["--t-end", "1e300", "--dt", "1e-10"]],
+        ids=["t_end-nan", "t_end-inf", "dt-nan", "ratio-overflow"],
+    )
+    def test_non_finite_times_exit_2(self, tmp_path, capsys, times):
+        # each was a ValueError or OverflowError traceback from the sampler, exit 1
+        assert run("evolve", *times, "--out", tmp_path / "x") == 2
+        err = capsys.readouterr().err
+        assert "finite" in err and "Traceback" not in err
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("mu,qdot0", [("inf", "0"), ("0", "nan")])
     def test_non_finite_start_rejected(self, tmp_path, mu, qdot0):

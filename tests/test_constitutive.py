@@ -12,7 +12,6 @@ from gravelast.constitutive import (
     V,
     ensure_validated,
     make_builtin_model,
-    residual_pressure,
     validate_model,
 )
 from gravelast.errors import DomainExit, HypothesisFailed, NormalizationViolated
@@ -125,18 +124,18 @@ class TestScalarFunctions:
 
     def test_E_at_1(self):
         m = make_builtin_model(3100.0)
-        assert m.E(1.0) == 0.0
+        assert m.strain_terms(1.0)[1] == 0.0
 
     def test_E_gas_case_zero(self):
         m = make_builtin_model(0.0)
-        assert abs(m.E(1.3)) <= 1e-12
+        assert abs(m.strain_terms(1.3)[1]) <= 1e-12
 
     def test_E_matches_extended_precision_quotient(self):
         m = make_builtin_model(3100.0)
         y = np.longdouble(1.001)
         h1 = 3 * y * m.dg(y) + m.g(y)
         raw = (h1 - 0) / (y - 1) - (4 * m.dg(y) + 3 * y * m.d2g(y))
-        assert m.E(1.001) == pytest.approx(float(raw), rel=1e-8)
+        assert m.strain_terms(1.001)[1] == pytest.approx(float(raw), rel=1e-8)
 
     def test_E_continuous_across_switch(self):
         m = make_builtin_model(3100.0)
@@ -144,13 +143,13 @@ class TestScalarFunctions:
         for y in (1.0 + EPS_E * (1 - 1e-3), 1.0 - EPS_E * (1 + 1e-3)):
             t = y - 1.0
             series = -0.5 * m.d2h(1.0) * t - m.d3h(1.0) * t**2 / 3.0
-            assert abs(m.E(y) - series) <= tol
+            assert abs(m.strain_terms(y)[1] - series) <= tol
 
     def test_E_builtin_closed_form(self):
         # E(y) = -(7 kappa / 2)(y - 1) exactly for the built-in family
         m = make_builtin_model(3100.0)
         for y in (0.9, 1.0005, 1.2):
-            assert m.E(y) == pytest.approx(-3.5 * 3100.0 * (y - 1.0), rel=1e-9)
+            assert m.strain_terms(y)[1] == pytest.approx(-3.5 * 3100.0 * (y - 1.0), rel=1e-9)
 
     def test_U_at_1(self):
         m = make_builtin_model(3100.0)
@@ -174,15 +173,6 @@ class TestScalarFunctions:
         m = make_builtin_model(3100.0)
         with pytest.raises(DomainExit):
             m.U(1.0 + 2 * m.delta)
-
-    def test_f_profile(self):
-        m = make_builtin_model(3100.0)
-        assert m.f(1.0) == 1.0
-        fd = (m.f(1.0 + 1e-5) - m.f(1.0 - 1e-5)) / 2e-5
-        assert abs(fd) < 1e-6
-        gas = make_builtin_model(0.0)
-        for y in (0.5, 1.0, 2.0):
-            assert gas.f(y) == pytest.approx(1.0, rel=1e-14)
 
 
 class TestVAndK:
@@ -255,16 +245,6 @@ class TestDelta:
             family="synthetic",
         )
         assert synthetic.delta == pytest.approx(0.1, abs=1e-15)
-
-
-class TestResidualPressure:
-    def test_values(self):
-        assert residual_pressure(1.0) == pytest.approx(1.0 / 3.0, rel=1e-15)
-        assert residual_pressure(8.0) == pytest.approx(16.0 / 3.0, rel=1e-15)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            residual_pressure(0.0)
 
 
 @settings(max_examples=50, deadline=None)

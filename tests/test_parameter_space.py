@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gravelast.constitutive import FOUR_PI_3, K, make_builtin_model, validate_model
-from gravelast.parameters import build_parameter_box
+from gravelast.parameters import build_parameter_box, k_minimum
 from gravelast.radial import RadialGrid
 from gravelast.shooting import solve_separable
-from gravelast.verify import residual_report
+from gravelast.verify import residual_report, stress_profiles
 
 # Smallest stiffness whose validation margin (1% over the sampled threshold)
 # holds: 1.01 * 50 * (50 + sup|g'''|) - 4/9 ~ 3052.4.
@@ -25,7 +25,7 @@ class TestGravitationalConstant:
         assert FOUR_PI_3 * G * box.brho_plus ** (2 / 3) == pytest.approx(10.0, abs=1e-12)
         for mu in (-box.mu0, 0.0, box.mu0):
             assert box.brho_minus(mu) < box.brho_plus
-            assert box.k_lower(mu) < 1 / 20
+            assert k_minimum(mu, G) < 1 / 20
             assert K(box.brho_plus, mu, G) < 21 / 2
 
     def test_solve_and_residual(self, model, G):
@@ -48,6 +48,22 @@ class TestGravitationalConstant:
 def test_bad_G_rejected(model, G):
     with pytest.raises(ValueError, match="G must be finite and positive"):
         build_parameter_box(model, G)
+
+
+@pytest.mark.parametrize("G", [1e-250, 1e-155, 1e155, 1e250])
+def test_G_beyond_float_range_rejected(model, G):
+    # brho_plus**1.5 overflowed below, the box underflowed to 0 above
+    with pytest.raises(ValueError, match="puts the parameter box outside the float range"):
+        build_parameter_box(model, G)
+
+
+@pytest.mark.parametrize("G", [1e-153, 1e153])
+def test_G_at_float_range_edges_solves(model, G):
+    box = build_parameter_box(model, G)
+    for mu in (-box.mu0, 0.0, box.mu0):
+        sol = solve_separable(model, mu, G, RadialGrid(16))
+        assert abs(sol.boundary_residual) <= 1e-10
+        assert np.all(np.isfinite(stress_profiles(sol)[0]))
 
 
 class TestExtremeEigenvalues:

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from operator_oracles import apply_L
 
 from gravelast.errors import DegenerateGeometry
 from gravelast.radial import (
     RadialGrid,
-    apply_L,
     apply_L_inverse,
     moment_integral,
     reconstruct_geometry,

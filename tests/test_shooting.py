@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from gravelast import constitutive, fixed_point, shooting
 from gravelast.constitutive import EIGHT_PI_3, FOUR_PI_3, K, V, make_builtin_model
 from gravelast.errors import ParameterOutOfRange
-from gravelast.fixed_point import lipschitz_probe, picard_solve
+from gravelast.fixed_point import picard_solve
 from gravelast.parameters import build_parameter_box, k_minimum, mu_ceiling
 from gravelast.radial import RadialGrid, reconstruct_geometry
 from gravelast.shooting import (
@@ -115,8 +115,8 @@ class TestParameterBox:
     def test_box_inequalities(self, box, frac):
         mu = frac * box.mu0
         assert box.brho_minus(mu) < box.brho_plus
-        assert box.k_lower(mu) < 1.0 / 20.0
-        assert box.k_upper(mu) < 21.0 / 2.0
+        assert k_minimum(mu, box.G) < 1.0 / 20.0
+        assert K(box.brho_plus, mu, box.G) < 21.0 / 2.0
         eps = FOUR_PI_3 * box.brho_plus ** (2 / 3) + mu * box.brho_plus ** (-1 / 3)
         assert eps > 19.0 / 2.0
 
@@ -252,7 +252,7 @@ class TestSolve:
             dataclasses.replace(sol, box=build_parameter_box(model, 0.5))
         assert dataclasses.replace(sol, G=0.5).box == build_parameter_box(model, 0.5)
 
-    @pytest.mark.parametrize("fn", [picard_solve, boundary_mismatch, lipschitz_probe])
+    @pytest.mark.parametrize("fn", [picard_solve, boundary_mismatch])
     def test_no_caller_supplied_box(self, model, fn):
         # No argument can widen the range a Picard run accepts.
         assert {"box", "validate"}.isdisjoint(inspect.signature(fn).parameters)

@@ -177,6 +177,15 @@ class TestEvolve:
         with pytest.raises(ValueError):
             evolve_q(0.0, 0.0, 1.0, 0.0)
 
+    @pytest.mark.parametrize(
+        "t_end,dt",
+        [(math.nan, 1e-3), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf), (1e300, 1e-10)],
+    )
+    def test_rejects_non_finite_times(self, t_end, dt):
+        # inf/nan used to reach _sample_times and end in ValueError or OverflowError there
+        with pytest.raises(ValueError, match="t_end, dt and t_end/dt must be finite"):
+            evolve_q(0.0, 0.0, t_end, dt)
+
     def test_partial_final_step(self):
         sol = evolve_q(0.0, 0.1, 0.0105, 1e-3)
         assert sol.t[-1] == pytest.approx(0.0105, abs=1e-15)
