@@ -210,12 +210,25 @@ def ensure_validated(model: ConstitutiveModel) -> ValidationReport:
     return report
 
 
-def V(brho: float, mu: float, G: float, lam):
-    """Force-density scale (lam/brho**(1/3)) * ((4 pi/3) G brho + mu lam**3)."""
-    if brho <= 0:
+def V(brho, mu, G: float, lam):
+    """Force-density scale (lam/brho**(1/3)) * ((4 pi/3) G brho + mu lam**3).
+
+    brho and mu are scalars or arrays that broadcast against lam, e.g. one
+    (rows, 1) column each for a (rows, N+1) stack of lam.
+    """
+    shape = np.shape(brho)
+    cells = np.ravel(brho).tolist() if shape else [float(brho)]
+    if any(b <= 0 for b in cells):
         raise ValueError("brho must be positive")
+    # Python's float power per element: numpy's vectorised power rounds some
+    # cube roots differently, and a stacked row must equal its scalar call.
+    roots = [b ** (1.0 / 3.0) for b in cells]
+    if shape:
+        brho, root = np.reshape(cells, shape), np.reshape(roots, shape)
+    else:
+        root = roots[0]
     lam = np.asarray(lam, dtype=float)
-    out = lam / brho ** (1.0 / 3.0) * (FOUR_PI_3 * G * brho + mu * lam**3)
+    out = lam / root * (FOUR_PI_3 * G * brho + mu * lam**3)
     return out if out.ndim else float(out)
 
 

@@ -40,13 +40,15 @@ def k_minimum(mu: float, G: float) -> float:
     return 1.5 * abs(mu) ** (2.0 / 3.0) * (EIGHT_PI_3 * G) ** (1.0 / 3.0)
 
 
-def mu_ceiling(G: float) -> float:
+def mu_ceiling(G: float, bp: float | None = None) -> float:
     """Largest |mu| the solver accepts, with a 0.99 safety factor.
 
     Condition 1: mu < min(brho_plus**(1/3)/2, (8 pi/3) G brho_plus).
     Condition 2: K(brho_minus(mu), mu) < 1/20, inverted in closed form.
+    bp is brho_plus(G), computed here unless given.
     """
-    bp = brho_plus(G)
+    if bp is None:
+        bp = brho_plus(G)
     cond1 = min(0.5 * bp ** (1.0 / 3.0), EIGHT_PI_3 * G * bp)
     cond2 = 30.0 ** -1.5 / math.sqrt(EIGHT_PI_3 * G)
     return 0.99 * min(cond1, cond2)
@@ -83,24 +85,29 @@ class ParameterBox:
 def check_G(G: float) -> float:
     """G itself; ValueError unless G > 0 is finite and brho_plus, the stress scale
     brho_plus**(4/3) and mu_ceiling are normal floats (about 2e-154 < G < 2e154)."""
+    _box_constants(G)
+    return G
+
+
+def _box_constants(G: float) -> tuple[float, float]:
+    """(brho_plus, mu_ceiling) of G, each computed once, after the checks of check_G."""
     if not (math.isfinite(G) and G > 0):
         raise ValueError(f"G must be finite and positive, got {G!r}")
     try:
         bp = brho_plus(G)
-        constants = (bp, bp ** (4.0 / 3.0), mu_ceiling(G))
+        mu0 = mu_ceiling(G, bp)
+        constants = (bp, bp ** (4.0 / 3.0), mu0)
     except OverflowError:
         constants = (math.inf,)
     if not all(sys.float_info.min <= c < math.inf for c in constants):
         raise ValueError(f"G = {G!r} puts the parameter box outside the float range")
-    return G
+    return bp, mu0
 
 
 def build_parameter_box(model: ConstitutiveModel, G: float) -> ParameterBox:
     """Assemble the box and re-check the two smallness conditions post hoc."""
-    check_G(G)
+    bp, mu0 = _box_constants(G)
     ensure_validated(model)
-    bp = brho_plus(G)
-    mu0 = mu_ceiling(G)
 
     assert mu0 < min(0.5 * bp ** (1.0 / 3.0), EIGHT_PI_3 * G * bp)
     assert k_minimum(mu0, G) < 1.0 / 20.0

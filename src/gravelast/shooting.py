@@ -20,13 +20,19 @@ nearly linear.  w increases on the bracket for every admissible mu,
 because the bracket starts at brho_minus(mu), where dw/dbrho = 0 for
 mu > 0.  Each trial w maps back to brho = u**3 through the upper root u of
 the cubic (4 pi/3) G u**3 - w u + mu = 0 (_brho_from_w).
+
+sweep runs one search per mu in lockstep (_find_roots): brent_steps yields
+each row's trials one at a time, and each round evaluates the trials of
+all rows still searching in one picard_rows run.  A row sees the same
+arithmetic as a search of its own, so it equals solve_separable, the
+batch of one, bit for bit; a SolverError ends only its own row.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Generator
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -36,6 +42,7 @@ from .fixed_point import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     PicardDiagnostics,
+    picard_rows,
     picard_solve,
 )
 from .parameters import ParameterBox, build_parameter_box
@@ -106,8 +113,7 @@ def boundary_mismatch(
     return MismatchResult(value=float(model.dg(y1)), y1=y1, zeta=zeta, diagnostics=diag)
 
 
-def brent_root(
-    fn: Callable[[float], float],
+def brent_steps(
     a: float,
     b: float,
     fa: float,
@@ -115,8 +121,9 @@ def brent_root(
     xtol: float,
     ftol: float,
     max_evals: int,
-) -> tuple[float, int]:
-    """Brent's method on a bracket [a, b] with fa, fb of opposite signs.
+) -> Generator[float, float, tuple[float, int]]:
+    """Brent's method on a bracket [a, b] with fa, fb of opposite signs, one
+    trial at a time: yields each trial x and takes fn(x) back by send().
 
     Returns (x, evaluations of fn).  Stops once |fn(x)| < ftol, once the
     bracket around the sign change is narrower than xtol (plus a few ulps
@@ -165,8 +172,29 @@ def brent_root(
             d = e = m
         a, fa = b, fb
         b += d if abs(d) > tol1 else math.copysign(tol1, m)
-        fb = fn(b)
+        fb = yield b
         evals += 1
+
+
+def brent_root(
+    fn: Callable[[float], float],
+    a: float,
+    b: float,
+    fa: float,
+    fb: float,
+    xtol: float,
+    ftol: float,
+    max_evals: int,
+) -> tuple[float, int]:
+    """brent_steps driven by fn: returns (x, evaluations of fn)."""
+    steps = brent_steps(a, b, fa, fb, xtol, ftol, max_evals)
+    value = None
+    while True:
+        try:
+            x = steps.send(value)
+        except StopIteration as stop:
+            return stop.value
+        value = fn(x)
 
 
 def _brho_from_w(w: float, mu: float, G: float, lo: float, hi: float) -> float:
@@ -203,6 +231,97 @@ def _brho_from_w(w: float, mu: float, G: float, lo: float, hi: float) -> float:
     return min(max(u**3, lo), hi)
 
 
+class _Search:
+    """One row's Brent search in w, advanced a trial at a time.
+
+    brho0 and best are the bracket point with the smallest |mismatch| so
+    far; trial is the brho awaiting evaluation, None once the search ended.
+    """
+
+    def __init__(self, mu, G, lo, hi, res_lo, res_hi, tol_bc, tol_brho):
+        self.mu, self.G, self.lo, self.hi = mu, G, lo, hi
+        self.brho0, self.best = min((lo, res_lo), (hi, res_hi), key=lambda pair: abs(pair[1].value))
+        # dw/dbrho at brho_plus converts the brho width into a w width
+        dw_hi = (2.0 * FOUR_PI_3 * G * hi - mu) / (3.0 * hi ** (4.0 / 3.0))
+        self._steps = brent_steps(
+            V(lo, mu, G, 1.0), V(hi, mu, G, 1.0), res_lo.value, res_hi.value,
+            xtol=tol_brho * hi * dw_hi, ftol=tol_bc, max_evals=MAX_ROOT_EVALUATIONS - 2,
+        )
+        self.evaluations = 2
+        self._advance(None)
+
+    def _advance(self, value: float | None) -> None:
+        try:
+            w = self._steps.send(value)
+        except StopIteration as stop:
+            self.evaluations += stop.value[1]
+            self.trial = None
+        else:
+            self.trial = _brho_from_w(w, self.mu, self.G, self.lo, self.hi)
+
+    def record(self, res: MismatchResult) -> None:
+        if abs(res.value) < abs(self.best.value):
+            self.brho0, self.best = self.trial, res
+        self._advance(res.value)
+
+
+def _find_roots(
+    mus: list[float],
+    G: float,
+    box: ParameterBox,
+    tol_bc: float,
+    tol_brho: float,
+    evaluate: Callable[..., list[MismatchResult | SolverError]],
+) -> list[_Search | SolverError]:
+    """brho0 for every mu by Brent searches run in lockstep.
+
+    evaluate(brho, mu, zeta0) is one round: lists with one entry per row in
+    (zeta0 None: every run starts from z = 0), a MismatchResult or the
+    row's SolverError per row out.  The first round evaluates both bracket
+    ends of every row from z = 0; each later round evaluates the pending
+    trial of every row still searching, started from the fixed point of
+    that row's own best bracket point.  So each row makes the evaluations a
+    search of its own would make.  A row ends as its finished search or as
+    its SolverError: mu outside the box, BracketFailure, or the first
+    failed evaluation.
+    """
+    out: list[_Search | SolverError | None] = [None] * len(mus)
+    rows = []
+    for i, mu in enumerate(mus):
+        try:
+            box.check_mu(mu)
+        except SolverError as exc:
+            out[i] = exc
+        else:
+            rows.append(i)
+    hi = box.brho_plus
+    lows = [box.brho_lower(mus[i]) for i in rows]
+    ends = evaluate(lows + [hi] * len(rows), [mus[i] for i in rows] * 2, None)
+    searches = {}
+    for i, lo, res_lo, res_hi in zip(rows, lows, ends, ends[len(rows):]):
+        if isinstance(res_lo, SolverError) or isinstance(res_hi, SolverError):
+            out[i] = res_lo if isinstance(res_lo, SolverError) else res_hi
+        elif not (res_lo.value < 0.0 < res_hi.value):
+            out[i] = BracketFailure(
+                f"mismatch signs at bracket ends are ({res_lo.value:+.3e}, "
+                f"{res_hi.value:+.3e}); expected (-, +)"
+            )
+        else:
+            out[i] = searches[i] = _Search(mus[i], G, lo, hi, res_lo, res_hi, tol_bc, tol_brho)
+    while pending := [(i, s) for i, s in searches.items() if s.trial is not None]:
+        results = evaluate(
+            [s.trial for _, s in pending], [s.mu for _, s in pending],
+            [s.best.zeta for _, s in pending],
+        )
+        for (i, search), res in zip(pending, results):
+            if isinstance(res, SolverError):
+                out[i] = res
+                del searches[i]
+            else:
+                search.record(res)
+    return out
+
+
 def solve_separable(
     model: ConstitutiveModel,
     mu: float,
@@ -228,50 +347,37 @@ def solve_separable(
     build_parameter_box(model, G); a box passed in must equal it, else
     ValueError.  Every Picard run after the two bracket ends starts from
     the fixed point of the best bracket point so far.
+
+    This is the one-row case of the lockstep search of sweep; each of its
+    evaluations is one boundary_mismatch call.
     """
     if grid is None:
         grid = RadialGrid(512)
     derived = build_parameter_box(model, G)
     if box is not None and box != derived:
         raise ValueError(f"{box} is not the box of (model, G = {G:g}): {derived}")
-    box = derived
-    box.check_mu(mu)
 
-    def evaluate(brho: float, zeta0: np.ndarray | None = None) -> MismatchResult:
-        return boundary_mismatch(model, brho, mu, G, grid, tol=tol_picard, zeta0=zeta0)
+    def evaluate(brho, mus, zeta0):
+        results = []
+        for k, (b, m) in enumerate(zip(brho, mus)):
+            try:
+                results.append(boundary_mismatch(
+                    model, b, m, G, grid, tol=tol_picard,
+                    zeta0=None if zeta0 is None else zeta0[k],
+                ))
+            except SolverError as exc:
+                results.append(exc)
+        return results
 
-    lo = box.brho_lower(mu)
-    hi = box.brho_plus
-    res_lo = evaluate(lo)
-    res_hi = evaluate(hi)
-    if not (res_lo.value < 0.0 < res_hi.value):
-        raise BracketFailure(
-            f"mismatch signs at bracket ends are ({res_lo.value:+.3e}, "
-            f"{res_hi.value:+.3e}); expected (-, +)"
-        )
-
-    best_brho, best = min((lo, res_lo), (hi, res_hi), key=lambda pair: abs(pair[1].value))
-
-    def mismatch(brho: float) -> float:
-        nonlocal best_brho, best
-        res = evaluate(brho, best.zeta)
-        if abs(res.value) < abs(best.value):
-            best_brho, best = brho, res
-        return res.value
-
-    # dw/dbrho at brho_plus converts the brho width into a w width
-    dw_hi = (2.0 * FOUR_PI_3 * G * hi - mu) / (3.0 * hi ** (4.0 / 3.0))
-    _, evals = brent_root(
-        lambda w: mismatch(_brho_from_w(w, mu, G, lo, hi)),
-        V(lo, mu, G, 1.0), V(hi, mu, G, 1.0), res_lo.value, res_hi.value,
-        xtol=tol_brho * hi * dw_hi, ftol=tol_bc, max_evals=MAX_ROOT_EVALUATIONS - 2,
-    )
-
+    (root,) = _find_roots([mu], G, derived, tol_bc, tol_brho, evaluate)
+    if isinstance(root, SolverError):
+        raise root
+    best = root.best
     geo = reconstruct_geometry(grid, best.zeta)
     return SolutionProfile(
         model=model,
         mu=mu,
-        brho0=best_brho,
+        brho0=root.brho0,
         G=G,
         grid=grid,
         zeta=best.zeta,
@@ -281,7 +387,7 @@ def solve_separable(
         y=geo.y,
         boundary_residual=best.value,
         diagnostics=best.diagnostics,
-        root_evaluations=2 + evals,
+        root_evaluations=root.evaluations,
     )
 
 
@@ -297,6 +403,28 @@ class SweepRow:
     error: str | None = None
 
 
+def _mismatch_rows(
+    model: ConstitutiveModel,
+    brho: list[float],
+    mu: list[float],
+    G: float,
+    grid: RadialGrid,
+    box: ParameterBox,
+    tol: float,
+    zeta0: list[np.ndarray] | None,
+) -> list[MismatchResult | SolverError]:
+    """boundary_mismatch for every row from one picard_rows run."""
+    zeta, diags, errors = picard_rows(model, brho, mu, G, grid, box, tol, DEFAULT_MAX_ITER, zeta0)
+    ok = [i for i, exc in enumerate(errors) if exc is None]
+    results: list[MismatchResult | SolverError] = list(errors)
+    y1s = y_at_boundary(grid, np.array([zeta[i] for i in ok])).tolist() if ok else []
+    for i, y1 in zip(ok, y1s):
+        results[i] = MismatchResult(
+            value=float(model.dg(y1)), y1=y1, zeta=zeta[i], diagnostics=diags[i]
+        )
+    return results
+
+
 def sweep(
     model: ConstitutiveModel,
     G: float,
@@ -306,30 +434,37 @@ def sweep(
     tol_brho: float = DEFAULT_TOL_BRHO,
     tol_picard: float = DEFAULT_TOL,
 ) -> list[SweepRow]:
-    """One solve per mu, in input order.
+    """Solve every mu, in input order, as one lockstep batch.
 
-    A row whose solve raises a SolverError records the error and the sweep
-    goes on; any other exception is a bug and propagates.
+    Each round of the root searches is one picard_rows run over the rows
+    still searching, so a row equals solve_separable at its mu bit for bit.
+    A row that meets a SolverError records the error and the other rows go
+    on; any other exception is a bug and propagates.
     """
     if grid is None:
         grid = RadialGrid(512)
-    build_parameter_box(model, G)  # a bad model or G aborts before any row
+    box = build_parameter_box(model, G)  # a bad model or G aborts before any row
+    mus = [float(mu) for mu in mu_values]
 
-    def run(mu: float) -> SweepRow:
-        try:
-            sol = solve_separable(
-                model, mu, G, grid, tol_bc=tol_bc, tol_brho=tol_brho, tol_picard=tol_picard
-            )
-        except SolverError as exc:  # a failed row is data, not an abort
-            return SweepRow(mu=mu, error=f"{type(exc).__name__}: {exc}")
-        return SweepRow(
-            mu=mu,
-            brho0=sol.brho0,
-            y1=float(sol.y[-1]),
-            fprime0=sol.fprime0,
-            zeta_norm=float(np.max(np.abs(sol.zeta))),
-            iterations=sol.diagnostics.iterations,
-            bc_residual=sol.boundary_residual,
+    def evaluate(brho, mus, zeta0):
+        return _mismatch_rows(model, brho, mus, G, grid, box, tol_picard, zeta0)
+
+    roots = _find_roots(mus, G, box, tol_bc, tol_brho, evaluate)
+    found = [i for i, root in enumerate(roots) if isinstance(root, _Search)]
+    geo_errors: list[SolverError | None] = [None] * len(found)
+    zeta = np.array([roots[i].best.zeta for i in found]).reshape(len(found), grid.n + 1)
+    geo = reconstruct_geometry(grid, zeta, geo_errors)
+    for k, i in enumerate(found):
+        root = roots[i]
+        roots[i] = geo_errors[k] or SweepRow(
+            mu=mus[i],
+            brho0=root.brho0,
+            y1=float(geo.y[k, -1]),
+            fprime0=float(geo.fprime[k, 0]),
+            zeta_norm=float(np.max(np.abs(zeta[k]))),
+            iterations=root.best.diagnostics.iterations,
+            bc_residual=root.best.value,
         )
-
-    return [run(float(mu)) for mu in mu_values]
+    # a failed row is data, not an abort
+    return [SweepRow(mu=mu, error=f"{type(row).__name__}: {row}")
+            if isinstance(row, SolverError) else row for mu, row in zip(mus, roots)]

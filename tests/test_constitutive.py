@@ -187,6 +187,22 @@ class TestVAndK:
     def test_V_simple_value(self):
         assert V(1.0, 0.0, 1.0, 1.0) == pytest.approx(FOUR_PI_3, rel=1e-15)
 
+    def test_V_array_brho_equals_scalar_calls(self):
+        # 2000 seeded densities: numpy's vectorised cube root differs from
+        # the scalar one on a few percent of them, so a stacked V must not use it.
+        brho = np.random.default_rng(3).uniform(1e-3, 5.0, (2000, 1))
+        lam = np.linspace(0.99, 1.01, 7)
+        out = V(brho, -2e-3, 1.0, lam)
+        assert out.shape == (2000, 7)
+        for i, b in enumerate(brho[:, 0].tolist()):
+            assert np.array_equal(out[i], V(b, -2e-3, 1.0, lam))
+
+    def test_V_rejects_any_nonpositive_brho(self):
+        with pytest.raises(ValueError, match="brho must be positive"):
+            V(np.array([[1.0], [-1.0], [2.0]]), 0.0, 1.0, np.ones((3, 5)))
+        with pytest.raises(ValueError, match="brho must be positive"):
+            V(np.array([0.5, 0.0]), 0.0, 1.0, 1.0)
+
     def test_K_mu0_increasing(self):
         rs = np.linspace(0.1, 5.0, 50)
         ks = [K(r, 0.0, 1.0) for r in rs]

@@ -161,9 +161,9 @@ class TestPicard:
         # synthetic diverging map: iterates with geometrically growing gaps
         state = {"k": 0}
 
-        def fake_F(model_, brho, mu, G, grid, zeta):
+        def fake_F(model_, brho, mu, G, grid, zeta, errors=None):
             state["k"] += 1
-            return np.full(grid.n + 1, 1e-7 * 3.0 ** state["k"])
+            return np.full(np.shape(zeta), 1e-7 * 3.0 ** state["k"])
 
         monkeypatch.setattr(fp, "apply_F", fake_F)
         monkeypatch.setattr(fp, "apply_L_inverse", lambda grid, eta: eta)

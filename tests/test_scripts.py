@@ -11,7 +11,7 @@ import pytest
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 # Arguments that keep a script under a second; a script not listed runs bare.
-ARGS = {"mu_sweep.py": ["5", "64"]}
+ARGS = {"mu_sweep.py": ["5", "64"], "bench.py": ["--quick"]}
 
 
 @pytest.mark.parametrize("path", sorted(SCRIPTS.glob("*.py")), ids=lambda p: p.name)

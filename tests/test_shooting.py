@@ -329,14 +329,15 @@ class TestSweep:
         assert rows[0].error.startswith("ParameterOutOfRange: mu outside proven range")
 
     def test_non_solver_error_propagates(self, model, monkeypatch):
-        original = shooting.solve_separable
+        # Injected inside the batched round: any row with mu > 0 hits a bug.
+        original = fixed_point.apply_F
 
-        def broken(model, mu, *args, **kwargs):
-            if mu > 0:
+        def broken(model_, brho, mu, *args):
+            if np.any(np.asarray(mu) > 0):
                 raise RuntimeError("bug in a row")
-            return original(model, mu, *args, **kwargs)
+            return original(model_, brho, mu, *args)
 
-        monkeypatch.setattr(shooting, "solve_separable", broken)
+        monkeypatch.setattr(fixed_point, "apply_F", broken)
         assert sweep(model, 1.0, [0.0], RadialGrid(64))[0].error is None
         with pytest.raises(RuntimeError, match="bug in a row"):
             sweep(model, 1.0, [0.0, 1e-4], RadialGrid(64))
