@@ -3,8 +3,11 @@
 Run:  python scripts/bench.py [--quick] [--label NAME] [--into FILE] [--commit SHA]
 
 Times solve_separable at N = 512, 2048 and 8192, a 9-point sweep at
-N = 512, evolve_q over 30k samples on the bound orbit
-(mu, qdot0) = (-0.001, 0.01), collapse_time on that orbit, one call each of
+N = 512, evolve_q over 30k samples on four named orbits (mu, qdot0), one per
+regime of the benchmark's regime_portrait: bound (-0.001, 0.01), repulsive
+(0.001, 0.1), attractive outward unbound (-0.001, 0.3) and inward unbound
+(-0.001, -0.3), which collapses near t = 3.2 and so stops early,
+collapse_time on the bound orbit, one call each of
 moment_integral, apply_F, picard_solve and boundary_mismatch at N = 512,
 and the root search alone: brent_root replaying the mismatch values of one
 N = 512 solve, so no Picard run is timed.  Each case is warmed up, then
@@ -48,6 +51,13 @@ from gravelast.temporal import collapse_time, evolve_q  # noqa: E402
 
 KAPPA, G = 3100.0, 1.0
 ORBIT = (-0.001, 0.01)  # (mu, qdot0): bound, collapses near t = 34
+# evolve_q case name -> (mu, qdot0); "evolve_q_30k" is the bound ORBIT
+EVOLVE_ORBITS = {
+    "evolve_q_30k": ORBIT,
+    "evolve_q_30k_repulsive": (0.001, 0.1),
+    "evolve_q_30k_outward": (-0.001, 0.3),
+    "evolve_q_30k_inward": (-0.001, -0.3),
+}
 WARMUP = 2
 
 
@@ -106,7 +116,8 @@ def cases(quick: bool) -> dict:
         model, mu, G, RadialGrid(n)), 30 // r // (1 + i), 1) for i, n in enumerate(sizes)}
     out.update({
         f"sweep9_N{sizes[0]}": (lambda: shooting.sweep(model, G, mus, grid), 20 // r, 1),
-        "evolve_q_30k": (lambda: evolve_q(*ORBIT, t_end, 1e-3), 10 // r, 1),
+        **{name: (lambda orbit=orbit: evolve_q(*orbit, t_end, 1e-3), 10 // r, 1)
+           for name, orbit in EVOLVE_ORBITS.items()},
         "collapse_time": (lambda: collapse_time(*ORBIT), 20 // r, 10),
         "moment_integral": (lambda: moment_integral(grid, zeta, 2), 30 // r, 200),
         "apply_F": (lambda: apply_F(model, brho, mu, G, grid, zeta), 30 // r, 20),

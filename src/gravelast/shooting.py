@@ -197,7 +197,9 @@ def brent_root(
         value = fn(x)
 
 
-def _brho_from_w(w: float, mu: float, G: float, lo: float, hi: float) -> float:
+def _brho_from_w(
+    w: float, mu: float, G: float, lo: float, hi: float, w_lo: float, w_hi: float
+) -> float:
     """Inverse of the forcing scale w = V(brho, mu, G, 1) on the bracket
     [lo, hi] = [brho_lower(mu), brho_plus]: brho = u**3 for the root
     u >= lo**(1/3) of
@@ -210,12 +212,13 @@ def _brho_from_w(w: float, mu: float, G: float, lo: float, hi: float) -> float:
     from hi**(1/3) decrease monotonically onto the largest root below it,
     the upper one; the loop ends when c, the slope or the step stops being
     positive.
-    w at or beyond the value of an end returns that end exactly, and the
-    result is clamped to [lo, hi], so rounding never leaves the bracket.
+    w at or beyond the value of an end (w_lo = V(lo, mu, G, 1), w_hi =
+    V(hi, mu, G, 1)) returns that end exactly, and the result is clamped to
+    [lo, hi], so rounding never leaves the bracket.
     """
-    if w <= V(lo, mu, G, 1.0):
+    if w <= w_lo:
         return lo
-    if w >= V(hi, mu, G, 1.0):
+    if w >= w_hi:
         return hi
     a = FOUR_PI_3 * G
     u = hi ** (1.0 / 3.0)
@@ -240,11 +243,12 @@ class _Search:
 
     def __init__(self, mu, G, lo, hi, res_lo, res_hi, tol_bc, tol_brho):
         self.mu, self.G, self.lo, self.hi = mu, G, lo, hi
+        self.w_lo, self.w_hi = V(lo, mu, G, 1.0), V(hi, mu, G, 1.0)
         self.brho0, self.best = min((lo, res_lo), (hi, res_hi), key=lambda pair: abs(pair[1].value))
         # dw/dbrho at brho_plus converts the brho width into a w width
         dw_hi = (2.0 * FOUR_PI_3 * G * hi - mu) / (3.0 * hi ** (4.0 / 3.0))
         self._steps = brent_steps(
-            V(lo, mu, G, 1.0), V(hi, mu, G, 1.0), res_lo.value, res_hi.value,
+            self.w_lo, self.w_hi, res_lo.value, res_hi.value,
             xtol=tol_brho * hi * dw_hi, ftol=tol_bc, max_evals=MAX_ROOT_EVALUATIONS - 2,
         )
         self.evaluations = 2
@@ -257,7 +261,7 @@ class _Search:
             self.evaluations += stop.value[1]
             self.trial = None
         else:
-            self.trial = _brho_from_w(w, self.mu, self.G, self.lo, self.hi)
+            self.trial = _brho_from_w(w, self.mu, self.G, self.lo, self.hi, self.w_lo, self.w_hi)
 
     def record(self, res: MismatchResult) -> None:
         if abs(res.value) < abs(self.best.value):

@@ -13,8 +13,12 @@ clock unit k = sqrt(A**3/|mu|):
 * mu > 0:            q = A(cosh x + 1) = 2A cosh(x/2)**2, t = k(sinh x + x) + c.
 
 A time sample is found by Newton's method on Kepler's equation, vectorised
-over the samples and safeguarded by a bracket; q = eps inverts to x with no
-iteration, so collapse times, threshold passages and rates are closed forms.
+over the samples and safeguarded by a bracket. Each sample stops iterating
+on its own, so its value does not depend on the other samples evaluated
+with it. evolve_q evaluates its samples in blocks of SAMPLE_BLOCK and
+evaluates none past the block that holds its stop. q = eps inverts to x
+with no iteration, so collapse times, threshold passages and rates are
+closed forms.
 """
 
 from __future__ import annotations
@@ -42,8 +46,15 @@ KEPLER_RTOL = 1e-12
 # orbits and samples near collapse).
 SERIES_CUTOFF = 1.0
 # (sinh x - x) / (x**3/6) = sum_j c_j x**(2j), c_j = 3!/(2j + 3)!; ten terms
-# reach roundoff for |x| <= 1. Highest power first, for np.polyval.
+# reach roundoff for |x| <= 1. Highest power first, for Horner's rule.
 _SERIES = np.array([6.0 / math.factorial(2 * j + 3) for j in range(10)])[::-1]
+
+# evolve_q evaluates its samples in blocks of this many. A block's
+# temporaries are 64 KiB of float64, below glibc's 128 KiB mmap threshold,
+# so the heap reuses them; at 30,001 samples each temporary is a fresh mmap
+# whose pages fault in on first touch (2,072 minor faults per evaluation of
+# a bound orbit, against 96 per block of 8192).
+SAMPLE_BLOCK = 8192
 
 REGIME_LINEAR = "linear-expanding"
 REGIME_SELF_SIMILAR = "self-similar-expanding"
@@ -95,14 +106,32 @@ class TemporalSolution:
     stopped_early: bool
 
 
-def _x_minus_sin(x):
+def _series_split(x, series_sign: float, direct):
+    """x**3/6 * sum_j c_j (series_sign x**2)**j below SERIES_CUTOFF, direct(x) above.
+
+    Each sample is computed by one branch only.
+    """
     x = np.asarray(x, dtype=float)
-    return np.where(x < SERIES_CUTOFF, x**3 / 6 * np.polyval(_SERIES, -x * x), x - np.sin(x))
+    small = x < SERIES_CUTOFF
+    out = np.empty_like(x)
+    xs = x[small]
+    xx = series_sign * xs * xs
+    s = np.full_like(xs, _SERIES[0])
+    for c in _SERIES[1:]:  # Horner in place, the same floats as np.polyval
+        s *= xx
+        s += c
+    out[small] = xs**3 / 6 * s
+    big = ~small
+    out[big] = direct(x[big])
+    return out
+
+
+def _x_minus_sin(x):
+    return _series_split(x, -1.0, lambda b: b - np.sin(b))
 
 
 def _sinh_minus_x(x):
-    x = np.asarray(x, dtype=float)
-    return np.where(x < SERIES_CUTOFF, x**3 / 6 * np.polyval(_SERIES, x * x), np.sinh(x) - x)
+    return _series_split(x, 1.0, lambda b: np.sinh(b) - b)
 
 
 def _kepler_invert(S, dS, y: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -110,38 +139,48 @@ def _kepler_invert(S, dS, y: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
     Newton's method from the upper bound hi descends monotonically onto the
     root; a step that leaves the bracket, which only roundoff can cause,
-    bisects it instead. KeplerNotConverged is raised unless the Kepler
-    equation holds to KEPLER_RTOL when the iteration stops.
+    bisects it instead. Each sample stops on its own, at the first step
+    that moves it by at most 4 eps relative, and only samples still moving
+    are iterated; so a sample's x depends on nothing but its own y and hi,
+    whatever other samples are passed with it. KeplerNotConverged is raised
+    unless the Kepler equation holds to KEPLER_RTOL at every returned x.
     """
-    lo = np.zeros_like(y)
-    x = hi
+    shape = y.shape
+    y, hi = y.ravel(), hi.ravel()
+    x_out = np.empty_like(y)
+    # the samples still moving: their indices, iterates, brackets and clocks
+    idx, x, lo, ya = np.arange(y.size), hi, np.zeros_like(y), y
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(NEWTON_MAX_ITER):
-            f = S(x) - y
+            f = S(x) - ya
             lo = np.where(f < 0, x, lo)
             hi = np.where(f > 0, x, hi)
             x_new = x - f / dS(x)
             x_new = np.where((x_new >= lo) & (x_new <= hi), x_new, 0.5 * (lo + hi))
-            done = np.all(np.abs(x_new - x) <= 4.0 * np.finfo(float).eps * x_new)
+            done = np.abs(x_new - x) <= 4.0 * np.finfo(float).eps * x_new
             x = x_new
-            if done:
-                break
-    excess = np.abs(S(x) - y) - KEPLER_RTOL * y
+            if done.any():
+                x_out[idx[done]] = x[done]
+                moving = ~done
+                idx, x, lo, hi, ya = idx[moving], x[moving], lo[moving], hi[moving], ya[moving]
+                if not idx.size:
+                    break
+        x_out[idx] = x
+        excess = np.abs(S(x_out) - y) - KEPLER_RTOL * y
     if not np.all(excess <= 0):  # NaN too: a clock beyond the float range
         raise KeplerNotConverged(
             f"Kepler equation residual exceeds {KEPLER_RTOL:g} * clock by "
             f"{float(np.max(excess)):.3e} after {NEWTON_MAX_ITER} Newton steps"
         )
-    return x
+    return x_out.reshape(shape)
 
 
-def _conic(mu: float, qdot0: float) -> tuple[float, float, float, float]:
-    """(A, k, v, y0) of the conic branch through q = 1, qdot = qdot0 (e_eff != 0).
+def _conic(mu: float, qdot0: float, e: float) -> tuple[float, float, float, float]:
+    """(A, k, v, y0) of the conic branch through q = 1, qdot = qdot0 (e = e_eff != 0).
 
     v = sqrt(2|e_eff|) = sqrt(|mu|/A) is the speed scale, y0 the Kepler clock
     t/k + const at t = 0: from the nearer q = 0 (mu < 0) or pericentre (mu > 0).
     """
-    e = e_effective(mu, qdot0)
     a = abs(mu) / (2.0 * abs(e))
     v = math.sqrt(2.0 * abs(e))
     if mu > 0:  # sinh(x/2)**2 = cosh(x/2)**2 - 1 = qdot0**2/(2 mu) at q = 1
@@ -154,50 +193,65 @@ def _conic(mu: float, qdot0: float) -> tuple[float, float, float, float]:
     return a, a / v, v, y0
 
 
-def _amplitude(mu: float, qdot0: float, t) -> tuple[np.ndarray, np.ndarray]:
-    """q(t) and qdot(t) in closed form; samples at or past collapse get q = 0."""
-    t = np.asarray(t, dtype=float)
-    e = e_effective(mu, qdot0)
+def _orbit(mu: float, qdot0: float, e: float):
+    """The map t -> (q(t), qdot(t)) in closed form, e = e_eff; samples at or
+    past collapse get q = 0. The branch and its constants are fixed here, once."""
     if abs(mu) < MU_FREE:
-        return np.maximum(1.0 + qdot0 * t, 0.0), np.full_like(t, qdot0)
+        return lambda t: (np.maximum(1.0 + qdot0 * t, 0.0), np.full_like(t, qdot0))
     if abs(e) <= E_EFF_ZERO_TOL:
-        base = np.maximum(1.0 + 1.5 * qdot0 * t, 0.0)
-        with np.errstate(divide="ignore"):
-            return base ** (2.0 / 3.0), qdot0 * base ** (-1.0 / 3.0)
+        def self_similar(t):
+            base = np.maximum(1.0 + 1.5 * qdot0 * t, 0.0)
+            with np.errstate(divide="ignore"):
+                return base ** (2.0 / 3.0), qdot0 * base ** (-1.0 / 3.0)
+        return self_similar
 
-    a, k, v, y0 = _conic(mu, qdot0)
+    a, k, v, y0 = _conic(mu, qdot0, e)
     if mu > 0:
-        clock = y0 + t / k
-        y = np.abs(clock)
-        x = np.sign(clock) * _kepler_invert(
-            lambda s: np.sinh(s) + s, lambda s: np.cosh(s) + 1.0, y,
-            np.minimum(np.arcsinh(y), 0.5 * y),
-        )
-        return 2.0 * a * np.cosh(0.5 * x) ** 2, v * np.tanh(0.5 * x)
+        def repulsive(t):
+            clock = y0 + t / k
+            y = np.abs(clock)
+            x = np.sign(clock) * _kepler_invert(
+                lambda s: np.sinh(s) + s, lambda s: np.cosh(s) + 1.0, y,
+                np.minimum(np.arcsinh(y), 0.5 * y),
+            )
+            return 2.0 * a * np.cosh(0.5 * x) ** 2, v * np.tanh(0.5 * x)
+        return repulsive
 
     if e > 0:
         sign = 1.0 if qdot0 > 0 else -1.0
-        y = np.maximum(y0 + sign * t / k, 0.0)
-        cube = np.cbrt(6.0 * y)  # sinh x - x >= x**3/6
-        x = _kepler_invert(
-            _sinh_minus_x, lambda s: 2.0 * np.sinh(0.5 * s) ** 2, y,
-            np.minimum(cube, np.arcsinh(y + cube)),
-        )
-        with np.errstate(divide="ignore"):
-            return 2.0 * a * np.sinh(0.5 * x) ** 2, sign * v / np.tanh(0.5 * x)
+
+        def unbound(t):
+            y = np.maximum(y0 + sign * t / k, 0.0)
+            cube = np.cbrt(6.0 * y)  # sinh x - x >= x**3/6
+            x = _kepler_invert(
+                _sinh_minus_x, lambda s: 2.0 * np.sinh(0.5 * s) ** 2, y,
+                np.minimum(cube, np.arcsinh(y + cube)),
+            )
+            with np.errstate(divide="ignore"):
+                return 2.0 * a * np.sinh(0.5 * x) ** 2, sign * v / np.tanh(0.5 * x)
+        return unbound
 
     # Bound orbit: x rises to pi at the apex, then counts down to collapse
     # at 0, where the clock is (T - t)/k.
-    rising = (qdot0 > 0) & (y0 + t / k < math.pi)
-    falling = np.maximum((2.0 * math.pi - y0 if qdot0 >= 0 else y0) - t / k, 0.0)
-    y = np.where(rising, y0 + t / k, falling)
-    # x**3/6 >= x - sin x >= x**3/12 on [0, pi]
-    x = _kepler_invert(
-        _x_minus_sin, lambda s: 2.0 * np.sin(0.5 * s) ** 2, y,
-        np.minimum(np.cbrt(12.0 * y), math.pi),
-    )
-    with np.errstate(divide="ignore"):
-        return 2.0 * a * np.sin(0.5 * x) ** 2, np.where(rising, v, -v) / np.tan(0.5 * x)
+    apex_to_collapse = 2.0 * math.pi - y0 if qdot0 >= 0 else y0
+
+    def bound(t):
+        rising = (qdot0 > 0) & (y0 + t / k < math.pi)
+        falling = np.maximum(apex_to_collapse - t / k, 0.0)
+        y = np.where(rising, y0 + t / k, falling)
+        # x**3/6 >= x - sin x >= x**3/12 on [0, pi]
+        x = _kepler_invert(
+            _x_minus_sin, lambda s: 2.0 * np.sin(0.5 * s) ** 2, y,
+            np.minimum(np.cbrt(12.0 * y), math.pi),
+        )
+        with np.errstate(divide="ignore"):
+            return 2.0 * a * np.sin(0.5 * x) ** 2, np.where(rising, v, -v) / np.tan(0.5 * x)
+    return bound
+
+
+def _amplitude(mu: float, qdot0: float, t) -> tuple[np.ndarray, np.ndarray]:
+    """q(t) and qdot(t) in closed form; samples at or past collapse get q = 0."""
+    return _orbit(mu, qdot0, e_effective(mu, qdot0))(np.asarray(t, dtype=float))
 
 
 def _sample_times(t_end: float, dt: float) -> np.ndarray:
@@ -219,19 +273,28 @@ def evolve_q(
 
     The samples stop early (recorded, not an error) before the first one
     with q < q_min_stop; the ODE is singular at q = 0. energy_drift is the
-    roundoff of the energy invariant along the samples.
+    roundoff of the energy invariant along the samples. The samples are
+    evaluated in blocks of SAMPLE_BLOCK, and none past the block holding
+    the stop; each equals its value in one whole-array _amplitude call.
     """
     if not (0 < dt < math.inf and 0 < t_end / dt < math.inf):
         raise ValueError(f"t_end, dt and t_end/dt must be finite and > 0, got {t_end!r}, {dt!r}")
     e_eff = e_effective(mu, qdot0)
+    amplitude = _orbit(mu, qdot0, e_eff)
     times = _sample_times(t_end, dt)
-    q, qd = _amplitude(mu, qdot0, times)
-    below = q < q_min_stop
-    stopped = bool(below.any())
-    if stopped:
-        n = int(np.argmax(below))
-        times, q, qd = times[:n], q[:n], qd[:n]
+    qs, qds = [], []
+    for start in range(0, times.size, SAMPLE_BLOCK):
+        q, qd = amplitude(times[start:start + SAMPLE_BLOCK])
+        below = np.flatnonzero(q < q_min_stop)
+        stopped = below.size > 0
+        if stopped:
+            q, qd, times = q[:below[0]], qd[:below[0]], times[:start + below[0]]
+        qs.append(q)
+        qds.append(qd)
+        if stopped:
+            break
 
+    q, qd = np.concatenate(qs), np.concatenate(qds)
     drift = 0.5 * qd * qd + mu / q - e_eff
     return TemporalSolution(
         mu=mu,
@@ -268,7 +331,7 @@ def _time_to_collapse(mu: float, qdot0: float, q: np.ndarray) -> tuple[float, np
         return 1.0 / speed, q / speed
     if abs(e) <= E_EFF_ZERO_TOL:
         return 1.0 / (1.5 * speed), q**1.5 / (1.5 * speed)
-    a, k, _, y0 = _conic(mu, qdot0)
+    a, k, _, y0 = _conic(mu, qdot0, e)
     half = np.sqrt(q / (2.0 * a))
     if e > 0:
         return k * y0, k * _sinh_minus_x(2.0 * np.arcsinh(half))

@@ -75,7 +75,7 @@ class TestForcingScaleInverse:
         w_all = [V(b, mu, 1.0, 1.0) for b in brhos]
         assert all(np.diff(w_all) > 0.0)
         for brho, w in zip(brhos, w_all):
-            back = shooting._brho_from_w(w, mu, 1.0, lo, hi)
+            back = shooting._brho_from_w(w, mu, 1.0, lo, hi, w_all[0], w_all[-1])
             assert lo <= back <= hi
             assert back == pytest.approx(brho, rel=1e-14, abs=0.0)
             if brho == lo:

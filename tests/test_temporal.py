@@ -450,3 +450,65 @@ class TestClosedForm:
         dev = (q - q_par) / q_par
         assert np.all(np.abs(dev) <= 5.0 * abs(e_eff) / abs(mu))
         assert np.all(np.sign(dev) == np.sign(e_eff))
+
+
+def _whole_array(mu, qdot0, t_end, dt, q_min_stop):
+    """evolve_q's samples from one _amplitude call on every sample time."""
+    times = temporal_mod._sample_times(t_end, dt)
+    q, qd = _amplitude(mu, qdot0, times)
+    below = np.flatnonzero(q < q_min_stop)
+    n = int(below[0]) if below.size else times.size
+    return times[:n], q[:n], qd[:n], bool(below.size)
+
+
+def _assert_equals_whole_array(mu, qdot0, t_end, dt, q_min_stop=temporal_mod.Q_MIN_STOP):
+    sol = evolve_q(mu, qdot0, t_end, dt, q_min_stop)
+    t, q, qd, stopped = _whole_array(mu, qdot0, t_end, dt, q_min_stop)
+    assert sol.stopped_early == stopped
+    assert np.array_equal(sol.t, t)
+    assert np.array_equal(sol.q, q)
+    assert np.array_equal(sol.qdot, qd)
+    assert np.array_equal(sol.energy_drift, 0.5 * qd * qd + mu / q - sol.e_eff)
+    return sol
+
+
+class TestBlocks:
+    """evolve_q evaluates its samples in blocks and stops after the block
+    holding the first q < q_min_stop; the blocks must not show."""
+
+    BLOCK = temporal_mod.SAMPLE_BLOCK
+
+    @pytest.mark.parametrize("mu,qdot0", BRANCHES)
+    def test_equals_one_whole_array_call(self, mu, qdot0):
+        # 30,001 samples: three full blocks and a partial one
+        _assert_equals_whole_array(mu, qdot0, 30.0, 1e-3)
+
+    @pytest.mark.parametrize("stop", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1,
+                                      2 * BLOCK - 1, 2 * BLOCK, 2 * BLOCK + 1])
+    def test_stop_at_block_edges(self, stop):
+        # inward unbound, q falls strictly from 1 to collapse near t = 3.21:
+        # with q_min_stop = q[stop - 1] the first sample below it is `stop`
+        mu, qdot0, t_end, dt = -0.001, -0.3, 4.0, 1e-4
+        _, q, _, _ = _whole_array(mu, qdot0, t_end, dt, 0.0)
+        q_min_stop = 2.0 if stop == 0 else float(q[stop - 1])
+        sol = _assert_equals_whole_array(mu, qdot0, t_end, dt, q_min_stop)
+        assert sol.stopped_early
+        assert sol.t.size == stop
+
+    @pytest.mark.parametrize("dt", [1e-3, 2.5e-4])
+    def test_no_sample_past_the_stop_block(self, monkeypatch, dt):
+        inner = temporal_mod._kepler_invert
+        evaluated = []
+
+        def counting(S, dS, y, hi):
+            evaluated.append(y.size)
+            return inner(S, dS, y, hi)
+
+        mu, qdot0, t_end = -0.001, -0.3, 30.0
+        n_times = temporal_mod._sample_times(t_end, dt).size
+        monkeypatch.setattr(temporal_mod, "_kepler_invert", counting)
+        sol = evolve_q(mu, qdot0, t_end, dt)
+        assert sol.stopped_early
+        stop_block = sol.t.size // self.BLOCK
+        assert stop_block < n_times // self.BLOCK - 1  # blocks remain unevaluated
+        assert evaluated == [self.BLOCK] * (stop_block + 1)
