@@ -94,6 +94,13 @@ def _positive(text: str) -> float:
     return value
 
 
+def _snapshot_times(text: str) -> list[float]:
+    times = [float(t) for t in text.split(",") if t.strip()]
+    if not all(math.isfinite(t) for t in times):
+        raise ValueError(f"times must be finite, got {text!r}")
+    return times
+
+
 def _build_parser() -> tuple[argparse.ArgumentParser, argparse.Action]:
     # String defaults of --model and --N pass through their type, as a flag would.
     shared = _Parser(add_help=False)
@@ -135,7 +142,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.Action]:
     ev.add_argument("--dt", type=_checked(_positive), default=1e-3,
                     help="sample step (default %(default)s)")
     ev.add_argument("--snapshot-times", dest="snapshot_times", default=(),
-                    type=_checked(lambda s: [float(t) for t in s.split(",") if t.strip()]),
+                    type=_checked(_snapshot_times),
                     help="comma-separated times for radial field snapshots")
     ev.add_argument("--profile", type=Path, help="directory of a solved profile")
 

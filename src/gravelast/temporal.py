@@ -13,17 +13,20 @@ clock unit k = sqrt(A**3/|mu|):
 * mu > 0:            q = A(cosh x + 1) = 2A cosh(x/2)**2, t = k(sinh x + x) + c.
 
 A time sample is found by Newton's method on Kepler's equation, vectorised
-over the samples and safeguarded by a bracket. Each sample stops iterating
-on its own, so its value does not depend on the other samples evaluated
-with it. evolve_q evaluates its samples in blocks of SAMPLE_BLOCK and
-evaluates none past the block that holds its stop. q = eps inverts to x
-with no iteration, so collapse times, threshold passages and rates are
-closed forms.
+over the samples and safeguarded by a bracket. Each sample stops iterating on
+its own, so its value does not depend on the other samples evaluated with it.
+evolve_q evaluates its samples in blocks of SAMPLE_BLOCK and evaluates none
+past the block that holds its stop. q = eps inverts to x with no iteration, so
+collapse times, threshold passages and rates are closed forms. _orbit decides
+a start's branch once, with its e_eff, regime tag and collapse clock, and
+every public function reads that decision.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -72,24 +75,10 @@ def e_effective(mu: float, qdot0: float) -> float:
 
 
 def classify(mu: float, qdot0: float) -> str:
-    """Regime tag of the trajectory, decided as _amplitude decides its branch.
-
-    Free motion (|mu| < MU_FREE) goes by the sign of qdot0 alone: linear
-    expansion, collapse, or the stationary state q = 1. Otherwise
-    "collapsing" for every start that reaches q = 0: e_eff < 0, or mu < 0
-    with qdot0 < 0 (e_eff = 0 decided with absolute tolerance 1e-14).
-    Other starts expand: self-similarly at e_eff = 0 with qdot0 > 0,
-    linearly for e_eff > 0; e_eff = 0 with qdot0 = 0 is stationary.
-    """
-    free = abs(mu) < MU_FREE
-    e = e_effective(mu, qdot0)
-    if free or abs(e) <= E_EFF_ZERO_TOL:
-        if qdot0 > 0:
-            return REGIME_LINEAR if free else REGIME_SELF_SIMILAR
-        return REGIME_COLLAPSING if qdot0 < 0 else REGIME_STATIONARY
-    if e < 0 or (mu < 0 and qdot0 < 0):
-        return REGIME_COLLAPSING
-    return REGIME_LINEAR
+    """Regime tag of the branch _orbit evaluates the trajectory on. Free and
+    parabolic starts expand, collapse or stay at q = 1 by the sign of qdot0; the
+    others collapse if e_eff < 0, or mu < 0 with qdot0 < 0, else expand linearly."""
+    return _orbit(mu, qdot0).regime
 
 
 @dataclass
@@ -175,38 +164,60 @@ def _kepler_invert(S, dS, y: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return x_out.reshape(shape)
 
 
-def _conic(mu: float, qdot0: float, e: float) -> tuple[float, float, float, float]:
-    """(A, k, v, y0) of the conic branch through q = 1, qdot = qdot0 (e = e_eff != 0).
+@dataclass(frozen=True)
+class _Orbit:
+    """A start's branch as _orbit decides it: e_eff, the regime tag, t -> (q, qdot)
+    (q = 0 at and past collapse) and, if collapsing, q -> (T, T - t at the last
+    passage through q) and the (exponent, prefactor) of q ~ prefactor (T - t)**exponent."""
 
-    v = sqrt(2|e_eff|) = sqrt(|mu|/A) is the speed scale, y0 the Kepler clock
-    t/k + const at t = 0: from the nearer q = 0 (mu < 0) or pericentre (mu > 0).
-    """
-    a = abs(mu) / (2.0 * abs(e))
-    v = math.sqrt(2.0 * abs(e))
-    if mu > 0:  # sinh(x/2)**2 = cosh(x/2)**2 - 1 = qdot0**2/(2 mu) at q = 1
-        x0 = 2.0 * math.asinh(qdot0 / math.sqrt(2.0 * mu))
-        y0 = float(np.sinh(x0) + x0)  # inf, caught by the residual check
-    elif e > 0:  # sinh(x/2)**2 = 1/(2A) at q = 1
-        y0 = float(_sinh_minus_x(2.0 * math.asinh(math.sqrt(1.0 / (2.0 * a)))))
-    else:  # cot(x/2) = |qdot|/v; well conditioned at the apex, unlike asin
-        y0 = float(_x_minus_sin(2.0 * math.atan2(v, abs(qdot0))))
-    return a, a / v, v, y0
+    e: float
+    regime: str
+    amplitude: Callable
+    to_collapse: Callable | None = None
+    law: tuple[float, float] | None = None
 
 
-def _orbit(mu: float, qdot0: float, e: float):
-    """The map t -> (q(t), qdot(t)) in closed form, e = e_eff; samples at or
-    past collapse get q = 0. The branch and its constants are fixed here, once."""
+def _orbit(mu: float, qdot0: float) -> _Orbit:
+    """The branch of (mu, qdot0), its constants and e_eff, each decided here once.
+    ValueError unless e_eff is finite and a conic's A, v and k are normal floats
+    (parameters.check_G's test): past that range they cannot carry the orbit."""
+    try:
+        e = e_effective(mu, qdot0)
+    except (OverflowError, ValueError) as exc:  # a start or e_eff beyond the float range
+        raise ValueError(f"(mu, qdot0) = ({mu!r}, {qdot0!r}): e_eff not a finite float") from exc
+    speed = -qdot0  # of an inward start
     if abs(mu) < MU_FREE:
-        return lambda t: (np.maximum(1.0 + qdot0 * t, 0.0), np.full_like(t, qdot0))
+        def free(t):
+            return np.maximum(1.0 + qdot0 * t, 0.0), np.full_like(t, qdot0)
+        if qdot0 < 0:
+            return _Orbit(e, REGIME_COLLAPSING, free,
+                          lambda q: (1.0 / speed, q / speed), (1.0, speed))
+        return _Orbit(e, REGIME_LINEAR if qdot0 > 0 else REGIME_STATIONARY, free)
+
+    law = (2.0 / 3.0, (4.5 * abs(mu)) ** (1.0 / 3.0))
     if abs(e) <= E_EFF_ZERO_TOL:
-        def self_similar(t):
+        def parabolic(t):
             base = np.maximum(1.0 + 1.5 * qdot0 * t, 0.0)
             with np.errstate(divide="ignore"):
                 return base ** (2.0 / 3.0), qdot0 * base ** (-1.0 / 3.0)
-        return self_similar
+        if qdot0 < 0:
+            rate = 1.5 * speed
+            return _Orbit(e, REGIME_COLLAPSING, parabolic,
+                          lambda q: (1.0 / rate, q**1.5 / rate), law)
+        return _Orbit(e, REGIME_SELF_SIMILAR if qdot0 > 0 else REGIME_STATIONARY, parabolic)
 
-    a, k, v, y0 = _conic(mu, qdot0, e)
-    if mu > 0:
+    # A conic. v = sqrt(2|e_eff|) = sqrt(|mu|/A) is the speed scale, y0 the clock
+    # t/k + const at t = 0: from the nearer q = 0 (mu < 0) or pericentre (mu > 0).
+    a = abs(mu) / (2.0 * abs(e))
+    v = math.sqrt(2.0 * abs(e))
+    k = a / v
+    if not all(sys.float_info.min <= c < math.inf for c in (a, v, k)):
+        raise ValueError(f"(mu, qdot0) = ({mu!r}, {qdot0!r}): A, v or k not a normal float")
+
+    if mu > 0:  # sinh(x/2)**2 = cosh(x/2)**2 - 1 = qdot0**2/(2 mu) at q = 1
+        x0 = 2.0 * math.asinh(qdot0 / math.sqrt(2.0 * mu))
+        y0 = float(np.sinh(x0) + x0)
+
         def repulsive(t):
             clock = y0 + t / k
             y = np.abs(clock)
@@ -215,9 +226,10 @@ def _orbit(mu: float, qdot0: float, e: float):
                 np.minimum(np.arcsinh(y), 0.5 * y),
             )
             return 2.0 * a * np.cosh(0.5 * x) ** 2, v * np.tanh(0.5 * x)
-        return repulsive
+        return _Orbit(e, REGIME_LINEAR, repulsive)
 
-    if e > 0:
+    if e > 0:  # sinh(x/2)**2 = 1/(2A) at q = 1
+        y0 = float(_sinh_minus_x(2.0 * math.asinh(math.sqrt(1.0 / (2.0 * a)))))
         sign = 1.0 if qdot0 > 0 else -1.0
 
         def unbound(t):
@@ -229,10 +241,14 @@ def _orbit(mu: float, qdot0: float, e: float):
             )
             with np.errstate(divide="ignore"):
                 return 2.0 * a * np.sinh(0.5 * x) ** 2, sign * v / np.tanh(0.5 * x)
-        return unbound
+        if qdot0 > 0:
+            return _Orbit(e, REGIME_LINEAR, unbound)
+        return _Orbit(e, REGIME_COLLAPSING, unbound, lambda q: (
+            k * y0, k * _sinh_minus_x(2.0 * np.arcsinh(np.sqrt(q / (2.0 * a))))), law)
 
-    # Bound orbit: x rises to pi at the apex, then counts down to collapse
-    # at 0, where the clock is (T - t)/k.
+    # Bound: cot(x/2) = |qdot0|/v at q = 1 (well conditioned at the apex, unlike asin). x
+    # rises to pi at the apex, then counts down to collapse at 0; the clock is then (T - t)/k.
+    y0 = float(_x_minus_sin(2.0 * math.atan2(v, abs(qdot0))))
     apex_to_collapse = 2.0 * math.pi - y0 if qdot0 >= 0 else y0
 
     def bound(t):
@@ -246,12 +262,13 @@ def _orbit(mu: float, qdot0: float, e: float):
         )
         with np.errstate(divide="ignore"):
             return 2.0 * a * np.sin(0.5 * x) ** 2, np.where(rising, v, -v) / np.tan(0.5 * x)
-    return bound
+    return _Orbit(e, REGIME_COLLAPSING, bound, lambda q: (
+        k * apex_to_collapse, k * _x_minus_sin(2.0 * np.arcsin(np.sqrt(q / (2.0 * a))))), law)
 
 
 def _amplitude(mu: float, qdot0: float, t) -> tuple[np.ndarray, np.ndarray]:
     """q(t) and qdot(t) in closed form; samples at or past collapse get q = 0."""
-    return _orbit(mu, qdot0, e_effective(mu, qdot0))(np.asarray(t, dtype=float))
+    return _orbit(mu, qdot0).amplitude(np.asarray(t, dtype=float))
 
 
 def _sample_times(t_end: float, dt: float) -> np.ndarray:
@@ -279,12 +296,11 @@ def evolve_q(
     """
     if not (0 < dt < math.inf and 0 < t_end / dt < math.inf):
         raise ValueError(f"t_end, dt and t_end/dt must be finite and > 0, got {t_end!r}, {dt!r}")
-    e_eff = e_effective(mu, qdot0)
-    amplitude = _orbit(mu, qdot0, e_eff)
+    orbit = _orbit(mu, qdot0)
     times = _sample_times(t_end, dt)
     qs, qds = [], []
     for start in range(0, times.size, SAMPLE_BLOCK):
-        q, qd = amplitude(times[start:start + SAMPLE_BLOCK])
+        q, qd = orbit.amplitude(times[start:start + SAMPLE_BLOCK])
         below = np.flatnonzero(q < q_min_stop)
         stopped = below.size > 0
         if stopped:
@@ -295,12 +311,12 @@ def evolve_q(
             break
 
     q, qd = np.concatenate(qs), np.concatenate(qds)
-    drift = 0.5 * qd * qd + mu / q - e_eff
+    drift = 0.5 * qd * qd + mu / q - orbit.e
     return TemporalSolution(
         mu=mu,
         qdot0=qdot0,
-        e_eff=e_eff,
-        regime=classify(mu, qdot0),
+        e_eff=orbit.e,
+        regime=orbit.regime,
         t=times,
         q=q,
         qdot=qd,
@@ -323,43 +339,25 @@ class CollapseEstimate:
     local_exponents: dict[float, float]
 
 
-def _time_to_collapse(mu: float, qdot0: float, q: np.ndarray) -> tuple[float, np.ndarray]:
-    """Collapse time T, and T - t at the last passage through each 0 < q < 1."""
-    e = e_effective(mu, qdot0)
-    speed = -qdot0
-    if abs(mu) < MU_FREE:
-        return 1.0 / speed, q / speed
-    if abs(e) <= E_EFF_ZERO_TOL:
-        return 1.0 / (1.5 * speed), q**1.5 / (1.5 * speed)
-    a, k, _, y0 = _conic(mu, qdot0, e)
-    half = np.sqrt(q / (2.0 * a))
-    if e > 0:
-        return k * y0, k * _sinh_minus_x(2.0 * np.arcsinh(half))
-    big_t = k * (y0 if qdot0 < 0 else 2.0 * math.pi - y0)
-    return big_t, k * _x_minus_sin(2.0 * np.arcsin(half))
-
-
 def collapse_time(
     mu: float,
     qdot0: float,
     thresholds: tuple[float, ...] = (1e-2, 1e-3, 1e-4),
 ) -> CollapseEstimate:
     """CollapseEstimate of (mu, qdot0) at thresholds in (0, 1)."""
-    if classify(mu, qdot0) != REGIME_COLLAPSING:
+    orbit = _orbit(mu, qdot0)
+    if orbit.regime != REGIME_COLLAPSING:
         raise NotCollapsing(f"(mu={mu:g}, qdot0={qdot0:g}) does not collapse")
     thresholds = tuple(sorted(thresholds, reverse=True))
     if not 0.0 < thresholds[-1] <= thresholds[0] < 1.0:
         raise ValueError(f"thresholds must lie in (0, 1), got {thresholds}")
 
     eps = np.array(thresholds)
-    big_t, to_go = _time_to_collapse(mu, qdot0, eps)
+    big_t, to_go = orbit.to_collapse(eps)
     # |qdot| at q = eps from the energy integral qdot**2/2 + mu/q = e_eff
-    local = to_go * np.sqrt(2.0 * (e_effective(mu, qdot0) - mu / eps)) / eps
-    free = abs(mu) < MU_FREE
+    local = to_go * np.sqrt(2.0 * (orbit.e - mu / eps)) / eps
     return CollapseEstimate(
-        time=float(big_t),
-        exponent=1.0 if free else 2.0 / 3.0,
-        prefactor=abs(qdot0) if free else (4.5 * abs(mu)) ** (1.0 / 3.0),
+        float(big_t), *orbit.law,
         threshold_times={th: float(big_t - w) for th, w in zip(thresholds, to_go)},
         local_exponents={th: float(a) for th, a in zip(thresholds, local)},
     )
@@ -389,7 +387,7 @@ def assemble_motion(
     if profile.mu != temporal.mu:
         raise ValueError(f"profile mu {profile.mu!r} != trajectory mu {temporal.mu!r}")
     tiny = 1e-12 * max(1.0, abs(float(temporal.t[-1])))
-    if t < temporal.t[0] - tiny or t > temporal.t[-1] + tiny:
+    if not temporal.t[0] - tiny <= t <= temporal.t[-1] + tiny:  # NaN fails too
         raise OutOfRange(
             f"t = {t:g} outside computed samples [{temporal.t[0]:g}, {temporal.t[-1]:g}]"
         )

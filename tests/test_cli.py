@@ -246,10 +246,28 @@ class TestEvolve:
         assert "finite" in err and "Traceback" not in err
         assert not (tmp_path / "x").exists()
 
-    @pytest.mark.parametrize("mu,qdot0", [("inf", "0"), ("0", "nan")])
-    def test_non_finite_start_rejected(self, tmp_path, mu, qdot0):
+    @pytest.mark.parametrize(
+        "mu,qdot0",
+        # the last three leave the float range in e_eff, in v and in A: an
+        # OverflowError traceback (exit 1), then numpy warnings and a NaN
+        # KeplerNotConverged (exit 3)
+        [("inf", "0"), ("0", "nan"), ("0.001", "1e200"), ("-1e308", "0"), ("-0.001", "1e154")],
+    )
+    def test_non_finite_start_rejected(self, tmp_path, capsys, mu, qdot0):
         assert run("evolve", "--mu", mu, "--qdot0", qdot0, "--t-end", "1",
                    "--out", tmp_path / "x") == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("mu", ["0", "-0.001"])
+    @pytest.mark.parametrize("times", ["nan", "0.5,inf"])
+    def test_non_finite_snapshot_time_rejected(self, tmp_path, capsys, mu, times):
+        # NaN passed the range check: a CSV of NaNs and exit 0 on a free orbit,
+        # KeplerNotConverged after temporal.csv was written on a conic one
+        assert run("evolve", "--mu", mu, "--qdot0", "0.1", "--t-end", "1", "--N", "16",
+                   "--snapshot-times", times, "--out", tmp_path / "x") == 2
+        assert "argument --snapshot-times:" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_snapshots_from_profile(self, tmp_path, solved_dir):
         out = tmp_path / "evs"

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -163,6 +164,17 @@ class TestEvolve:
         # a Kepler clock beyond the float range fails the residual check
         with np.errstate(all="ignore"), pytest.raises(KeplerNotConverged):
             evolve_q(1e-290, 0.5, 1e20, 1e15)
+
+    @pytest.mark.parametrize(
+        "mu,qdot0", [(0.001, 1e200), (-1e308, 0.0), (-0.001, 1e154), (0.0, 2e154)]
+    )
+    def test_rejects_starts_beyond_float_range(self, mu, qdot0):
+        # e_eff overflows, v = sqrt(2|e_eff|) overflows, A is subnormal, and a
+        # free start whose e_eff overflows
+        for call in (classify, evolve_q, collapse_time):
+            args = (mu, qdot0, 1.0, 1e-3) if call is evolve_q else (mu, qdot0)
+            with pytest.raises(ValueError, match=re.escape(f"(mu, qdot0) = ({mu!r}, {qdot0!r})")):
+                call(*args)
 
     def test_stops_before_first_sample_below_q_min(self):
         sol = evolve_q(-0.001, -0.3, 5.0, 1e-3, q_min_stop=1e-3)
@@ -353,6 +365,15 @@ class TestAssembleMotion:
         with pytest.raises(OutOfRange):
             assemble_motion(prof, temporal, 2.0)
 
+    @pytest.mark.parametrize("mu,qdot0", [(0.0, 0.1), (-0.001, 0.01)])
+    def test_nan_time_rejected(self, reference_profile, mu, qdot0):
+        # NaN passed the range check: NaN fields on a free orbit,
+        # KeplerNotConverged on a conic one
+        prof = reference_profile(brho=1.0, mu=mu)
+        temporal = evolve_q(mu, qdot0, 1.0, 0.01)
+        with pytest.raises(OutOfRange):
+            assemble_motion(prof, temporal, math.nan)
+
     def test_past_collapse_rejected(self, reference_profile):
         prof = reference_profile(brho=1.0, mu=-0.0008)
         temporal = evolve_q(-0.0008, -0.04, 20.0, 1e-3)
@@ -512,3 +533,31 @@ class TestBlocks:
         stop_block = sol.t.size // self.BLOCK
         assert stop_block < n_times // self.BLOCK - 1  # blocks remain unevaluated
         assert evaluated == [self.BLOCK] * (stop_block + 1)
+
+
+class TestOneDecision:
+    """_orbit decides a start's branch and computes e_eff once per public call."""
+
+    @pytest.fixture
+    def e_eff_calls(self, monkeypatch):
+        inner, calls = temporal_mod.e_effective, []
+
+        def counting(mu, qdot0):
+            calls.append((mu, qdot0))
+            return inner(mu, qdot0)
+
+        monkeypatch.setattr(temporal_mod, "e_effective", counting)
+        return calls
+
+    @pytest.mark.parametrize("mu,qdot0", BRANCHES + [(0.0, -0.5), (0.0, 0.5), (-0.02, 0.2)])
+    def test_e_eff_computed_once_per_call(self, e_eff_calls, reference_profile, mu, qdot0):
+        calls = [lambda: classify(mu, qdot0), lambda: evolve_q(mu, qdot0, 1.0, 0.01)]
+        if classify(mu, qdot0) == REGIME_COLLAPSING:
+            calls.append(lambda: collapse_time(mu, qdot0))
+        temporal = evolve_q(mu, qdot0, 1.0, 0.01)
+        prof = reference_profile(brho=1.0, mu=mu, n=16)
+        calls.append(lambda: assemble_motion(prof, temporal, 0.5))
+        for call in calls:
+            e_eff_calls.clear()
+            call()
+            assert e_eff_calls == [(mu, qdot0)]
