@@ -42,7 +42,7 @@ from .io import (
     write_manifest,
 )
 from .fixed_point import DEFAULT_TOL
-from .parameters import build_parameter_box, check_G
+from .parameters import build_parameter_box, check_G, check_tolerance
 from .radial import RadialGrid
 from .shooting import (
     DEFAULT_TOL_BC,
@@ -94,6 +94,9 @@ def _positive(text: str) -> float:
     return value
 
 
+_tolerance = _checked(lambda text: check_tolerance(float(text)))
+
+
 def _snapshot_times(text: str) -> list[float]:
     times = [float(t) for t in text.split(",") if t.strip()]
     if not all(math.isfinite(t) for t in times):
@@ -110,11 +113,11 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.Action]:
                         help="gravitational constant (default %(default)s)")
     shared.add_argument("--N", type=_checked(lambda s: RadialGrid(int(s))), default="512",
                         help="grid cells, even and >= 16 (default %(default)s)")
-    shared.add_argument("--tol-picard", type=float, dest="tol_picard", default=DEFAULT_TOL,
+    shared.add_argument("--tol-picard", type=_tolerance, dest="tol_picard", default=DEFAULT_TOL,
                         help="Picard update tolerance (default %(default)s)")
-    shared.add_argument("--tol-bc", type=float, dest="tol_bc", default=DEFAULT_TOL_BC,
+    shared.add_argument("--tol-bc", type=_tolerance, dest="tol_bc", default=DEFAULT_TOL_BC,
                         help="boundary mismatch tolerance (default %(default)s)")
-    shared.add_argument("--tol-brho", type=float, dest="tol_brho", default=DEFAULT_TOL_BRHO,
+    shared.add_argument("--tol-brho", type=_tolerance, dest="tol_brho", default=DEFAULT_TOL_BRHO,
                         help="brho0 tolerance relative to brho_plus (default %(default)s)")
     shared.add_argument("--out", type=Path, default=Path("out"),
                         help="output directory (default %(default)s)")
@@ -148,11 +151,11 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.Action]:
 
     ver = sub.add_parser("verify", parents=[shared], help="residual-check a solved profile")
     ver.add_argument("--profile", type=Path, required=True)
-    ver.add_argument("--max-residual", type=float, dest="max_residual", default=1e-6,
+    ver.add_argument("--max-residual", type=_tolerance, dest="max_residual", default=1e-6,
                      help="residual threshold (default %(default)s)")
-    ver.add_argument("--max-equivalence", type=float, dest="max_equivalence", default=1e-8,
+    ver.add_argument("--max-equivalence", type=_tolerance, dest="max_equivalence", default=1e-8,
                      help="equivalence gap threshold (default %(default)s)")
-    ver.add_argument("--max-boundary", type=float, dest="max_boundary", default=1e-8,
+    ver.add_argument("--max-boundary", type=_tolerance, dest="max_boundary", default=1e-8,
                      help="|g'(y(1))| threshold (default %(default)s)")
     return p, sub
 

@@ -14,7 +14,8 @@ picard_solve checks (brho, mu) against build_parameter_box(model, G), the
 box of the model and G it is given; no caller can substitute another.  It
 is the one-row case of picard_rows, the kernel that iterates a stack of
 rows in lockstep and takes that box from the lockstep sweep, which builds
-it once.
+it once.  A lone row is a stack of one: every step makes one apply_F call
+on a (rows, N+1) stack, whatever the number of rows.
 """
 
 from __future__ import annotations
@@ -56,29 +57,27 @@ def apply_F(
     cancellation-free; at R = 0 it vanishes because U(1) = 0.
 
     zeta is one profile with scalar brho and mu, or a (rows, N+1) stack with
-    one brho and one mu per row.  A row whose geometry degenerates or whose
-    strain ratio leaves the window raises; given errors, one slot per row,
-    its SolverError goes into that slot instead and its output row is
-    meaningless.
+    one brho and one mu per row; both shapes take the same path, brho and mu
+    becoming columns along the last axis.  A row whose geometry degenerates
+    or whose strain ratio leaves the window raises; given errors, one slot
+    per row, its SolverError goes into that slot instead and its output row
+    is meaningless.
     """
+    brho, mu = np.asarray(brho, dtype=float)[..., None], np.asarray(mu, dtype=float)[..., None]
     geo = reconstruct_geometry(grid, zeta, errors)
-    stacked = geo.y.ndim == 2
     delta = model.delta
     strain = np.abs(geo.y - 1.0)
     if strain.max() > delta:
         for row in np.flatnonzero(strain.max(axis=-1) > delta):
             if errors is None or errors[row] is None:  # a degenerate row keeps that error
-                b, m = (brho[row], mu[row]) if stacked else (brho, mu)
                 fail_row(errors, row, DomainExit(
                     f"strain ratio left the window |y-1| <= {delta:.3e} "
-                    f"(brho={b:.6g}, mu={m:.6g})"
+                    f"(brho={brho.flat[row]:.6g}, mu={mu.flat[row]:.6g})"
                 ))
     y = geo.y
     failed = [e is not None for e in errors or ()]
     if any(failed):  # a failed row goes on at y = 1, where U and g'' are finite
         y = np.where(np.reshape(failed, y.shape[:-1] + (1,)), 1.0, y)
-    if stacked:
-        brho, mu = np.asarray(brho, dtype=float)[:, None], np.asarray(mu, dtype=float)[:, None]
     d2g, big_e = model.strain_terms(y)
     out = V(brho, mu, G, geo.lam) / d2g
     u = 2.0 * (y[..., 1:] - 1.0) + big_e[..., 1:] / d2g[..., 1:]  # U(y), window checked above
@@ -128,16 +127,10 @@ def picard_rows(
         if not active:
             break
         step_errors: list[SolverError | None] = [None] * len(active)
-        if len(active) == 1:  # a lone row runs unstacked, free of broadcasting
-            (i,) = active
-            z = zeta[i][None]
-            image = apply_F(model, brho[i], mu[i], G, grid, zeta[i], step_errors)
-            nxt = apply_L_inverse(grid, image)[None]
-        else:
-            z = np.array([zeta[i] for i in active])
-            nxt = apply_L_inverse(grid, apply_F(
-                model, [brho[i] for i in active], [mu[i] for i in active], G, grid, z, step_errors
-            ))
+        z = np.array([zeta[i] for i in active])
+        nxt = apply_L_inverse(grid, apply_F(
+            model, [brho[i] for i in active], [mu[i] for i in active], G, grid, z, step_errors
+        ))
         updates = np.abs(nxt - z).max(axis=-1).tolist()
         norms = np.abs(nxt).max(axis=-1).tolist()
         running = []

@@ -40,15 +40,13 @@ def k_minimum(mu: float, G: float) -> float:
     return 1.5 * abs(mu) ** (2.0 / 3.0) * (EIGHT_PI_3 * G) ** (1.0 / 3.0)
 
 
-def mu_ceiling(G: float, bp: float | None = None) -> float:
+def mu_ceiling(G: float) -> float:
     """Largest |mu| the solver accepts, with a 0.99 safety factor.
 
     Condition 1: mu < min(brho_plus**(1/3)/2, (8 pi/3) G brho_plus).
     Condition 2: K(brho_minus(mu), mu) < 1/20, inverted in closed form.
-    bp is brho_plus(G), computed here unless given.
     """
-    if bp is None:
-        bp = brho_plus(G)
+    bp = brho_plus(G)
     cond1 = min(0.5 * bp ** (1.0 / 3.0), EIGHT_PI_3 * G * bp)
     cond2 = 30.0 ** -1.5 / math.sqrt(EIGHT_PI_3 * G)
     return 0.99 * min(cond1, cond2)
@@ -89,13 +87,22 @@ def check_G(G: float) -> float:
     return G
 
 
+def check_tolerance(value: float, name: str = "value") -> float:
+    """value itself; ValueError unless it is finite and >= 0 (0 is allowed).
+    A NaN tolerance would never stop an iteration and an infinite one would
+    stop it at once."""
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+    return value
+
+
 def _box_constants(G: float) -> tuple[float, float]:
-    """(brho_plus, mu_ceiling) of G, each computed once, after the checks of check_G."""
+    """(brho_plus, mu_ceiling) of G, after the checks of check_G."""
     if not (math.isfinite(G) and G > 0):
         raise ValueError(f"G must be finite and positive, got {G!r}")
     try:
         bp = brho_plus(G)
-        mu0 = mu_ceiling(G, bp)
+        mu0 = mu_ceiling(G)
         constants = (bp, bp ** (4.0 / 3.0), mu0)
     except OverflowError:
         constants = (math.inf,)

@@ -11,8 +11,9 @@ reconstruction of the geometry (f, f', lambda, y) from the curvature
 density z, where f''(R) = R z(R).
 
 Every function takes one profile of shape (N+1,) or a stack of rows of
-shape (rows, N+1) and works along the last axis; a row of a stacked call
-equals the 1-D call on that row bit for bit.
+shape (rows, N+1) and works along the last axis, by one code path for
+both shapes; a row of a stacked call equals the 1-D call on that row bit
+for bit.
 """
 
 from __future__ import annotations
@@ -144,9 +145,7 @@ def reconstruct_geometry(
     r = grid.nodes
     m1 = moment_integral(grid, z, 1)
     m2 = moment_integral(grid, z, 2)
-    fprime0 = 1.0 - (m1[..., -1] - m2[..., -1])
-    if z.ndim == 2:
-        fprime0 = fprime0[:, None]  # one per row, broadcast along R
+    fprime0 = (1.0 - (m1[..., -1] - m2[..., -1]))[..., None]  # one per row, broadcast along R
 
     f = r * fprime0 + (r * m1 - m2)
     fprime = fprime0 + m1

@@ -21,6 +21,9 @@ because the bracket starts at brho_minus(mu), where dw/dbrho = 0 for
 mu > 0.  Each trial w maps back to brho = u**3 through the upper root u of
 the cubic (4 pi/3) G u**3 - w u + mu = 0 (_brho_from_w).
 
+Both entry points reject a tolerance that is not finite and >= 0 before
+any evaluation (check_tolerance).
+
 sweep runs one search per mu in lockstep (_find_roots): brent_steps yields
 each row's trials one at a time, and each round evaluates the trials of
 all rows still searching in one picard_rows run.  A row sees the same
@@ -45,7 +48,7 @@ from .fixed_point import (
     picard_rows,
     picard_solve,
 )
-from .parameters import ParameterBox, build_parameter_box
+from .parameters import ParameterBox, build_parameter_box, check_tolerance
 from .radial import RadialGrid, reconstruct_geometry, y_at_boundary
 
 DEFAULT_TOL_BC = 1e-10
@@ -103,12 +106,11 @@ def boundary_mismatch(
     G: float,
     grid: RadialGrid,
     tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
     zeta0: np.ndarray | None = None,
 ) -> MismatchResult:
     """g'(y(1)) at the fixed point for (brho, mu), from one picard_solve
     (which checks the pair against the box of (model, G)) started at zeta0."""
-    zeta, diag = picard_solve(model, brho, mu, G, grid, tol=tol, max_iter=max_iter, zeta0=zeta0)
+    zeta, diag = picard_solve(model, brho, mu, G, grid, tol=tol, zeta0=zeta0)
     y1 = y_at_boundary(grid, zeta)
     return MismatchResult(value=float(model.dg(y1)), y1=y1, zeta=zeta, diagnostics=diag)
 
@@ -225,7 +227,7 @@ def _brho_from_w(
     while True:
         c = (a * u * u - w) * u + mu
         slope = 3.0 * a * u * u - w
-        if c <= 0.0 or slope <= 0.0:
+        if not (c > 0.0 and slope > 0.0):  # a NaN ends the loop too
             break
         nxt = u - c / slope
         if nxt >= u:
@@ -267,6 +269,11 @@ class _Search:
         if abs(res.value) < abs(self.best.value):
             self.brho0, self.best = self.trial, res
         self._advance(res.value)
+
+
+def _check_tolerances(tol_bc: float, tol_brho: float, tol_picard: float) -> None:
+    for name, value in (("tol_bc", tol_bc), ("tol_brho", tol_brho), ("tol_picard", tol_picard)):
+        check_tolerance(value, name)
 
 
 def _find_roots(
@@ -350,11 +357,13 @@ def solve_separable(
     1.043 brho_minus(mu), where dw/dbrho falls to 0.  The box is
     build_parameter_box(model, G); a box passed in must equal it, else
     ValueError.  Every Picard run after the two bracket ends starts from
-    the fixed point of the best bracket point so far.
+    the fixed point of the best bracket point so far.  A tolerance that is
+    not finite and >= 0 raises ValueError.
 
     This is the one-row case of the lockstep search of sweep; each of its
     evaluations is one boundary_mismatch call.
     """
+    _check_tolerances(tol_bc, tol_brho, tol_picard)
     if grid is None:
         grid = RadialGrid(512)
     derived = build_parameter_box(model, G)
@@ -443,8 +452,10 @@ def sweep(
     Each round of the root searches is one picard_rows run over the rows
     still searching, so a row equals solve_separable at its mu bit for bit.
     A row that meets a SolverError records the error and the other rows go
-    on; any other exception is a bug and propagates.
+    on; any other exception is a bug and propagates.  A tolerance that is
+    not finite and >= 0 raises ValueError before any row.
     """
+    _check_tolerances(tol_bc, tol_brho, tol_picard)
     if grid is None:
         grid = RadialGrid(512)
     box = build_parameter_box(model, G)  # a bad model or G aborts before any row

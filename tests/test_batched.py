@@ -250,3 +250,22 @@ class TestLockstepSweep:
             monkeypatch.setattr(shooting, name, forbidden)
         monkeypatch.setattr(fixed_point, "picard_solve", forbidden)
         assert all(row.error is None for row in sweep(model, 1.0, [0.0, box.mu0 / 2], grid))
+
+
+def test_every_kernel_step_gets_a_stack(model, box, grid, monkeypatch):
+    # A lone row is a stack of one: no step of the Picard kernel hands
+    # apply_F a 1-D profile, for picard_solve or for a single solve.
+    original = fixed_point.apply_F
+    ndims = []
+
+    def record(model_, brho, mu, G, grid_, zeta, *args):
+        ndims.append(np.ndim(zeta))
+        return original(model_, brho, mu, G, grid_, zeta, *args)
+
+    monkeypatch.setattr(fixed_point, "apply_F", record)
+    mu = 0.3 * box.mu0
+    picard_solve(model, 0.5 * box.brho_plus, mu, 1.0, grid)
+    from_picard = len(ndims)
+    solve_separable(model, mu, 1.0, grid)
+    assert from_picard > 0 and len(ndims) > from_picard
+    assert set(ndims) == {2}

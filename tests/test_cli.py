@@ -467,7 +467,9 @@ class TestConfig:
          ("mu", "abc", "solve"), ("mu", "abc", "evolve"), ("qdot0", "abc", "evolve"),
          ("dt", "abc", "evolve"), ("max_residual", "abc", "verify"),
          ("max_equivalence", "abc", "verify"), ("max_boundary", "abc", "verify"),
-         ("G", "-1", "sweep"), ("G", "inf", "solve")],
+         ("G", "-1", "sweep"), ("G", "inf", "solve"), ("tol_brho", "inf", "solve"),
+         ("tol_brho", "nan", "solve"), ("tol_bc", "inf", "solve"), ("tol_picard", "-1", "sweep"),
+         ("max_residual", "inf", "verify")],
     )
     def test_bad_value_exits_2(self, tmp_path, solved_dir, capsys, key, value, cmd):
         argv = {

@@ -295,6 +295,14 @@ class TestSolve:
         )
         assert abs(sol.boundary_residual) <= 1e-6
 
+    def test_rejects_infinite_tolerance(self, model):
+        # tol_bc = inf would end the search at a bracket end and call it solved
+        grid = RadialGrid(64)
+        with pytest.raises(ValueError, match="tol_bc must be finite and >= 0"):
+            solve_separable(model, 0.0, 1.0, grid, tol_bc=math.inf)
+        with pytest.raises(ValueError, match="tol_bc must be finite and >= 0"):
+            sweep(model, 1.0, [0.0], grid, tol_bc=math.inf)
+
 
 class TestSweep:
     def test_single_mu_matches_solve(self, model):
