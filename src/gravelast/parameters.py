@@ -88,7 +88,7 @@ def check_G(G: float) -> float:
 
 
 def check_tolerance(value: float, name: str = "value") -> float:
-    """value itself; ValueError unless it is finite and >= 0 (0 is allowed).
+    """value itself; ValueError unless it is finite and >= 0.
     A NaN tolerance would never stop an iteration and an infinite one would
     stop it at once."""
     if not (math.isfinite(value) and value >= 0):

@@ -21,9 +21,6 @@ because the bracket starts at brho_minus(mu), where dw/dbrho = 0 for
 mu > 0.  Each trial w maps back to brho = u**3 through the upper root u of
 the cubic (4 pi/3) G u**3 - w u + mu = 0 (_brho_from_w).
 
-Both entry points reject a tolerance that is not finite and >= 0 before
-any evaluation (check_tolerance).
-
 sweep runs one search per mu in lockstep (_find_roots): brent_steps yields
 each row's trials one at a time, and each round evaluates the trials of
 all rows still searching in one picard_rows run.  A row sees the same
