@@ -3,8 +3,10 @@
 Run:  python scripts/bench.py [--quick] [--label NAME] [--into FILE] [--commit SHA]
 
 Times solve_separable at N = 512, 2048 and 8192, a 9-point sweep at
-N = 512, evolve_q over 30k samples on four named orbits (mu, qdot0), one per
-regime of the benchmark's regime_portrait: bound (-0.001, 0.01), repulsive
+N = 512, the same sweep through cli.main (parsing, solving and writing
+sweep.csv and manifest.json into a temporary directory), evolve_q over 30k
+samples on four named orbits (mu, qdot0), one per regime of the
+benchmark's regime_portrait: bound (-0.001, 0.01), repulsive
 (0.001, 0.1), attractive outward unbound (-0.001, 0.3) and inward unbound
 (-0.001, -0.3), which collapses near t = 3.2 and so stops early,
 collapse_time on the bound orbit, one call each of
@@ -32,17 +34,20 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 import argparse  # noqa: E402
+import contextlib  # noqa: E402
+import io  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
 import statistics  # noqa: E402
 import subprocess  # noqa: E402
+import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
 from time import perf_counter  # noqa: E402
 
 import numpy as np  # noqa: E402
 
 import gravelast  # noqa: E402
-from gravelast import shooting  # noqa: E402
+from gravelast import cli, shooting  # noqa: E402
 from gravelast.constitutive import V, make_builtin_model  # noqa: E402
 from gravelast.fixed_point import apply_F, picard_solve  # noqa: E402
 from gravelast.parameters import build_parameter_box  # noqa: E402
@@ -100,8 +105,17 @@ def _replayed_root_search(model, box, grid, mu):
     return search
 
 
-def cases(quick: bool) -> dict:
-    """name -> (fn, repeats, inner)."""
+def _quiet_cli(argv: list[str]):
+    """cli.main(argv) with its stdout discarded; raises unless it exits 0."""
+    def call():
+        with contextlib.redirect_stdout(io.StringIO()):
+            if (code := cli.main(argv)) != 0:
+                raise RuntimeError(f"gravelast {' '.join(argv)} exited {code}")
+    return call
+
+
+def cases(quick: bool, tmp: Path) -> dict:
+    """name -> (fn, repeats, inner); the CLI case writes into tmp."""
     model = make_builtin_model(KAPPA)
     box = build_parameter_box(model, G)
     mu = 0.3 * box.mu0
@@ -116,6 +130,9 @@ def cases(quick: bool) -> dict:
         model, mu, G, RadialGrid(n)), 30 // r // (1 + i), 1) for i, n in enumerate(sizes)}
     out.update({
         f"sweep9_N{sizes[0]}": (lambda: shooting.sweep(model, G, mus, grid), 20 // r, 1),
+        f"cli_sweep9_N{sizes[0]}": (_quiet_cli(
+            ["sweep", "--steps", "9", f"--N={sizes[0]}", f"--mu-min={-box.mu0!r}",
+             f"--mu-max={box.mu0!r}", f"--out={tmp}"]), 20 // r, 1),
         **{name: (lambda orbit=orbit: evolve_q(*orbit, t_end, 1e-3), 10 // r, 1)
            for name, orbit in EVOLVE_ORBITS.items()},
         "collapse_time": (lambda: collapse_time(*ORBIT), 20 // r, 10),
@@ -145,11 +162,13 @@ def _commit() -> str | None:
 
 
 def run(quick: bool, commit: str | None) -> dict:
+    with tempfile.TemporaryDirectory() as tmp:
+        timed = {name: _stats(_time(fn, repeats, inner))
+                 for name, (fn, repeats, inner) in cases(quick, Path(tmp)).items()}
     return {
         "env": {"cpu_count": os.cpu_count(), "numpy": np.__version__,
                 "python": platform.python_version(), "commit": commit or _commit()},
-        "cases": {name: _stats(_time(fn, repeats, inner))
-                  for name, (fn, repeats, inner) in cases(quick).items()},
+        "cases": timed,
     }
 
 

@@ -7,6 +7,7 @@ no successful row, 5 verification threshold exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import re
 import sys
@@ -104,7 +105,8 @@ def _snapshot_times(text: str) -> list[float]:
     return times
 
 
-def _build_parser() -> tuple[argparse.ArgumentParser, argparse.Action]:
+@functools.cache
+def _build_parser() -> argparse.ArgumentParser:
     # String defaults of --model and --N pass through their type, as a flag would.
     shared = _Parser(add_help=False)
     shared.add_argument("--model", type=_checked(parse_model_spec), default="builtin:kappa=3100",
@@ -157,17 +159,19 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.Action]:
                      help="equivalence gap threshold (default %(default)s)")
     ver.add_argument("--max-boundary", type=_tolerance, dest="max_boundary", default=1e-8,
                      help="|g'(y(1))| threshold (default %(default)s)")
-    return p, sub
+    return p
 
 
 def _parse_args(argv) -> argparse.Namespace:
-    """Parse argv; a --config file's values become the command's option defaults.
+    """Parse argv with the process's one parser, which is never changed.
 
-    Parsing again casts each config value exactly as the flag, so a bad one
-    exits 2 naming the option. Keys outside CONFIG_KEYS or outside the
-    command's options are ignored.
+    A --config file's values are parsed again as `--key=value` flags placed
+    right after the command, ahead of its own flags. Each is cast exactly as
+    the flag, so a bad one exits 2 naming the option, and a flag given on the
+    command line wins, being the last value seen. Keys outside CONFIG_KEYS or
+    outside the command's options are ignored.
     """
-    parser, commands = _build_parser()
+    parser = _build_parser()
     args = parser.parse_args(argv)
     if args.config is None:
         return args
@@ -175,10 +179,10 @@ def _parse_args(argv) -> argparse.Namespace:
         config = read_config(args.config)
     except (OSError, ValueError) as exc:
         raise UsageError(f"cannot read config file: {exc}") from exc
-    commands.choices[args.cmd].set_defaults(
-        **{k: v for k, v in config.items() if k in CONFIG_KEYS and hasattr(args, k)}
-    )
-    return parser.parse_args(argv)
+    flags = [f"--{k.replace('_', '-')}={v}" for k, v in config.items()
+             if k in CONFIG_KEYS and hasattr(args, k)]
+    i = argv.index(args.cmd) + 1
+    return parser.parse_args(argv[:i] + flags + argv[i:])
 
 
 def _tolerances(args) -> dict[str, float]:
@@ -246,6 +250,8 @@ def cmd_solve(args, argv) -> int:
 def cmd_sweep(args, argv) -> int:
     if args.steps < 0:
         raise UsageError("--steps must be >= 0")
+    if not all(map(math.isfinite, (args.mu_min, args.mu_max, args.mu_max - args.mu_min))):
+        raise UsageError("--mu-min, --mu-max and their difference must be finite")
     mu_values = np.linspace(args.mu_min, args.mu_max, args.steps) if args.steps else []
 
     t0 = time.perf_counter()

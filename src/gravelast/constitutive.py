@@ -70,18 +70,24 @@ class ConstitutiveModel:
         return 10.0 * self.d3g(y) + 3.0 * y * d4g
 
     def strain_terms(self, y):
-        """(g''(y), E(y)), E(y) = (h(y) - h(1))/(y - 1) - h'(y) (a series inside
-        |y - 1| < EPS_E), from one evaluation each of g, g' and g''."""
+        """(g''(y), E(y)), E(y) = (h(y) - h(1))/(y - 1) - h'(y).
+
+        Inside |y - 1| < EPS_E, where a solved profile has nearly all its
+        nodes, E is the series in t = y - 1 and reads only the constants at
+        y = 1. g and g' are evaluated, and the raw quotient formed, only at
+        the nodes outside it; g'' once at every node.
+        """
         y = np.asarray(y, dtype=float)
-        g, dg, d2g = self.g(y), self.dg(y), self.d2g(y)
+        d2g = self.d2g(y)
         t = y - 1.0
-        near = np.abs(t) < EPS_E
-        # Guard the quotient where it is not used.
-        t_safe = np.where(near, 1.0, t)
         h1, d2h1, d3h1 = self._h_at_1
-        raw = (3.0 * y * dg + g - h1) / t_safe - (4.0 * dg + 3.0 * y * d2g)
-        series = -0.5 * d2h1 * t - d3h1 * t**2 / 3.0
-        return d2g, np.where(near, series, raw)
+        big_e = np.asarray(-0.5 * d2h1 * t - d3h1 * t**2 / 3.0)
+        far = np.abs(t) >= EPS_E
+        if far.any():
+            yf, tf = y[far], t[far]
+            dg = self.dg(yf)
+            big_e[far] = (3.0 * yf * dg + self.g(yf) - h1) / tf - (4.0 * dg + 3.0 * yf * d2g[far])
+        return d2g, big_e
 
     @cached_property
     def _h_at_1(self) -> tuple[float, float, float]:

@@ -5,12 +5,15 @@ inverts, assembled from the same moment quadrature, so a round trip checks
 `apply_L_inverse` against a second formula. `lipschitz_probe` estimates the
 contraction factor of the real composition Linv F on random pairs, and
 `check_derivatives` compares a model's analytic g', g'', g''' with central
-differences of the next lower derivative.
+differences of the next lower derivative. `strain_terms_both_branches`
+forms both branches of E at every node and picks one per node: the
+reference for `ConstitutiveModel.strain_terms`, which forms the raw
+quotient only outside the series branch.
 """
 
 import numpy as np
 
-from gravelast.constitutive import ConstitutiveModel
+from gravelast.constitutive import EPS_E, ConstitutiveModel
 from gravelast.fixed_point import apply_F
 from gravelast.parameters import build_parameter_box
 from gravelast.radial import RadialGrid, apply_L_inverse, moment_integral
@@ -78,3 +81,19 @@ def check_derivatives(model: ConstitutiveModel) -> dict[str, float]:
         scale = max(float(np.max(np.abs(exact))), 1.0)
         out[name] = float(np.max(np.abs(exact - fd))) / scale
     return out
+
+
+def strain_terms_both_branches(model: ConstitutiveModel, y):
+    """(g''(y), E(y)) with g, g', g'', the raw quotient and the series of E
+    evaluated at every node, and np.where choosing the series inside
+    |y - 1| < EPS_E."""
+    y = np.asarray(y, dtype=float)
+    g, dg, d2g = model.g(y), model.dg(y), model.d2g(y)
+    t = y - 1.0
+    near = np.abs(t) < EPS_E
+    # Guard the quotient where it is not used.
+    t_safe = np.where(near, 1.0, t)
+    h1, d2h1, d3h1 = model.h(1.0), model.d2h(1.0), model.d3h(1.0)
+    raw = (3.0 * y * dg + g - h1) / t_safe - (4.0 * dg + 3.0 * y * d2g)
+    series = -0.5 * d2h1 * t - d3h1 * t**2 / 3.0
+    return d2g, np.where(near, series, raw)

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import os
@@ -204,6 +205,16 @@ class TestSweep:
         code = run("sweep", "--mu-min", "0.1", "--mu-max", "0.2", "--steps", "2",
                    "--N", "64", "--out", tmp_path / "swbad")
         assert code == 4
+
+    # were rows mu = [nan, inf, inf], [nan, inf, 1e308] and [nan, nan, 0], exit 4
+    @pytest.mark.parametrize("lo,hi", [("-1e-3", "inf"), ("-1e308", "1e308"), ("nan", "0")])
+    def test_non_finite_range_exits_2(self, tmp_path, capsys, lo, hi):
+        assert run("sweep", "--steps", "3", "--N", "16", "--mu-min", lo, "--mu-max", hi,
+                   "--out", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert "must be finite" in err
+        assert "Warning" not in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
 
 class TestEvolve:
@@ -502,6 +513,26 @@ class TestConfig:
             seen.append(field(json.loads((out / "manifest.json").read_text())))
         cast = type(default)
         assert seen == [default, cast(from_config), cast(from_flag)]
+
+    def test_config_does_not_leak_into_next_run(self, tmp_path):
+        cfg = _config(tmp_path, "N = 64\ntol_bc = 1e-9\n")
+        assert run("solve", "--config", cfg, "--out", tmp_path / "a") == 0
+        assert run("solve", "--out", tmp_path / "b") == 0
+        manifest = json.loads((tmp_path / "b" / "manifest.json").read_text())
+        assert manifest["N"] == 512
+        assert manifest["tolerances"]["bc"] == 1e-10
+
+    def test_parser_built_once_per_process(self, tmp_path, monkeypatch):
+        builds = []
+        build = cli._build_parser.__wrapped__
+        monkeypatch.setattr(cli, "_build_parser",
+                            functools.cache(lambda: builds.append(1) or build()))
+        cfg = _config(tmp_path, "N = 16\n")
+        assert run("solve", "--N", "16", "--out", tmp_path / "a") == 0
+        assert run("solve", "--config", cfg, "--out", tmp_path / "b") == 0
+        assert run("sweep", "--mu-min", "0", "--mu-max", "0", "--steps", "0",
+                   "--out", tmp_path / "c") == 0
+        assert len(builds) == 1
 
     def test_mu_conflict_with_profile(self, tmp_path, solved_dir, capsys):
         args = ("evolve", "--profile", solved_dir, "--t-end", "1")

@@ -15,6 +15,7 @@ from gravelast.constitutive import (
     validate_model,
 )
 from gravelast.errors import DomainExit, HypothesisFailed, NormalizationViolated
+from operator_oracles import strain_terms_both_branches
 
 FOUR_PI_3 = 4 * math.pi / 3
 EIGHT_PI_3 = 8 * math.pi / 3
@@ -150,6 +151,45 @@ class TestScalarFunctions:
         m = make_builtin_model(3100.0)
         for y in (0.9, 1.0005, 1.2):
             assert m.strain_terms(y)[1] == pytest.approx(-3.5 * 3100.0 * (y - 1.0), rel=1e-9)
+
+    @pytest.mark.parametrize("kappa", [3100.0, 20000.0])
+    def test_strain_terms_equal_both_branch_reference(self, kappa):
+        m = make_builtin_model(kappa)
+        # No float y has |y - 1| == EPS_E; take y = 1 +- EPS_E and the floats
+        # beside them, which put the switch between two neighbours on each side.
+        edge = [np.nextafter(y, [0.0, 2.0]) for y in (1.0 - EPS_E, 1.0 + EPS_E)]
+        edge = np.concatenate([[y[0], 1.0 + s * EPS_E, y[1]] for y, s in zip(edge, (-1, 1))])
+        assert list(np.abs(edge - 1.0) < EPS_E) == [False, True, True, True, True, False]
+        y = np.concatenate([np.linspace(1.0 - 2 * EPS_E, 1.0 + 2 * EPS_E, 47), [1.0], edge])
+        stack = y.reshape(2, -1)
+        for y in (stack, 1.0 + 0.5 * EPS_E, 1.0 + 3 * EPS_E):
+            d2g, big_e = m.strain_terms(y)
+            ref_d2g, ref_e = strain_terms_both_branches(m, y)
+            assert np.array_equal(d2g, ref_d2g) and np.array_equal(big_e, ref_e)
+            assert np.shape(big_e) == np.shape(y)
+
+    def test_g_and_dg_only_off_the_series(self):
+        base = make_builtin_model(3100.0)
+        sizes = {"g": [], "dg": []}
+
+        def recording(name):
+            def fn(y):
+                sizes[name].append(np.size(y))
+                return getattr(base, name)(y)
+            return fn
+
+        m = ConstitutiveModel(g=recording("g"), dg=recording("dg"), d2g=base.d2g,
+                              d3g=base.d3g, family="recording")
+        m.strain_terms(1.0)  # caches h and its derivatives at y = 1
+        for calls in sizes.values():
+            calls.clear()
+        near = 1.0 + np.linspace(-0.9, 0.9, 12).reshape(3, 4) * EPS_E
+        m.strain_terms(near)
+        assert sizes == {"g": [], "dg": []}
+        mixed = near.copy()
+        mixed[0, 0], mixed[2, 1], mixed[1, 3] = 1.0 + 2 * EPS_E, 1.1, 1.0 - 2 * EPS_E
+        m.strain_terms(mixed)
+        assert sizes == {"g": [3], "dg": [3]}
 
     def test_U_at_1(self):
         m = make_builtin_model(3100.0)
