@@ -13,8 +13,14 @@ clock unit k = sqrt(A**3/|mu|):
 * mu > 0:            q = A(cosh x + 1) = 2A cosh(x/2)**2, t = k(sinh x + x) + c.
 
 A time sample is found by Newton's method on Kepler's equation, vectorised
-over the samples and safeguarded by a bracket. Each sample stops iterating on
-its own, so its value does not depend on the other samples evaluated with it.
+over the samples and safeguarded by a bracket. Newton starts from a closed
+form of the root per branch, a fitted polynomial in a smooth function of the
+clock, or a short fixed-point refinement at large clocks, within 1e-5
+relative of the root. Convergence is quadratic, so a sample stops after its
+first Newton step of at most STOP_REL = 1e-8 relative, two steps from the
+starter, and a residual check certifies every returned anomaly to
+KEPLER_RTOL. Each sample stops iterating on its own, so its value does not
+depend on the other samples evaluated with it.
 evolve_q evaluates its samples in blocks of SAMPLE_BLOCK and evaluates none
 past the block that holds its stop. q = eps inverts to x with no iteration, so
 collapse times, threshold passages and rates are closed forms. _orbit decides
@@ -42,8 +48,11 @@ E_EFF_ZERO_TOL = 1e-14
 # scale A leave the float range.
 MU_FREE = 1e-300
 Q_MIN_STOP = 1e-6
-NEWTON_MAX_ITER = 60  # Newton needs a handful; the cap bounds bisection
+NEWTON_MAX_ITER = 60  # Newton needs two steps from a starter; the cap bounds bisection
 KEPLER_RTOL = 1e-12
+# A sample stops after a Newton step that moves it by at most this, relative:
+# convergence is quadratic, so its error is then of order STOP_REL**2.
+STOP_REL = 1e-8
 # Below this anomaly x - sin x and sinh x - x are summed from their Taylor
 # series: the direct differences lose every digit as x -> 0 (near-parabolic
 # orbits and samples near collapse).
@@ -58,6 +67,51 @@ _SERIES = np.array([6.0 / math.factorial(2 * j + 3) for j in range(10)])[::-1]
 # whose pages fault in on first touch (2,072 minor faults per evaluation of
 # a bound orbit, against 96 per block of 8192).
 SAMPLE_BLOCK = 8192
+
+# Newton's start on each branch: x0 = v P(v**2), P interpolating the root's
+# x/v at Chebyshev nodes of v**2, within 1e-5 relative of the root over the
+# branch's whole domain. scripts/kepler_starters.py fits these (highest power
+# first) to mpmath roots and checks them. x - sin x = y: v = cbrt(6y) on all
+# of [0, pi]. sinh x - x = y: v = asinh(cbrt(6y)) below _UNBOUND_FIT_MAX, and
+# above it two steps of x <- asinh(y + x). sinh x + x = y: v = asinh(y/2)
+# below _REPULSIVE_FIT_MAX, and above it two steps of x <- asinh(y - x).
+_UNBOUND_FIT_MAX = 200.0
+_REPULSIVE_FIT_MAX = 60.0
+_START_BOUND = (
+    1.3795836991698573e-07,
+    -1.6103542396497257e-06,
+    1.2761662551783257e-05,
+    1.1511067954061868e-05,
+    0.0007495504354116874,
+    0.01665058785562893,
+    1.0000011687077262,
+)
+_START_UNBOUND = (
+    -6.333251051615312e-09,
+    3.020335444440495e-07,
+    -5.806135485778072e-06,
+    5.322487273602226e-05,
+    -0.0001613049720091677,
+    -0.0008439983540293169,
+    0.000535992798752899,
+    0.1500603525925125,
+    0.999996539928543,
+)
+_START_REPULSIVE = (
+    7.977245639042485e-14,
+    -8.948192401070489e-12,
+    4.4645897203882204e-10,
+    -1.305417883937108e-08,
+    2.478332952401295e-07,
+    -3.1898853214575483e-06,
+    2.8005315053373405e-05,
+    -0.00016025722558616321,
+    0.00047097748830370034,
+    0.0008351848334266067,
+    -0.0167284968872551,
+    0.08335619441239578,
+    0.9999988239374281,
+)
 
 REGIME_LINEAR = "linear-expanding"
 REGIME_SELF_SIMILAR = "self-similar-expanding"
@@ -95,24 +149,40 @@ class TemporalSolution:
     stopped_early: bool
 
 
-def _series_split(x, series_sign: float, direct):
-    """x**3/6 * sum_j c_j (series_sign x**2)**j below SERIES_CUTOFF, direct(x) above.
-
-    Each sample is computed by one branch only.
-    """
-    x = np.asarray(x, dtype=float)
-    small = x < SERIES_CUTOFF
-    out = np.empty_like(x)
-    xs = x[small]
-    xx = series_sign * xs * xs
-    s = np.full_like(xs, _SERIES[0])
-    for c in _SERIES[1:]:  # Horner in place, the same floats as np.polyval
-        s *= xx
+def _horner(coefs, w):
+    """sum_j coefs[j] w**(n - j), in place: the same floats as np.polyval."""
+    s = np.full_like(w, coefs[0])
+    for c in coefs[1:]:
+        s *= w
         s += c
-    out[small] = xs**3 / 6 * s
-    big = ~small
-    out[big] = direct(x[big])
+    return s
+
+
+def _piecewise(mask, inside, outside, *arrays):
+    """inside(*arrays) where mask holds, outside(*arrays) elsewhere.
+
+    Each sample is computed by one function only, on the samples it gets;
+    when every sample falls on one side, the arrays pass whole and the
+    other function is not called.
+    """
+    if mask.all():
+        return inside(*arrays)
+    if not mask.any():
+        return outside(*arrays)
+    out = np.empty(mask.shape)
+    out[mask] = inside(*(a[mask] for a in arrays))
+    rest = ~mask
+    out[rest] = outside(*(a[rest] for a in arrays))
     return out
+
+
+def _series_split(x, series_sign: float, direct):
+    """x**3/6 * sum_j c_j (series_sign x**2)**j below SERIES_CUTOFF, direct(x) above."""
+    x = np.asarray(x, dtype=float)
+
+    def series(xs):
+        return xs**3 / 6 * _horner(_SERIES, series_sign * xs * xs)
+    return _piecewise(x < SERIES_CUTOFF, series, direct, x)
 
 
 def _x_minus_sin(x):
@@ -123,37 +193,76 @@ def _sinh_minus_x(x):
     return _series_split(x, 1.0, lambda b: np.sinh(b) - b)
 
 
-def _kepler_invert(S, dS, y: np.ndarray, hi: np.ndarray) -> np.ndarray:
+def _bound_start(y):
+    """(hi, x0) for x - sin x = y on [0, pi]: x**3/6 >= x - sin x >= x**3/12
+    bounds the root by hi = min(cbrt(12y), pi), and x0 is its starter."""
+    s = np.cbrt(6.0 * y)
+    return np.minimum(2.0 ** (1.0 / 3.0) * s, math.pi), s * _horner(_START_BOUND, s * s)
+
+
+def _unbound_start(y):
+    """(hi, x0) for sinh x - x = y: sinh x - x >= x**3/6 bounds the root by
+    cbrt(6y), so sinh x = y + x by hi = min(cbrt(6y), asinh(y + cbrt(6y)))."""
+    cube = np.cbrt(6.0 * y)
+    hi = np.minimum(cube, np.arcsinh(y + cube))
+
+    def fitted(y, cube, hi):
+        u = np.arcsinh(cube)
+        return u * _horner(_START_UNBOUND, u * u)
+
+    def refined(y, cube, hi):  # x <- asinh(y + x) contracts by about 1/y
+        return np.arcsinh(y + np.arcsinh(y + hi))
+    return hi, _piecewise(y < _UNBOUND_FIT_MAX, fitted, refined, y, cube, hi)
+
+
+def _repulsive_start(y):
+    """(hi, x0) for sinh x + x = y: hi = min(asinh(y), y/2) bounds the root."""
+    hi = np.minimum(np.arcsinh(y), 0.5 * y)
+
+    def fitted(y, hi):
+        u = np.arcsinh(0.5 * y)
+        return u * _horner(_START_REPULSIVE, u * u)
+
+    def refined(y, hi):  # x <- asinh(y - x) contracts by about 1/y
+        return np.arcsinh(y - np.arcsinh(y - hi))
+    return hi, _piecewise(y < _REPULSIVE_FIT_MAX, fitted, refined, y, hi)
+
+
+def _kepler_invert(S, dS, y: np.ndarray, hi: np.ndarray, x0: np.ndarray) -> np.ndarray:
     """The x in [0, hi] with S(x) = y, for S increasing and convex, S(0) = 0.
 
-    Newton's method from the upper bound hi descends monotonically onto the
-    root; a step that leaves the bracket, which only roundoff can cause,
-    bisects it instead. Each sample stops on its own, at the first step
-    that moves it by at most 4 eps relative, and only samples still moving
-    are iterated; so a sample's x depends on nothing but its own y and hi,
-    whatever other samples are passed with it. KeplerNotConverged is raised
-    unless the Kepler equation holds to KEPLER_RTOL at every returned x.
+    Newton's method starts from x0, a starter that reads only the sample's y,
+    clipped into the bracket [0, hi]; a step that leaves the bracket bisects
+    it instead. Each sample stops on its own, after the first Newton step
+    that moves it by at most STOP_REL relative, or at S(x) = y exactly; a
+    bisection never stops a sample. Only samples still moving are iterated,
+    so a sample's x depends on nothing but its own y, hi and x0, whatever
+    other samples are passed with it. From the starters' 1e-5, quadratic
+    convergence stops a sample after two steps, and the residual check
+    certifies the last one: KeplerNotConverged is raised unless the Kepler
+    equation holds to KEPLER_RTOL at every returned x.
     """
     shape = y.shape
     y, hi = y.ravel(), hi.ravel()
     x_out = np.empty_like(y)
     # the samples still moving: their indices, iterates, brackets and clocks
-    idx, x, lo, ya = np.arange(y.size), hi, np.zeros_like(y), y
+    idx, x, lo, ya = np.arange(y.size), np.clip(x0.ravel(), 0.0, hi), np.zeros_like(y), y
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(NEWTON_MAX_ITER):
             f = S(x) - ya
             lo = np.where(f < 0, x, lo)
             hi = np.where(f > 0, x, hi)
             x_new = x - f / dS(x)
-            x_new = np.where((x_new >= lo) & (x_new <= hi), x_new, 0.5 * (lo + hi))
-            done = np.abs(x_new - x) <= 4.0 * np.finfo(float).eps * x_new
+            newton = (x_new >= lo) & (x_new <= hi)
+            x_new = np.where(newton, x_new, 0.5 * (lo + hi))
+            done = (newton & (np.abs(x_new - x) <= STOP_REL * x_new)) | (f == 0)
             x = x_new
+            if done.all():
+                break
             if done.any():
                 x_out[idx[done]] = x[done]
                 moving = ~done
                 idx, x, lo, hi, ya = idx[moving], x[moving], lo[moving], hi[moving], ya[moving]
-                if not idx.size:
-                    break
         x_out[idx] = x
         excess = np.abs(S(x_out) - y) - KEPLER_RTOL * y
     if not np.all(excess <= 0):  # NaN too: a clock beyond the float range
@@ -222,8 +331,7 @@ def _orbit(mu: float, qdot0: float) -> _Orbit:
             clock = y0 + t / k
             y = np.abs(clock)
             x = np.sign(clock) * _kepler_invert(
-                lambda s: np.sinh(s) + s, lambda s: np.cosh(s) + 1.0, y,
-                np.minimum(np.arcsinh(y), 0.5 * y),
+                lambda s: np.sinh(s) + s, lambda s: np.cosh(s) + 1.0, y, *_repulsive_start(y)
             )
             return 2.0 * a * np.cosh(0.5 * x) ** 2, v * np.tanh(0.5 * x)
         return _Orbit(e, REGIME_LINEAR, repulsive)
@@ -234,10 +342,8 @@ def _orbit(mu: float, qdot0: float) -> _Orbit:
 
         def unbound(t):
             y = np.maximum(y0 + sign * t / k, 0.0)
-            cube = np.cbrt(6.0 * y)  # sinh x - x >= x**3/6
             x = _kepler_invert(
-                _sinh_minus_x, lambda s: 2.0 * np.sinh(0.5 * s) ** 2, y,
-                np.minimum(cube, np.arcsinh(y + cube)),
+                _sinh_minus_x, lambda s: 2.0 * np.sinh(0.5 * s) ** 2, y, *_unbound_start(y)
             )
             with np.errstate(divide="ignore"):
                 return 2.0 * a * np.sinh(0.5 * x) ** 2, sign * v / np.tanh(0.5 * x)
@@ -255,10 +361,8 @@ def _orbit(mu: float, qdot0: float) -> _Orbit:
         rising = (qdot0 > 0) & (y0 + t / k < math.pi)
         falling = np.maximum(apex_to_collapse - t / k, 0.0)
         y = np.where(rising, y0 + t / k, falling)
-        # x**3/6 >= x - sin x >= x**3/12 on [0, pi]
         x = _kepler_invert(
-            _x_minus_sin, lambda s: 2.0 * np.sin(0.5 * s) ** 2, y,
-            np.minimum(np.cbrt(12.0 * y), math.pi),
+            _x_minus_sin, lambda s: 2.0 * np.sin(0.5 * s) ** 2, y, *_bound_start(y)
         )
         with np.errstate(divide="ignore"):
             return 2.0 * a * np.sin(0.5 * x) ** 2, np.where(rising, v, -v) / np.tan(0.5 * x)
@@ -298,20 +402,18 @@ def evolve_q(
         raise ValueError(f"t_end, dt and t_end/dt must be finite and > 0, got {t_end!r}, {dt!r}")
     orbit = _orbit(mu, qdot0)
     times = _sample_times(t_end, dt)
-    qs, qds = [], []
+    blocks = []
     for start in range(0, times.size, SAMPLE_BLOCK):
         q, qd = orbit.amplitude(times[start:start + SAMPLE_BLOCK])
         below = np.flatnonzero(q < q_min_stop)
         stopped = below.size > 0
         if stopped:
             q, qd, times = q[:below[0]], qd[:below[0]], times[:start + below[0]]
-        qs.append(q)
-        qds.append(qd)
+        blocks.append((q, qd, 0.5 * qd * qd + mu / q - orbit.e))
         if stopped:
             break
 
-    q, qd = np.concatenate(qs), np.concatenate(qds)
-    drift = 0.5 * qd * qd + mu / q - orbit.e
+    q, qd, drift = (np.concatenate(parts) for parts in zip(*blocks))
     return TemporalSolution(
         mu=mu,
         qdot0=qdot0,

@@ -47,6 +47,35 @@ def _bisect(f, lo, hi, iterations=200):
     return (lo + hi) / 2
 
 
+def mp_anomaly(branch, y):
+    """The anomaly x >= 0 of a conic branch's Kepler equation at clock y >= 0,
+    as mpf: x - sin x = y ("bound", y <= pi), sinh x - x = y ("unbound") or
+    sinh x + x = y ("repulsive"). Newton's method descends monotonically onto
+    the root of these convex equations from upper bounds that follow from
+    x - sin x >= x**3/12 on [0, pi], sinh x - x >= x**3/6 and sinh x >= x, in
+    30 digits plus those that the differences cancel as y -> 0.
+    """
+    if y == 0:
+        return mp.mpf(0)
+    with mp.workdps(30 + max(0, int(-mp.log10(y)))):
+        y = mp.mpf(y)
+        cube = mp.cbrt(6 * y)
+        S, dS, x = {
+            "bound": (lambda x: x - mp.sin(x), lambda x: 1 - mp.cos(x),
+                      min(mp.cbrt(12 * y), mp.pi)),
+            "unbound": (lambda x: mp.sinh(x) - x, lambda x: mp.cosh(x) - 1,
+                        min(cube, mp.asinh(y + cube))),
+            "repulsive": (lambda x: mp.sinh(x) + x, lambda x: mp.cosh(x) + 1,
+                          min(mp.asinh(y), y / 2)),
+        }[branch]
+        for _ in range(500):
+            step = (S(x) - y) / dS(x)
+            x -= step
+            if abs(step) <= x * mp.mpf(10) ** (5 - mp.mp.dps):
+                return x
+    raise RuntimeError(f"no {branch} anomaly at y = {y}")
+
+
 def mp_amplitude(mu, qdot0, t, dps=50):
     """(q, qdot, T) at float time t < T, as mpf; T is None for no collapse.
 

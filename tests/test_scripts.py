@@ -9,9 +9,12 @@ from pathlib import Path
 
 import pytest
 
+from gravelast import temporal
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 # Arguments that keep a script under a second; a script not listed runs bare.
-ARGS = {"mu_sweep.py": ["5", "64"], "bench.py": ["--quick"]}
+ARGS = {"mu_sweep.py": ["5", "64"], "bench.py": ["--quick"],
+        "kepler_starters.py": ["--check", "--points", "40"]}
 
 
 @pytest.mark.parametrize("path", sorted(SCRIPTS.glob("*.py")), ids=lambda p: p.name)
@@ -20,3 +23,17 @@ def test_script_runs(path, monkeypatch, capsys):
     runpy.run_path(str(path), run_name="__main__")
     out = capsys.readouterr().out
     assert out and "FAILED" not in out
+
+
+@pytest.mark.parametrize("const,change", [
+    ("_START_BOUND", lambda c: (c[0] * (1 + 1e-15),) + c[1:]),  # not the fit, within the bound
+    ("_START_REPULSIVE", lambda c: c[:-1] + (c[-1] + 1e-4,)),  # breaks the bound
+])
+def test_kepler_starters_check_fails(monkeypatch, capsys, const, change):
+    monkeypatch.setattr(temporal, const, change(getattr(temporal, const)))
+    argv = [str(SCRIPTS / "kepler_starters.py"), "--check", "--points", "40"]
+    monkeypatch.setattr(sys, "argv", argv)
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(argv[0], run_name="__main__")
+    assert exc.value.code == 1
+    assert capsys.readouterr().out.count("FAILED") == 1

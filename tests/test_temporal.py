@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from kepler_oracles import mp_amplitude, rk4_amplitude
+from kepler_oracles import mp_amplitude, mp_anomaly, rk4_amplitude
 
 from gravelast import temporal as temporal_mod
 from gravelast.errors import KeplerNotConverged, NotCollapsing, OutOfRange
@@ -23,6 +23,9 @@ from gravelast.temporal import (
 )
 
 EPS = np.finfo(float).eps
+# (mu, qdot0) of scripts/bench.py's evolve_q orbits: bound, repulsive, outward
+# and inward unbound
+BENCH_ORBITS = [(-0.001, 0.01), (0.001, 0.1), (-0.001, 0.3), (-0.001, -0.3)]
 
 
 class TestClassify:
@@ -151,10 +154,45 @@ class TestEvolve:
         starts = [(-0.001, 0.01), (-0.001, -0.3), (0.001, -0.5)]
         for mu, qdot0 in starts:
             assert evolve_q(mu, qdot0, 3.0, 0.01).t[-1] > 2.0
-        monkeypatch.setattr(temporal_mod, "NEWTON_MAX_ITER", 1)
+        # two Newton steps from the starters pass the check, here and on the
+        # four orbits of scripts/bench.py
+        monkeypatch.setattr(temporal_mod, "NEWTON_MAX_ITER", 2)
+        for mu, qdot0 in starts:
+            assert evolve_q(mu, qdot0, 3.0, 0.01).t[-1] > 2.0
+        for mu, qdot0 in BENCH_ORBITS:
+            assert evolve_q(mu, qdot0, 30.0, 1e-3).t.size > 3000
+        # the starters alone fail it
+        monkeypatch.setattr(temporal_mod, "NEWTON_MAX_ITER", 0)
         for mu, qdot0 in starts:
             with pytest.raises(KeplerNotConverged):
                 evolve_q(mu, qdot0, 3.0, 0.01)
+
+    def test_bisection_never_stops_a_sample(self):
+        # a derivative of the wrong sign sends every Newton step out of the
+        # bracket, so only bisection moves the samples: it must run on until
+        # they pass the residual check, not stop at a step of STOP_REL
+        y = np.linspace(0.1, 3.0, 7)
+        x = temporal_mod._kepler_invert(
+            temporal_mod._x_minus_sin, lambda s: -1.0 - s, y, *temporal_mod._bound_start(y))
+        assert np.all(np.abs(temporal_mod._x_minus_sin(x) - y) <= temporal_mod.KEPLER_RTOL * y)
+
+    def test_two_newton_steps_per_sample(self, monkeypatch):
+        # every sample of the bench orbits stops within two steps: each block's
+        # inversion evaluates S at most three times, the last for the residual
+        inner, calls = temporal_mod._kepler_invert, []
+
+        def counting(S, dS, y, *args):
+            def counted(x):
+                calls[-1] += 1
+                return S(x)
+            calls.append(0)
+            return inner(counted, dS, y, *args)
+
+        monkeypatch.setattr(temporal_mod, "_kepler_invert", counting)
+        for mu, qdot0 in BENCH_ORBITS:
+            calls.clear()
+            evolve_q(mu, qdot0, 30.0, 1e-3)
+            assert calls and max(calls) <= 3
 
     def test_tiny_mu_is_free_motion(self):
         for mu in (5e-324, -1e-310):
@@ -473,6 +511,62 @@ class TestClosedForm:
         assert np.all(np.sign(dev) == np.sign(e_eff))
 
 
+class TestSeriesSplit:
+    """x - sin x and sinh x - x: a sample's value comes from its own side of
+    SERIES_CUTOFF, whether the other side has samples or not, and 0-d too."""
+
+    @pytest.mark.parametrize("fn", [temporal_mod._x_minus_sin, temporal_mod._sinh_minus_x])
+    def test_sides_do_not_interact(self, fn):
+        x = np.linspace(0.0, 2.0 * temporal_mod.SERIES_CUTOFF, 101)
+        whole = fn(x)
+        small = x < temporal_mod.SERIES_CUTOFF
+        assert 0 < small.sum() < x.size
+        assert np.array_equal(whole[small], fn(x[small]))
+        assert np.array_equal(whole[~small], fn(x[~small]))
+        assert [fn(v) for v in x] == list(whole)
+
+
+class TestStarters:
+    """Newton's start on each branch lies within 1e-5 relative of the mpmath root."""
+
+    RTOL = 1e-5
+
+    @staticmethod
+    def _clocks(top, switch):
+        # dense over the domain, 0, tiny, the switch between the fitted and the
+        # refined piece, and large
+        edges = [0.0, 5e-324, 1e-300, 1e-30, top]
+        if switch is not None:
+            edges += [np.nextafter(switch, 0.0), switch, np.nextafter(switch, math.inf)]
+        return np.unique(np.concatenate([
+            np.linspace(0.0, min(top, 2.0 * (switch or top)), 300),
+            np.geomspace(1e-20, top, 300), edges]))
+
+    @staticmethod
+    def _max_rel_error(branch, y, x):
+        return max(float(abs(xi / mp_anomaly(branch, yi) - 1)) for yi, xi in zip(y, x) if yi > 0)
+
+    # branch -> (y -> (hi, x0), the largest clock, the switch to refinement)
+    BRANCHES = {
+        "bound": (temporal_mod._bound_start, math.pi, None),
+        "unbound": (temporal_mod._unbound_start, 1e300, temporal_mod._UNBOUND_FIT_MAX),
+        "repulsive": (temporal_mod._repulsive_start, 1e300, temporal_mod._REPULSIVE_FIT_MAX),
+    }
+
+    @pytest.mark.parametrize("branch", BRANCHES)
+    def test_within_bound_of_mpmath_root(self, branch):
+        start, top, switch = self.BRANCHES[branch]
+        y = self._clocks(top, switch)
+        if branch == "repulsive":  # y/2 underflows the smallest subnormal to 0
+            y = y[y != 5e-324]
+        hi, x0 = start(y)
+        assert x0[0] == hi[0] == 0.0 and np.all(x0[1:] > 0)
+        assert self._max_rel_error(branch, y, x0) <= self.RTOL
+        # the check can fail: the bracket's upper bound, Newton's start before
+        # the starters, is rejected
+        assert self._max_rel_error(branch, y, hi) > self.RTOL
+
+
 def _whole_array(mu, qdot0, t_end, dt, q_min_stop):
     """evolve_q's samples from one _amplitude call on every sample time."""
     times = temporal_mod._sample_times(t_end, dt)
@@ -521,9 +615,9 @@ class TestBlocks:
         inner = temporal_mod._kepler_invert
         evaluated = []
 
-        def counting(S, dS, y, hi):
+        def counting(S, dS, y, *args):
             evaluated.append(y.size)
-            return inner(S, dS, y, hi)
+            return inner(S, dS, y, *args)
 
         mu, qdot0, t_end = -0.001, -0.3, 30.0
         n_times = temporal_mod._sample_times(t_end, dt).size
