@@ -11,13 +11,16 @@ benchmark's regime_portrait: bound (-0.001, 0.01), repulsive
 (-0.001, -0.3), which collapses near t = 3.2 and so stops early,
 collapse_time on the bound orbit, one call each of
 moment_integral, apply_F, picard_solve and boundary_mismatch at N = 512,
-and the root search alone: brent_root replaying the mismatch values of one
-N = 512 solve, so no Picard run is timed.  Each case is warmed up, then
+and the root search alone: brent_steps replaying the mismatch values of
+one N = 512 solve, so no Picard run is timed.  Each case is warmed up, then
 timed a fixed number of times; a sample of a fast case times a loop of
 calls and reports the time per call.
 
 gravelast is imported from sys.path, so PYTHONPATH chooses the tree to time.
-The run's median and quartiles per case print as JSON.  With --into FILE,
+The run's median and quartiles per case print as JSON, after env: the
+commit timed and "dirty", true when git shows uncommitted changes to
+tracked files of the timed tree's src/ (or cannot tell), so that commit
+does not name the code timed.  With --into FILE,
 the run is appended to FILE under --label and FILE's summary is
 recomputed: per label, the median and quartiles of its run medians and
 the sweep-to-solve ratio at N = 512; against the first label, the ratio
@@ -80,7 +83,7 @@ def _time(fn, repeats: int, inner: int = 1) -> list[float]:
 
 
 def _replayed_root_search(model, box, grid, mu):
-    """brent_root fed the mismatch values one real solve at mu evaluated."""
+    """brent_steps fed the mismatch values one real solve at mu evaluated."""
     values = []
     real = shooting.boundary_mismatch
 
@@ -98,9 +101,13 @@ def _replayed_root_search(model, box, grid, mu):
     a, b = V(box.brho_lower(mu), mu, G, 1.0), V(box.brho_plus, mu, G, 1.0)
 
     def search():
-        replay = iter(trials)
-        return shooting.brent_root(lambda w: next(replay), a, b, fa, fb, xtol=0.0,
-                                   ftol=shooting.DEFAULT_TOL_BC, max_evals=len(trials))
+        steps = shooting.brent_steps(a, b, fa, fb, xtol=0.0, ftol=shooting.DEFAULT_TOL_BC,
+                                     max_evals=len(trials))
+        try:
+            for value in [None, *trials]:
+                steps.send(value)
+        except StopIteration as stop:
+            return stop.value
 
     return search
 
@@ -153,10 +160,11 @@ def _stats(samples: list[float]) -> dict:
     return {"median_ms": q2, "q1_ms": q1, "q3_ms": q3, "n": len(samples)}
 
 
-def _commit() -> str | None:
+def _git(*args: str) -> str | None:
+    """stdout of git run in the timed tree's src/, None if git fails there."""
     try:
-        return subprocess.run(["git", "rev-parse", "HEAD"], capture_output=True, text=True,
-                              cwd=Path(gravelast.__file__).parent, check=True).stdout.strip()
+        return subprocess.run(["git", *args], capture_output=True, text=True, check=True,
+                              cwd=Path(gravelast.__file__).parent.parent).stdout.strip()
     except (OSError, subprocess.CalledProcessError):
         return None
 
@@ -165,9 +173,11 @@ def run(quick: bool, commit: str | None) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         timed = {name: _stats(_time(fn, repeats, inner))
                  for name, (fn, repeats, inner) in cases(quick, Path(tmp)).items()}
+    changes = _git("status", "--porcelain", "--untracked-files=no", "--", ".")
     return {
         "env": {"cpu_count": os.cpu_count(), "numpy": np.__version__,
-                "python": platform.python_version(), "commit": commit or _commit()},
+                "python": platform.python_version(), "commit": commit or _git("rev-parse", "HEAD"),
+                "dirty": changes != ""},
         "cases": timed,
     }
 

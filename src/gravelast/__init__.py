@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 
 from .constitutive import (
     ConstitutiveModel,
-    K,
     V,
     ValidationReport,
     make_builtin_model,
@@ -51,7 +50,6 @@ __all__ = [
     "ValidationReport",
     "make_builtin_model",
     "validate_model",
-    "K",
     "V",
     "RadialGrid",
     "GeometryProfile",

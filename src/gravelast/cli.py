@@ -258,16 +258,15 @@ def cmd_sweep(args, argv) -> int:
     rows = sweep_rows(args.model, args.G, mu_values, args.N, **_tolerances(args))
     wall = time.perf_counter() - t0
 
+    def column(name, dtype=float):
+        return np.array([getattr(r, name) for r in rows], dtype=dtype)
+
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
     cols = (
-        [r.mu for r in rows],
-        [r.brho0 for r in rows],
-        [r.y1 for r in rows],
-        [r.fprime0 for r in rows],
-        [r.zeta_norm for r in rows],
-        [r.iterations for r in rows],
-        [r.bc_residual for r in rows],
+        *map(column, ("mu", "brho0", "y1", "fprime0", "zeta_norm")),
+        column("iterations", int),
+        column("bc_residual"),
         [(r.error or "").replace(",", ";") for r in rows],
     )
     write_csv(out / "sweep.csv", SWEEP_UNITS, SWEEP_COLUMNS, cols)
@@ -296,8 +295,14 @@ def _load_profile_dir(path: Path) -> SolutionProfile:
         model = parse_model_spec(manifest["model"])
         G = float(manifest["G"])
         mu = float(manifest["mu"])
-        grid = RadialGrid(int(manifest["N"]))
+        if not math.isfinite(mu):
+            raise ValueError(f"mu must be finite, got {mu!r}")
         brho0 = float(manifest["results"]["brho0"])
+        if not 0 < brho0 < math.inf:
+            raise ValueError(f"brho0 must be finite and positive, got {brho0!r}")
+        if type(manifest["N"]) is not int:
+            raise ValueError(f"N must be an integer, got {manifest['N']!r}")
+        grid = RadialGrid(manifest["N"])
         cols = read_float_columns(csv_path, PROFILE_COLUMNS[:6])
         if len(cols["R"]) != grid.n + 1 or np.any(cols["R"] != grid.nodes):
             raise UsageError(f"profile radius column does not match an N={grid.n} grid")

@@ -3,8 +3,8 @@
 The material enters the radial problem only through a function g of the
 strain ratio y = (radial stretch)/(tangential stretch), normalized so that
 g(1) = 1 and g'(1) = -1/3.  Everything the solver consumes downstream
-(h, E, U, the admissible strain radius delta, the gravity scale K) derives
-from g and its first three derivatives.
+(h, E, U, the admissible strain radius delta) derives from g and its first
+three derivatives.
 
 The built-in family is
 
@@ -133,7 +133,6 @@ class ValidationReport:
     margin_ok: bool
     g2_at_1: float
     sup_d3g: float
-    big_m: float
     threshold: float
 
     @property
@@ -142,9 +141,9 @@ class ValidationReport:
 
 
 def make_builtin_model(kappa: float) -> ConstitutiveModel:
-    """Built-in family g(y) = y**(-1/3) + (kappa/2)(y-1)**2, kappa >= 0."""
-    if kappa < 0:
-        raise ValueError("kappa must be nonnegative")
+    """Built-in family g(y) = y**(-1/3) + (kappa/2)(y-1)**2, 0 <= kappa < inf."""
+    if not 0 <= kappa < math.inf:
+        raise ValueError(f"kappa must be finite and nonnegative, got {kappa!r}")
     kappa = float(kappa)
 
     def g(y):
@@ -186,15 +185,12 @@ def validate_model(model: ConstitutiveModel) -> ValidationReport:
     threshold = 50.0 * (50.0 + sup_d3g)
     largeness_ok = g2_1 > 0 and g2_1 >= threshold
     margin_ok = g2_1 >= 1.01 * threshold
-
-    big_m = sup_d3g / g2_1 if g2_1 > 0 else math.inf
     return ValidationReport(
         normalization_ok=normalization_ok,
         largeness_ok=largeness_ok,
         margin_ok=margin_ok,
         g2_at_1=g2_1,
         sup_d3g=sup_d3g,
-        big_m=big_m,
         threshold=threshold,
     )
 
@@ -234,9 +230,3 @@ def V(brho, mu, G: float, lam):
     out = lam / root * (FOUR_PI_3 * G * brho + mu * lam**3)
     return out if out.ndim else float(out)
 
-
-def K(brho: float, mu: float, G: float) -> float:
-    """Gravity-vs-eigenvalue scale brho**(-1/3) ((4 pi/3) G brho + |mu|)."""
-    if brho <= 0:
-        raise ValueError("brho must be positive")
-    return brho ** (-1.0 / 3.0) * (FOUR_PI_3 * G * brho + abs(mu))

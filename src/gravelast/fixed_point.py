@@ -24,13 +24,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constitutive import ConstitutiveModel, K, V
+from .constitutive import ConstitutiveModel, V
 from .errors import DomainExit, MaxIterExceeded, NotContracting, SolverError, fail_row
 from .parameters import ParameterBox, build_parameter_box
 from .radial import RadialGrid, apply_L_inverse, reconstruct_geometry
 
 DEFAULT_TOL = 1e-13
-DEFAULT_MAX_ITER = 60
+MAX_ITER = 60  # cap on the Picard steps of one run
 
 
 @dataclass
@@ -40,7 +40,6 @@ class PicardDiagnostics:
     iterations: int = 0
     updates: list[float] = field(default_factory=list)
     ratios: list[float] = field(default_factory=list)
-    k_value: float = 0.0
 
 
 def apply_F(
@@ -93,7 +92,6 @@ def picard_rows(
     grid: RadialGrid,
     box: ParameterBox,
     tol: float,
-    max_iter: int,
     zeta0: list[np.ndarray] | None,
 ) -> tuple[list[np.ndarray], list[PicardDiagnostics | None], list[SolverError | None]]:
     """The Picard kernel: one run per row (brho[i], mu[i]), all in lockstep.
@@ -114,7 +112,7 @@ def picard_rows(
         except SolverError as exc:
             errors[i] = exc
         else:
-            diags[i] = PicardDiagnostics(k_value=K(brho[i], mu[i], G))
+            diags[i] = PicardDiagnostics()
     if zeta0 is None:
         zeta = [np.zeros(grid.n + 1)] * rows
     else:
@@ -123,7 +121,7 @@ def picard_rows(
     delta = model.delta
     growth_streak = [0] * rows
     active = [i for i in range(rows) if errors[i] is None]
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         if not active:
             break
         step_errors: list[SolverError | None] = [None] * len(active)
@@ -161,7 +159,7 @@ def picard_rows(
                 running.append(i)
         active = running
     for i in active:
-        errors[i] = MaxIterExceeded(f"no convergence to {tol:g} in {max_iter} iterations")
+        errors[i] = MaxIterExceeded(f"no convergence to {tol:g} in {MAX_ITER} iterations")
     return zeta, diags, errors
 
 
@@ -172,7 +170,6 @@ def picard_solve(
     G: float,
     grid: RadialGrid,
     tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
     zeta0: np.ndarray | None = None,
 ) -> tuple[np.ndarray, PicardDiagnostics]:
     """Iterate z <- Linv F[z] from zeta0 (default z = 0) until the sup-norm
@@ -180,12 +177,12 @@ def picard_solve(
 
     Raises ParameterOutOfRange if (brho, mu) lies outside the box of
     (model, G), NotContracting on two consecutive non-shrinking updates,
-    MaxIterExceeded past the cap, DomainExit if an iterate leaves the ball.
+    MaxIterExceeded past MAX_ITER, DomainExit if an iterate leaves the ball.
     The model's validation is cached on it, so repeated calls are cheap.
     """
     box = build_parameter_box(model, G)
     zeta, (diag,), (error,) = picard_rows(
-        model, [brho], [mu], G, grid, box, tol, max_iter, None if zeta0 is None else [zeta0]
+        model, [brho], [mu], G, grid, box, tol, None if zeta0 is None else [zeta0]
     )
     if error is not None:
         raise error

@@ -6,10 +6,11 @@ directory gets a JSON manifest recording inputs, results and sha256 hashes
 of the emitted CSVs; wall time and timestamps live only in the manifest,
 so identical reruns produce byte-identical CSVs.
 
-The writer builds one ``%`` row template per file ("%.17g" for a float
-column, "%d" for an integer one, "%s" for text; the same bytes as ``fmt``
-cell by cell) and formats rows in bounded chunks of ``_CHUNK_ROWS``, so no
-whole column is ever held as a Python list.  The reader checks each row's
+A column is a numeric array or a list of text.  The writer builds one
+``%`` row template per file ("%.17g" for a float array, "%d" for an
+integer or bool one, "%s" for text; the same bytes as ``fmt`` cell by
+cell) and formats rows in bounded chunks of ``_CHUNK_ROWS``, so no whole
+numeric column is ever held as a Python list.  The reader checks each row's
 field count against the header, then parses only the requested columns
 with ``np.loadtxt``, which reads a number as ``float`` does.
 """
@@ -55,21 +56,19 @@ def fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def _column_spec(column) -> tuple[str, object]:
+def _column_spec(column) -> str:
     """The ``%`` spec under which every cell of ``column`` reads as ``fmt`` writes it.
 
-    Returns the spec and the column to format with it: a column mixing str,
-    int and float cells is pre-formatted cell by cell and written with "%s".
+    A column is a numeric (float, int, uint or bool) array or a list of str;
+    anything else raises TypeError.
     """
     if isinstance(column, np.ndarray) and column.dtype.kind in "fiub":
-        return ("%.17g" if column.dtype.kind == "f" else "%d"), column
-    if all(isinstance(x, str) for x in column):
-        return "%s", column
-    if all(isinstance(x, (int, np.integer)) for x in column):
-        return "%d", column
-    if not any(isinstance(x, (str, int, np.integer)) for x in column):
-        return "%.17g", column
-    return "%s", [x if isinstance(x, str) else fmt(x) for x in column]
+        return "%.17g" if column.dtype.kind == "f" else "%d"
+    if isinstance(column, list) and all(isinstance(x, str) for x in column):
+        return "%s"
+    raise TypeError(
+        f"a CSV column must be a numeric array or a list of str, got {type(column).__name__}"
+    )
 
 
 def write_csv(path: Path, comment: str, header, columns) -> None:
@@ -78,9 +77,7 @@ def write_csv(path: Path, comment: str, header, columns) -> None:
         raise ValueError(f"{path}: columns differ in length: {sorted(lengths)}")
     if len(header) != len(columns):
         raise ValueError(f"{path}: {len(header)} header names for {len(columns)} columns")
-    typed = [_column_spec(c) for c in columns]
-    template = ",".join(spec for spec, _ in typed) + "\n"
-    columns = [c for _, c in typed]
+    template = ",".join(map(_column_spec, columns)) + "\n"
     n_rows = max(lengths, default=0)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"{comment}\n{','.join(header)}\n")

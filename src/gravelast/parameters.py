@@ -1,6 +1,7 @@
 """Admissible (mu, brho) region for the contraction construction.
 
-All constants are closed forms in the gravitational constant G:
+All constants are closed forms in G, with the gravity-vs-eigenvalue scale
+K(brho, mu) = brho**(-1/3) ((4 pi / 3) G brho + |mu|):
 
     brho_plus       solves (4 pi / 3) G brho**(2/3) = 10
     brho_minus(mu)  = |mu| / ((8 pi / 3) G), the minimizer of K(., mu)

@@ -38,13 +38,7 @@ import numpy as np
 
 from .constitutive import FOUR_PI_3, ConstitutiveModel, V
 from .errors import BracketFailure, SolverError
-from .fixed_point import (
-    DEFAULT_MAX_ITER,
-    DEFAULT_TOL,
-    PicardDiagnostics,
-    picard_rows,
-    picard_solve,
-)
+from .fixed_point import DEFAULT_TOL, PicardDiagnostics, picard_rows, picard_solve
 from .parameters import ParameterBox, build_parameter_box, check_tolerance
 from .radial import RadialGrid, reconstruct_geometry, y_at_boundary
 
@@ -61,7 +55,6 @@ class MismatchResult:
     """Boundary mismatch g'(y(1)) together with the fixed point behind it."""
 
     value: float
-    y1: float
     zeta: np.ndarray
     diagnostics: PicardDiagnostics
 
@@ -108,8 +101,8 @@ def boundary_mismatch(
     """g'(y(1)) at the fixed point for (brho, mu), from one picard_solve
     (which checks the pair against the box of (model, G)) started at zeta0."""
     zeta, diag = picard_solve(model, brho, mu, G, grid, tol=tol, zeta0=zeta0)
-    y1 = y_at_boundary(grid, zeta)
-    return MismatchResult(value=float(model.dg(y1)), y1=y1, zeta=zeta, diagnostics=diag)
+    value = float(model.dg(y_at_boundary(grid, zeta)))
+    return MismatchResult(value=value, zeta=zeta, diagnostics=diag)
 
 
 def brent_steps(
@@ -130,7 +123,7 @@ def brent_steps(
     smaller |fn|.
     """
     if not fa * fb < 0.0:
-        raise ValueError("brent_root needs a sign change between the bracket ends")
+        raise ValueError("brent_steps needs a sign change between the bracket ends")
     # b: current iterate; c: the other end of the bracket; a: previous b.
     c, fc = a, fa
     d = e = b - a
@@ -173,27 +166,6 @@ def brent_steps(
         b += d if abs(d) > tol1 else math.copysign(tol1, m)
         fb = yield b
         evals += 1
-
-
-def brent_root(
-    fn: Callable[[float], float],
-    a: float,
-    b: float,
-    fa: float,
-    fb: float,
-    xtol: float,
-    ftol: float,
-    max_evals: int,
-) -> tuple[float, int]:
-    """brent_steps driven by fn: returns (x, evaluations of fn)."""
-    steps = brent_steps(a, b, fa, fb, xtol, ftol, max_evals)
-    value = None
-    while True:
-        try:
-            x = steps.send(value)
-        except StopIteration as stop:
-            return stop.value
-        value = fn(x)
 
 
 def _brho_from_w(
@@ -333,8 +305,8 @@ def _find_roots(
 def solve_separable(
     model: ConstitutiveModel,
     mu: float,
-    G: float = 1.0,
-    grid: RadialGrid | None = None,
+    G: float,
+    grid: RadialGrid,
     tol_bc: float = DEFAULT_TOL_BC,
     tol_brho: float = DEFAULT_TOL_BRHO,
     tol_picard: float = DEFAULT_TOL,
@@ -361,8 +333,6 @@ def solve_separable(
     evaluations is one boundary_mismatch call.
     """
     _check_tolerances(tol_bc, tol_brho, tol_picard)
-    if grid is None:
-        grid = RadialGrid(512)
     derived = build_parameter_box(model, G)
     if box is not None and box != derived:
         raise ValueError(f"{box} is not the box of (model, G = {G:g}): {derived}")
@@ -424,14 +394,12 @@ def _mismatch_rows(
     zeta0: list[np.ndarray] | None,
 ) -> list[MismatchResult | SolverError]:
     """boundary_mismatch for every row from one picard_rows run."""
-    zeta, diags, errors = picard_rows(model, brho, mu, G, grid, box, tol, DEFAULT_MAX_ITER, zeta0)
+    zeta, diags, errors = picard_rows(model, brho, mu, G, grid, box, tol, zeta0)
     ok = [i for i, exc in enumerate(errors) if exc is None]
     results: list[MismatchResult | SolverError] = list(errors)
     y1s = y_at_boundary(grid, np.array([zeta[i] for i in ok])).tolist() if ok else []
     for i, y1 in zip(ok, y1s):
-        results[i] = MismatchResult(
-            value=float(model.dg(y1)), y1=y1, zeta=zeta[i], diagnostics=diags[i]
-        )
+        results[i] = MismatchResult(value=float(model.dg(y1)), zeta=zeta[i], diagnostics=diags[i])
     return results
 
 
@@ -439,7 +407,7 @@ def sweep(
     model: ConstitutiveModel,
     G: float,
     mu_values,
-    grid: RadialGrid | None = None,
+    grid: RadialGrid,
     tol_bc: float = DEFAULT_TOL_BC,
     tol_brho: float = DEFAULT_TOL_BRHO,
     tol_picard: float = DEFAULT_TOL,
@@ -453,8 +421,6 @@ def sweep(
     not finite and >= 0 raises ValueError before any row.
     """
     _check_tolerances(tol_bc, tol_brho, tol_picard)
-    if grid is None:
-        grid = RadialGrid(512)
     box = build_parameter_box(model, G)  # a bad model or G aborts before any row
     mus = [float(mu) for mu in mu_values]
 

@@ -47,7 +47,7 @@ E_EFF_ZERO_TOL = 1e-14
 # lost to rounding for any t under 1e142, while the conic's clock t/k and
 # scale A leave the float range.
 MU_FREE = 1e-300
-Q_MIN_STOP = 1e-6
+Q_MIN_STOP = 1e-6  # evolve_q stops before the first sample with q below this
 NEWTON_MAX_ITER = 60  # Newton needs two steps from a starter; the cap bounds bisection
 KEPLER_RTOL = 1e-12
 # A sample stops after a Newton step that moves it by at most this, relative:
@@ -383,17 +383,11 @@ def _sample_times(t_end: float, dt: float) -> np.ndarray:
     return times
 
 
-def evolve_q(
-    mu: float,
-    qdot0: float,
-    t_end: float,
-    dt: float,
-    q_min_stop: float = Q_MIN_STOP,
-) -> TemporalSolution:
+def evolve_q(mu: float, qdot0: float, t_end: float, dt: float) -> TemporalSolution:
     """Sample q(t), qdot(t) on t = 0, dt, 2 dt, ..., t_end.
 
     The samples stop early (recorded, not an error) before the first one
-    with q < q_min_stop; the ODE is singular at q = 0. energy_drift is the
+    with q < Q_MIN_STOP; the ODE is singular at q = 0. energy_drift is the
     roundoff of the energy invariant along the samples. The samples are
     evaluated in blocks of SAMPLE_BLOCK, and none past the block holding
     the stop; each equals its value in one whole-array _amplitude call.
@@ -405,7 +399,7 @@ def evolve_q(
     blocks = []
     for start in range(0, times.size, SAMPLE_BLOCK):
         q, qd = orbit.amplitude(times[start:start + SAMPLE_BLOCK])
-        below = np.flatnonzero(q < q_min_stop)
+        below = np.flatnonzero(q < Q_MIN_STOP)
         stopped = below.size > 0
         if stopped:
             q, qd, times = q[:below[0]], qd[:below[0]], times[:start + below[0]]

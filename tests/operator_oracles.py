@@ -8,12 +8,13 @@ contraction factor of the real composition Linv F on random pairs, and
 differences of the next lower derivative. `strain_terms_both_branches`
 forms both branches of E at every node and picks one per node: the
 reference for `ConstitutiveModel.strain_terms`, which forms the raw
-quotient only outside the series branch.
+quotient only outside the series branch. `K` is the gravity-vs-eigenvalue
+scale that the box conditions and the contraction bounds are stated in.
 """
 
 import numpy as np
 
-from gravelast.constitutive import EPS_E, ConstitutiveModel
+from gravelast.constitutive import EPS_E, FOUR_PI_3, ConstitutiveModel
 from gravelast.fixed_point import apply_F
 from gravelast.parameters import build_parameter_box
 from gravelast.radial import RadialGrid, apply_L_inverse, moment_integral
@@ -97,3 +98,10 @@ def strain_terms_both_branches(model: ConstitutiveModel, y):
     raw = (3.0 * y * dg + g - h1) / t_safe - (4.0 * dg + 3.0 * y * d2g)
     series = -0.5 * d2h1 * t - d3h1 * t**2 / 3.0
     return d2g, np.where(near, series, raw)
+
+
+def K(brho: float, mu: float, G: float) -> float:
+    """Gravity-vs-eigenvalue scale brho**(-1/3) ((4 pi/3) G brho + |mu|)."""
+    if brho <= 0:
+        raise ValueError("brho must be positive")
+    return brho ** (-1.0 / 3.0) * (FOUR_PI_3 * G * brho + abs(mu))

@@ -131,7 +131,7 @@ class TestPicardRows:
         # Row 0 starts outside the ball, row 1 outside the bracket.
         brhos = [brhos[0], 10 * box.brho_plus, *brhos[2:]]
         starts = [np.full(N + 1, 4 * model.delta), *zeta[1:]]
-        rows, diags, errors = picard_rows(model, brhos, mus, 1.0, grid, box, 1e-13, 60, starts)
+        rows, diags, errors = picard_rows(model, brhos, mus, 1.0, grid, box, 1e-13, starts)
         for i, (b, m, z0) in enumerate(zip(brhos, mus, starts)):
             try:
                 one, diag = picard_solve(model, b, m, 1.0, grid, zeta0=z0)

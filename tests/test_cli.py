@@ -162,6 +162,15 @@ class TestSolve:
         assert "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("kappa", ["inf", "nan"])
+    def test_non_finite_kappa_exits_2(self, tmp_path, capsys, kappa):
+        # was HypothesisFailed: normalization: g(1) = nan, exit 3
+        assert run("solve", "--model", f"builtin:kappa={kappa}", "--N", "16",
+                   "--out", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert "argument --model: kappa must be finite and nonnegative" in err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("value", ["1e-250", "1e250"])
     def test_G_beyond_float_range_exits_2(self, tmp_path, capsys, value):
         # was an OverflowError (1e-250) or AssertionError (1e250) traceback, exit 1
@@ -403,6 +412,34 @@ class TestVerify:
         err = capsys.readouterr().err
         assert "corrupt profile directory" in err and "G must be finite and positive" in err
         assert not (tmp_path / "vg" / "report.txt").exists()
+
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [("brho0", -1.0, "brho0 must be finite and positive"),
+         ("brho0", 0.0, "brho0 must be finite and positive"),
+         ("brho0", math.nan, "brho0 must be finite and positive"),
+         ("brho0", math.inf, "brho0 must be finite and positive"),
+         ("mu", math.nan, "mu must be finite"),
+         ("mu", -math.inf, "mu must be finite"),
+         ("N", 128.4, "N must be an integer"),
+         ("N", "128", "N must be an integer")],
+        ids=["brho0-negative", "brho0-zero", "brho0-nan", "brho0-inf", "mu-nan", "mu-inf",
+             "N-fraction", "N-string"],
+    )
+    def test_bad_manifest_field_exits_2(self, tmp_path, solved_dir, capsys, field, value,
+                                        message):
+        # brho0 = -1 made verify trace back and evolve write a negative mass;
+        # NaN made verify fail its thresholds (exit 5); N = 128.4 read as 128
+        bad = _copy_profile(solved_dir, tmp_path / "bad")
+        manifest = json.loads((bad / "manifest.json").read_text())
+        (manifest["results"] if field == "brho0" else manifest)[field] = value
+        (bad / "manifest.json").write_text(json.dumps(manifest))
+        assert run("verify", "--profile", bad, "--out", tmp_path / "v") == 2
+        assert run("evolve", "--profile", bad, "--t-end", "1", "--snapshot-times", "0.5",
+                   "--out", tmp_path / "e") == 2
+        err = capsys.readouterr().err
+        assert err.count("corrupt profile directory") == 2 and err.count(message) == 2
+        assert not (tmp_path / "v").exists() and not (tmp_path / "e").exists()
 
     @pytest.mark.parametrize(
         "extra,code,verdict",

@@ -8,14 +8,13 @@ from hypothesis import strategies as st
 from gravelast.constitutive import (
     EPS_E,
     ConstitutiveModel,
-    K,
     V,
     ensure_validated,
     make_builtin_model,
     validate_model,
 )
 from gravelast.errors import DomainExit, HypothesisFailed, NormalizationViolated
-from operator_oracles import strain_terms_both_branches
+from operator_oracles import K, strain_terms_both_branches
 
 FOUR_PI_3 = 4 * math.pi / 3
 EIGHT_PI_3 = 8 * math.pi / 3
@@ -55,6 +54,11 @@ class TestBuiltinFamily:
         with pytest.raises(ValueError):
             make_builtin_model(-1.0)
 
+    @pytest.mark.parametrize("kappa", [math.inf, -math.inf, math.nan])
+    def test_non_finite_kappa_rejected(self, kappa):
+        with pytest.raises(ValueError, match="kappa must be finite and nonnegative"):
+            make_builtin_model(kappa)
+
 
 class TestValidation:
     def test_kappa_3100_passes(self):
@@ -68,7 +72,7 @@ class TestValidation:
 
     def test_pass_implies_modified_condition(self):
         rep = validate_model(make_builtin_model(3100.0))
-        assert rep.g2_at_1 >= 2400.0 * (1.0 + rep.big_m**2)
+        assert rep.g2_at_1 >= 2400.0 * (1.0 + (rep.sup_d3g / rep.g2_at_1) ** 2)
 
     def test_kappa_0_fails_flagged(self):
         rep = validate_model(make_builtin_model(0.0))
@@ -207,7 +211,7 @@ class TestScalarFunctions:
         ys = np.linspace(1 - 0.99 * d, 1 + 0.99 * d, 2001)
         s = 1e-8
         du = (m.U(ys + s) - m.U(ys - s)) / (2 * s)
-        assert np.max(np.abs(du)) <= 22.0 * (1.0 + rep.big_m**2)
+        assert np.max(np.abs(du)) <= 22.0 * (1.0 + (rep.sup_d3g / rep.g2_at_1) ** 2)
 
     def test_U_domain_exit(self):
         m = make_builtin_model(3100.0)

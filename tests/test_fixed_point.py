@@ -3,7 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from operator_oracles import lipschitz_probe
+from operator_oracles import K, lipschitz_probe
 
 import gravelast.fixed_point as fp
 from gravelast import constitutive
@@ -82,7 +82,7 @@ class TestPicard:
             zeta, diag = picard_solve(model, brho, 0.0, 1.0, grid512)
             norm = np.max(np.abs(zeta))
             assert norm <= delta
-            assert norm <= (3 / 40 * diag.k_value + 7 / 80) * delta
+            assert norm <= (3 / 40 * K(brho, 0.0, 1.0) + 7 / 80) * delta
 
     def test_positive_floor_at_brho_plus(self, model, box, grid512):
         zeta, _ = picard_solve(model, box.brho_plus, 0.0, 1.0, grid512)
@@ -153,9 +153,10 @@ class TestPicard:
         with pytest.raises(ParameterOutOfRange):
             picard_solve(model, 2 * box.brho_plus, 0.0, 1.0, grid512)
 
-    def test_max_iter_exceeded(self, model, grid512):
-        with pytest.raises(MaxIterExceeded):
-            picard_solve(model, 1.0, 0.0, 1.0, grid512, tol=0.0, max_iter=3)
+    def test_max_iter_exceeded(self, model, grid512, monkeypatch):
+        monkeypatch.setattr(fp, "MAX_ITER", 3)
+        with pytest.raises(MaxIterExceeded, match="in 3 iterations"):
+            picard_solve(model, 1.0, 0.0, 1.0, grid512, tol=0.0)
 
     def test_not_contracting_detected(self, model, grid512, monkeypatch):
         # synthetic diverging map: iterates with geometrically growing gaps

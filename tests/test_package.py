@@ -1,3 +1,5 @@
+import inspect
+
 import gravelast
 
 
@@ -12,7 +14,7 @@ def test_exported_set_is_pinned():
     assert set(gravelast.__all__) == {
         "__version__",
         "ConstitutiveModel", "ValidationReport", "make_builtin_model", "validate_model",
-        "K", "V",
+        "V",
         "RadialGrid", "GeometryProfile", "moment_integral", "apply_L_inverse",
         "reconstruct_geometry", "y_at_boundary",
         "ParameterBox", "build_parameter_box",
@@ -22,4 +24,51 @@ def test_exported_set_is_pinned():
         "TemporalSolution", "CollapseEstimate", "MotionSnapshot", "classify", "evolve_q",
         "collapse_time", "assemble_motion",
         "ResidualReport", "residual_report", "stress_profiles",
+    }
+
+
+def test_signatures_are_pinned():
+    # Adding or dropping a parameter or dataclass field, or giving one a
+    # default ("name=") or taking it away, shows up as a diff of this dict.
+    signatures = {
+        name: " ".join(p.name + ("=" if p.default is not p.empty else "")
+                       for p in inspect.signature(obj).parameters.values())
+        for name in gravelast.__all__ if callable(obj := getattr(gravelast, name))
+    }
+    assert signatures == {
+        "ConstitutiveModel": "g dg d2g d3g family kappa=",
+        "ValidationReport": "normalization_ok largeness_ok margin_ok g2_at_1 sup_d3g threshold",
+        "make_builtin_model": "kappa",
+        "validate_model": "model",
+        "V": "brho mu G lam",
+        "RadialGrid": "n",
+        "GeometryProfile": "f fprime lam y moment2",
+        "moment_integral": "grid values p",
+        "apply_L_inverse": "grid eta",
+        "reconstruct_geometry": "grid zeta errors=",
+        "y_at_boundary": "grid zeta",
+        "ParameterBox": "G mu0 brho_plus",
+        "build_parameter_box": "model G",
+        "PicardDiagnostics": "iterations= updates= ratios=",
+        "apply_F": "model brho mu G grid zeta errors=",
+        "picard_solve": "model brho mu G grid tol= zeta0=",
+        "MismatchResult": "value zeta diagnostics",
+        "SolutionProfile": "model mu brho0 G grid zeta f fprime lam y boundary_residual "
+                           "diagnostics root_evaluations",
+        "SweepRow": "mu brho0= y1= fprime0= zeta_norm= iterations= bc_residual= error=",
+        "boundary_mismatch": "model brho mu G grid tol= zeta0=",
+        "solve_separable": "model mu G grid tol_bc= tol_brho= tol_picard= box=",
+        "sweep": "model G mu_values grid tol_bc= tol_brho= tol_picard=",
+        "TemporalSolution": "mu qdot0 e_eff regime t q qdot energy_drift max_energy_drift "
+                            "stopped_early",
+        "CollapseEstimate": "time exponent prefactor threshold_times local_exponents",
+        "MotionSnapshot": "t q qdot phi u rho mass",
+        "classify": "mu qdot0",
+        "evolve_q": "mu qdot0 t_end dt",
+        "collapse_time": "mu qdot0 thresholds=",
+        "assemble_motion": "profile temporal t",
+        "ResidualReport": "residual_separated residual_reformulation equivalence_gap "
+                          "boundary_residual grid_n stencil_order=",
+        "residual_report": "profile",
+        "stress_profiles": "profile",
     }

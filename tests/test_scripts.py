@@ -3,6 +3,7 @@
 A script that an API change breaks fails here instead of at its next user.
 """
 
+import json
 import runpy
 import sys
 from pathlib import Path
@@ -23,6 +24,14 @@ def test_script_runs(path, monkeypatch, capsys):
     runpy.run_path(str(path), run_name="__main__")
     out = capsys.readouterr().out
     assert out and "FAILED" not in out
+
+
+def test_bench_env_records_dirty(monkeypatch, capsys):
+    # env.commit alone named the parent commit for runs of an uncommitted change
+    monkeypatch.setattr(sys, "argv", [str(SCRIPTS / "bench.py"), "--quick"])
+    runpy.run_path(str(SCRIPTS / "bench.py"), run_name="__main__")
+    env = json.loads(capsys.readouterr().out)["env"]
+    assert isinstance(env["dirty"], bool)
 
 
 @pytest.mark.parametrize("const,change", [

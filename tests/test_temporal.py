@@ -214,8 +214,9 @@ class TestEvolve:
             with pytest.raises(ValueError, match=re.escape(f"(mu, qdot0) = ({mu!r}, {qdot0!r})")):
                 call(*args)
 
-    def test_stops_before_first_sample_below_q_min(self):
-        sol = evolve_q(-0.001, -0.3, 5.0, 1e-3, q_min_stop=1e-3)
+    def test_stops_before_first_sample_below_q_min(self, monkeypatch):
+        monkeypatch.setattr(temporal_mod, "Q_MIN_STOP", 1e-3)
+        sol = evolve_q(-0.001, -0.3, 5.0, 1e-3)
         assert sol.stopped_early
         assert np.all(sol.q >= 1e-3)
         q_next, _ = _amplitude(-0.001, -0.3, sol.t[-1] + 1e-3)
@@ -576,9 +577,9 @@ def _whole_array(mu, qdot0, t_end, dt, q_min_stop):
     return times[:n], q[:n], qd[:n], bool(below.size)
 
 
-def _assert_equals_whole_array(mu, qdot0, t_end, dt, q_min_stop=temporal_mod.Q_MIN_STOP):
-    sol = evolve_q(mu, qdot0, t_end, dt, q_min_stop)
-    t, q, qd, stopped = _whole_array(mu, qdot0, t_end, dt, q_min_stop)
+def _assert_equals_whole_array(mu, qdot0, t_end, dt):
+    sol = evolve_q(mu, qdot0, t_end, dt)
+    t, q, qd, stopped = _whole_array(mu, qdot0, t_end, dt, temporal_mod.Q_MIN_STOP)
     assert sol.stopped_early == stopped
     assert np.array_equal(sol.t, t)
     assert np.array_equal(sol.q, q)
@@ -589,7 +590,7 @@ def _assert_equals_whole_array(mu, qdot0, t_end, dt, q_min_stop=temporal_mod.Q_M
 
 class TestBlocks:
     """evolve_q evaluates its samples in blocks and stops after the block
-    holding the first q < q_min_stop; the blocks must not show."""
+    holding the first q < Q_MIN_STOP; the blocks must not show."""
 
     BLOCK = temporal_mod.SAMPLE_BLOCK
 
@@ -600,13 +601,13 @@ class TestBlocks:
 
     @pytest.mark.parametrize("stop", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1,
                                       2 * BLOCK - 1, 2 * BLOCK, 2 * BLOCK + 1])
-    def test_stop_at_block_edges(self, stop):
+    def test_stop_at_block_edges(self, monkeypatch, stop):
         # inward unbound, q falls strictly from 1 to collapse near t = 3.21:
-        # with q_min_stop = q[stop - 1] the first sample below it is `stop`
+        # with Q_MIN_STOP = q[stop - 1] the first sample below it is `stop`
         mu, qdot0, t_end, dt = -0.001, -0.3, 4.0, 1e-4
         _, q, _, _ = _whole_array(mu, qdot0, t_end, dt, 0.0)
-        q_min_stop = 2.0 if stop == 0 else float(q[stop - 1])
-        sol = _assert_equals_whole_array(mu, qdot0, t_end, dt, q_min_stop)
+        monkeypatch.setattr(temporal_mod, "Q_MIN_STOP", 2.0 if stop == 0 else float(q[stop - 1]))
+        sol = _assert_equals_whole_array(mu, qdot0, t_end, dt)
         assert sol.stopped_early
         assert sol.t.size == stop
 
