@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import SolverError
+from .errors import ParameterOutOfRange, SolverError
 from .io import (
     MANIFEST_FILE,
     PROFILE_COLUMNS,
@@ -306,8 +306,9 @@ def _load_profile_dir(path: Path) -> SolutionProfile:
         cols = read_float_columns(csv_path, PROFILE_COLUMNS[:6])
         if len(cols["R"]) != grid.n + 1 or np.any(cols["R"] != grid.nodes):
             raise UsageError(f"profile radius column does not match an N={grid.n} grid")
-        build_parameter_box(model, G)  # a bad G exits 2, a failing model 3
-    except (KeyError, ValueError, TypeError) as exc:
+        # a bad G or a (brho0, mu) outside the box exits 2, a failing model 3
+        build_parameter_box(model, G).check_brho(brho0, mu)
+    except (KeyError, ValueError, TypeError, ParameterOutOfRange) as exc:
         raise UsageError(f"corrupt profile directory {path}: {exc}") from exc
     return SolutionProfile(
         model=model, mu=mu, brho0=brho0, G=G, grid=grid,

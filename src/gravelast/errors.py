@@ -57,13 +57,3 @@ class KeplerNotConverged(SolverError):
 class OutOfRange(SolverError):
     """Requested time lies outside the computed trajectory."""
 
-
-def fail_row(errors: list | None, row: int, exc: SolverError) -> None:
-    """Put exc into row's slot of errors, or raise it when there is no list.
-
-    A stacked call given a list records one failure per row and lets the
-    other rows finish; without a list the first failing row aborts the call.
-    """
-    if errors is None:
-        raise exc
-    errors[row] = exc

@@ -10,6 +10,12 @@ admissible (mu, brho) box the composition shrinks sup-distances by roughly
 (7/5) (1/16 + K/400) < 0.126, so the ratio of successive updates is a live
 health check and plain iteration from z = 0 converges in a dozen steps;
 started from a nearby fixed point (a neighbouring brho) it needs fewer.
+The ball is the kernel's invariant: the moment weights are nonnegative and
+sum to int t**p, so ||z|| <= delta gives f' >= 1 - 4 delta/3, lambda >=
+1 - 5 delta/3 and |y - 1| <= delta/(3 (1 - 5 delta/3)) < delta (validation
+forces delta <= 0.004).  picard_rows checks each start against the ball and
+drops each iterate that leaves it, so no stack reaching apply_F degenerates
+or leaves the strain window.
 picard_solve checks (brho, mu) against build_parameter_box(model, G), the
 box of the model and G it is given; no caller can substitute another.  It
 is the one-row case of picard_rows, the kernel that iterates a stack of
@@ -25,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constitutive import ConstitutiveModel, V
-from .errors import DomainExit, MaxIterExceeded, NotContracting, SolverError, fail_row
+from .errors import DomainExit, MaxIterExceeded, NotContracting, SolverError
 from .parameters import ParameterBox, build_parameter_box
 from .radial import RadialGrid, apply_L_inverse, reconstruct_geometry
 
@@ -43,13 +49,7 @@ class PicardDiagnostics:
 
 
 def apply_F(
-    model: ConstitutiveModel,
-    brho,
-    mu,
-    G: float,
-    grid: RadialGrid,
-    zeta: np.ndarray,
-    errors: list | None = None,
+    model: ConstitutiveModel, brho, mu, G: float, grid: RadialGrid, zeta: np.ndarray
 ) -> np.ndarray:
     """One application of F.  The first term uses the identity
     (f' - lambda)/R**2 = (1/R**3) int_0^R t**2 z dt, which is exact and
@@ -57,29 +57,24 @@ def apply_F(
 
     zeta is one profile with scalar brho and mu, or a (rows, N+1) stack with
     one brho and one mu per row; both shapes take the same path, brho and mu
-    becoming columns along the last axis.  A row whose geometry degenerates
-    or whose strain ratio leaves the window raises; given errors, one slot
-    per row, its SolverError goes into that slot instead and its output row
-    is meaningless.
+    becoming columns along the last axis.  Outside the ball, where
+    picard_rows never calls it, zeta may degenerate (DegenerateGeometry) or
+    leave the strain window (DomainExit naming that row's brho and mu);
+    either raises for the whole call.
     """
     brho, mu = np.asarray(brho, dtype=float)[..., None], np.asarray(mu, dtype=float)[..., None]
-    geo = reconstruct_geometry(grid, zeta, errors)
+    geo = reconstruct_geometry(grid, zeta)
     delta = model.delta
     strain = np.abs(geo.y - 1.0)
     if strain.max() > delta:
-        for row in np.flatnonzero(strain.max(axis=-1) > delta):
-            if errors is None or errors[row] is None:  # a degenerate row keeps that error
-                fail_row(errors, row, DomainExit(
-                    f"strain ratio left the window |y-1| <= {delta:.3e} "
-                    f"(brho={brho.flat[row]:.6g}, mu={mu.flat[row]:.6g})"
-                ))
-    y = geo.y
-    failed = [e is not None for e in errors or ()]
-    if any(failed):  # a failed row goes on at y = 1, where U and g'' are finite
-        y = np.where(np.reshape(failed, y.shape[:-1] + (1,)), 1.0, y)
-    d2g, big_e = model.strain_terms(y)
+        row = np.flatnonzero(strain.max(axis=-1) > delta)[0]
+        raise DomainExit(
+            f"strain ratio left the window |y-1| <= {delta:.3e} "
+            f"(brho={brho.flat[row]:.6g}, mu={mu.flat[row]:.6g})"
+        )
+    d2g, big_e = model.strain_terms(geo.y)
     out = V(brho, mu, G, geo.lam) / d2g
-    u = 2.0 * (y[..., 1:] - 1.0) + big_e[..., 1:] / d2g[..., 1:]  # U(y), window checked above
+    u = 2.0 * (geo.y[..., 1:] - 1.0) + big_e[..., 1:] / d2g[..., 1:]  # U(y), window checked above
     out[..., 1:] -= geo.moment2[..., 1:] / grid.interior_powers[3] * u
     return out
 
@@ -93,68 +88,69 @@ def picard_rows(
     box: ParameterBox,
     tol: float,
     zeta0: list[np.ndarray] | None,
-) -> tuple[list[np.ndarray], list[PicardDiagnostics | None], list[SolverError | None]]:
+) -> tuple[np.ndarray, list[PicardDiagnostics | None], list[SolverError | None]]:
     """The Picard kernel: one run per row (brho[i], mu[i]), all in lockstep.
 
-    Each step applies Linv F to the stack of the rows still running; a row
-    leaves the stack when its update drops below tol or when it fails.
+    Each step applies Linv F to the rows of the (rows, N+1) array zeta still
+    running; a row leaves when its update drops below tol or when it fails.
     Row i returns zeta[i] and its diagnostics, or its SolverError in
     errors[i], with the checks and messages of picard_solve; one failing
-    row never stops the others.  zeta0 holds one start per row (None:
-    z = 0).  box must be build_parameter_box(model, G).
+    row never stops the others.  A row outside the box or starting outside
+    the ball fails before any step, so every stack apply_F sees lies in the
+    ball.  zeta0 holds one start per row (None: z = 0).  box must be
+    build_parameter_box(model, G).
     """
+    brho, mu = np.array(brho, dtype=float), np.array(mu, dtype=float)
     rows = len(brho)
+    zeta = np.zeros((rows, grid.n + 1)) if zeta0 is None else np.array(zeta0, dtype=float)
+    delta = model.delta
     errors: list[SolverError | None] = [None] * rows
     diags: list[PicardDiagnostics | None] = [None] * rows
-    for i in range(rows):
+    starts = np.abs(zeta).max(axis=-1).tolist()
+    for i, (b, m, norm) in enumerate(zip(brho.tolist(), mu.tolist(), starts)):
         try:
-            box.check_brho(brho[i], mu[i])
+            box.check_brho(b, m)
         except SolverError as exc:
             errors[i] = exc
+            continue
+        if norm > delta:  # a NaN start runs on into the finiteness check
+            errors[i] = DomainExit(
+                f"start outside the ball: ||z0|| = {norm:.3e} > delta = {delta:.3e}"
+            )
         else:
             diags[i] = PicardDiagnostics()
-    if zeta0 is None:
-        zeta = [np.zeros(grid.n + 1)] * rows
-    else:
-        zeta = [np.asarray(z, dtype=float) for z in zeta0]
 
-    delta = model.delta
     growth_streak = [0] * rows
     active = [i for i in range(rows) if errors[i] is None]
     for _ in range(MAX_ITER):
         if not active:
             break
-        step_errors: list[SolverError | None] = [None] * len(active)
-        z = np.array([zeta[i] for i in active])
-        nxt = apply_L_inverse(grid, apply_F(
-            model, [brho[i] for i in active], [mu[i] for i in active], G, grid, z, step_errors
-        ))
+        z = zeta[active]
+        nxt = apply_L_inverse(grid, apply_F(model, brho[active], mu[active], G, grid, z))
+        zeta[active] = nxt
         updates = np.abs(nxt - z).max(axis=-1).tolist()
         norms = np.abs(nxt).max(axis=-1).tolist()
         running = []
-        for i, row, exc, update, norm in zip(active, nxt, step_errors, updates, norms):
-            zeta[i] = row
+        for i, update, norm in zip(active, updates, norms):
             diag = diags[i]
-            if exc is None and diag.updates and diag.updates[-1] > 0 and update > 0:
+            if diag.updates and diag.updates[-1] > 0 and update > 0:
                 ratio = update / diag.updates[-1]
                 diag.ratios.append(ratio)
                 if ratio >= 1.0:
                     growth_streak[i] += 1
                     if growth_streak[i] >= 2:
-                        exc = NotContracting(
+                        errors[i] = NotContracting(
                             f"updates grew twice in a row (last ratio {ratio:.3g})"
                         )
+                        continue
                 else:
                     growth_streak[i] = 0
-            if exc is None:
-                diag.updates.append(update)
-                diag.iterations += 1
-                if norm > delta:
-                    exc = DomainExit(
-                        f"iterate left the ball: ||z|| = {norm:.3e} > delta = {delta:.3e}"
-                    )
-            if exc is not None:
-                errors[i] = exc
+            diag.updates.append(update)
+            diag.iterations += 1
+            if norm > delta:
+                errors[i] = DomainExit(
+                    f"iterate left the ball: ||z|| = {norm:.3e} > delta = {delta:.3e}"
+                )
             elif not update < tol:  # a NaN update runs on into the finiteness check
                 running.append(i)
         active = running
@@ -177,7 +173,8 @@ def picard_solve(
 
     Raises ParameterOutOfRange if (brho, mu) lies outside the box of
     (model, G), NotContracting on two consecutive non-shrinking updates,
-    MaxIterExceeded past MAX_ITER, DomainExit if an iterate leaves the ball.
+    MaxIterExceeded past MAX_ITER, DomainExit if the start lies outside the
+    ball or an iterate leaves it.
     The model's validation is cached on it, so repeated calls are cheap.
     """
     box = build_parameter_box(model, G)

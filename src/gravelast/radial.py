@@ -13,7 +13,8 @@ density z, where f''(R) = R z(R).
 Every function takes one profile of shape (N+1,) or a stack of rows of
 shape (rows, N+1) and works along the last axis, by one code path for
 both shapes; a row of a stacked call equals the 1-D call on that row bit
-for bit.
+for bit.  A bad row makes the whole call raise; inside the Picard ball,
+where fixed_point keeps its stacks, no row can degenerate.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateGeometry, fail_row
+from .errors import DegenerateGeometry
 
 MOMENT_POWERS = (1, 2, 4)
 
@@ -124,9 +125,7 @@ class GeometryProfile:
     moment2: np.ndarray
 
 
-def reconstruct_geometry(
-    grid: RadialGrid, zeta: np.ndarray, errors: list | None = None
-) -> GeometryProfile:
+def reconstruct_geometry(grid: RadialGrid, zeta: np.ndarray) -> GeometryProfile:
     """Build (f, f', lambda, y) from z with the boundary normalization f(1) = 1.
 
     f(R) = R f'(0) + int_0^R (R - t) t z dt and
@@ -135,9 +134,8 @@ def reconstruct_geometry(
     y = 1 + (int_0^R t**2 z dt)/(lambda R), which is cancellation-safe for
     small z; y(0) = 1 exactly.
 
-    A row whose f' or lambda is not strictly positive raises
-    DegenerateGeometry; given errors, a list with one slot per row, the
-    error goes into that row's slot instead and the other rows stand.
+    If f' or lambda is not strictly positive in any row, the call raises
+    DegenerateGeometry; inside the Picard ball no row can (see fixed_point).
     """
     z = np.asarray(zeta, dtype=float)
     if not np.isfinite(z).all():
@@ -157,9 +155,7 @@ def reconstruct_geometry(
     y[..., 1:] = 1.0 + m2[..., 1:] / (lam[..., 1:] * r[1:])
 
     if (fprime <= 0).any() or (lam <= 0).any():
-        degenerate = (fprime <= 0).any(axis=-1) | (lam <= 0).any(axis=-1)
-        for row in np.flatnonzero(degenerate):
-            fail_row(errors, row, DegenerateGeometry("f' or lambda not strictly positive"))
+        raise DegenerateGeometry("f' or lambda not strictly positive")
     return GeometryProfile(f=f, fprime=fprime, lam=lam, y=y, moment2=m2)
 
 

@@ -397,8 +397,7 @@ def _mismatch_rows(
     zeta, diags, errors = picard_rows(model, brho, mu, G, grid, box, tol, zeta0)
     ok = [i for i, exc in enumerate(errors) if exc is None]
     results: list[MismatchResult | SolverError] = list(errors)
-    y1s = y_at_boundary(grid, np.array([zeta[i] for i in ok])).tolist() if ok else []
-    for i, y1 in zip(ok, y1s):
+    for i, y1 in zip(ok, y_at_boundary(grid, zeta[ok]).tolist()):
         results[i] = MismatchResult(value=float(model.dg(y1)), zeta=zeta[i], diagnostics=diags[i])
     return results
 
@@ -429,12 +428,11 @@ def sweep(
 
     roots = _find_roots(mus, G, box, tol_bc, tol_brho, evaluate)
     found = [i for i, root in enumerate(roots) if isinstance(root, _Search)]
-    geo_errors: list[SolverError | None] = [None] * len(found)
     zeta = np.array([roots[i].best.zeta for i in found]).reshape(len(found), grid.n + 1)
-    geo = reconstruct_geometry(grid, zeta, geo_errors)
+    geo = reconstruct_geometry(grid, zeta)  # converged iterates lie in the ball
     for k, i in enumerate(found):
         root = roots[i]
-        roots[i] = geo_errors[k] or SweepRow(
+        roots[i] = SweepRow(
             mu=mus[i],
             brho0=root.brho0,
             y1=float(geo.y[k, -1]),

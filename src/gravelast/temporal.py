@@ -48,6 +48,7 @@ E_EFF_ZERO_TOL = 1e-14
 # scale A leave the float range.
 MU_FREE = 1e-300
 Q_MIN_STOP = 1e-6  # evolve_q stops before the first sample with q below this
+COLLAPSE_THRESHOLDS = (1e-2, 1e-3, 1e-4)  # the q = eps passages collapse_time reports
 NEWTON_MAX_ITER = 60  # Newton needs two steps from a starter; the cap bounds bisection
 KEPLER_RTOL = 1e-12
 # A sample stops after a Newton step that moves it by at most this, relative:
@@ -435,27 +436,19 @@ class CollapseEstimate:
     local_exponents: dict[float, float]
 
 
-def collapse_time(
-    mu: float,
-    qdot0: float,
-    thresholds: tuple[float, ...] = (1e-2, 1e-3, 1e-4),
-) -> CollapseEstimate:
-    """CollapseEstimate of (mu, qdot0) at thresholds in (0, 1)."""
+def collapse_time(mu: float, qdot0: float) -> CollapseEstimate:
+    """CollapseEstimate of (mu, qdot0) at the thresholds COLLAPSE_THRESHOLDS."""
     orbit = _orbit(mu, qdot0)
     if orbit.regime != REGIME_COLLAPSING:
         raise NotCollapsing(f"(mu={mu:g}, qdot0={qdot0:g}) does not collapse")
-    thresholds = tuple(sorted(thresholds, reverse=True))
-    if not 0.0 < thresholds[-1] <= thresholds[0] < 1.0:
-        raise ValueError(f"thresholds must lie in (0, 1), got {thresholds}")
-
-    eps = np.array(thresholds)
+    eps = np.array(COLLAPSE_THRESHOLDS)
     big_t, to_go = orbit.to_collapse(eps)
     # |qdot| at q = eps from the energy integral qdot**2/2 + mu/q = e_eff
     local = to_go * np.sqrt(2.0 * (orbit.e - mu / eps)) / eps
     return CollapseEstimate(
         float(big_t), *orbit.law,
-        threshold_times={th: float(big_t - w) for th, w in zip(thresholds, to_go)},
-        local_exponents={th: float(a) for th, a in zip(thresholds, local)},
+        threshold_times={th: float(big_t - w) for th, w in zip(COLLAPSE_THRESHOLDS, to_go)},
+        local_exponents={th: float(a) for th, a in zip(COLLAPSE_THRESHOLDS, local)},
     )
 
 

@@ -4,7 +4,9 @@ The sweep solves its rows in lockstep: every radial function, apply_F and
 the Picard kernel take a (rows, N+1) stack, and each round of the root
 searches is one batched Picard run. Each test here compares a stacked
 result with the 1-D call or the single solve of every row, with ==, and
-checks that one row's SolverError stays that row's.
+checks that one row's SolverError stays that row's. The kernel keeps every
+stack in the Picard ball, so rows fail only in picard_rows; the radial
+functions and apply_F raise for the whole call on a bad input.
 """
 
 import math
@@ -13,7 +15,7 @@ import numpy as np
 import pytest
 
 from gravelast import fixed_point, parameters, shooting
-from gravelast.errors import DegenerateGeometry, DomainExit, SolverError, fail_row
+from gravelast.errors import DegenerateGeometry, DomainExit, SolverError
 from gravelast.fixed_point import apply_F, picard_rows, picard_solve
 from gravelast.radial import (
     RadialGrid,
@@ -81,46 +83,41 @@ class TestStackedRadial:
             moment_integral(grid, np.zeros((2, N)), 2)
 
     def test_degenerate_row_is_that_rows_error(self, grid, stack):
+        # The stack raises the error of its degenerate row; without that row it stands.
         zeta = stack[2].copy()
         zeta[1] = -20.0
         with pytest.raises(DegenerateGeometry):
+            reconstruct_geometry(grid, zeta[1])
+        with pytest.raises(DegenerateGeometry):
             reconstruct_geometry(grid, zeta)
-        errors = [None] * len(zeta)
-        geo = reconstruct_geometry(grid, zeta, errors)
-        assert [type(e) for e in errors] == [
-            DegenerateGeometry if i == 1 else type(None) for i in range(len(zeta))]
-        assert np.array_equal(geo.y[0], reconstruct_geometry(grid, zeta[0]).y)
+        reconstruct_geometry(grid, np.delete(zeta, 1, axis=0))
 
     def test_nonfinite_row_raises(self, grid, stack):
         zeta = stack[2].copy()
         zeta[2, 5] = math.nan
         with pytest.raises(ValueError, match="finite"):
-            reconstruct_geometry(grid, zeta, [None] * len(zeta))
+            reconstruct_geometry(grid, zeta)
 
 
 class TestStackedApplyF:
     def test_rows_equal_one_row_calls(self, model, grid, stack):
         brhos, mus, zeta = stack
-        out = apply_F(model, brhos, mus, 1.0, grid, zeta, [None] * len(zeta))
+        out = apply_F(model, brhos, mus, 1.0, grid, zeta)
         for i, row in enumerate(zeta):
             assert np.array_equal(out[i], apply_F(model, brhos[i], mus[i], 1.0, grid, row))
 
     def test_failing_rows_are_their_own_errors(self, model, grid, stack):
         brhos, mus, zeta = stack
         zeta = zeta.copy()
-        zeta[1] = -20.0  # degenerate geometry
         zeta[3] = 4 * model.delta  # strain ratio outside the window
-        errors = [None] * len(zeta)
-        out = apply_F(model, brhos, mus, 1.0, grid, zeta, errors)
-        for i, row in enumerate(zeta):
-            if i in (1, 3):
-                with pytest.raises(SolverError) as raised:
-                    apply_F(model, brhos[i], mus[i], 1.0, grid, row)
-                assert error_text(errors[i]) == error_text(raised.value)
-            else:
-                assert errors[i] is None
-                assert np.array_equal(out[i], apply_F(model, brhos[i], mus[i], 1.0, grid, row))
-        assert isinstance(errors[1], DegenerateGeometry) and isinstance(errors[3], DomainExit)
+        with pytest.raises(DomainExit) as one:
+            apply_F(model, brhos[3], mus[3], 1.0, grid, zeta[3])
+        with pytest.raises(DomainExit) as stacked:
+            apply_F(model, brhos, mus, 1.0, grid, zeta)
+        # the stacked message names row 3's (brho, mu)
+        assert f"brho={brhos[3]:.6g}, mu={mus[3]:.6g}" in str(one.value)
+        assert error_text(stacked.value) == error_text(one.value)
+        zeta[1] = -20.0  # degenerate geometry, found before the window
         with pytest.raises(DegenerateGeometry):
             apply_F(model, brhos, mus, 1.0, grid, zeta)
 
@@ -201,6 +198,7 @@ class TestLockstepSweep:
         assert all(len(evals) > 2 for evals in in_sweep.values())
 
     def test_injected_error_stays_in_its_row(self, model, box, grid, seeded_mus, monkeypatch):
+        # One row's iterate is pushed out of the ball: that row fails, the others stand.
         clean = sweep_rows(sweep(model, 1.0, seeded_mus, grid))
         original = fixed_point.apply_F
         seen = []
@@ -216,16 +214,17 @@ class TestLockstepSweep:
         ends = (box.brho_lower(mu), box.brho_plus)
         target = next(b for b, m in seen if m == mu and b not in ends)
 
-        def inject(model_, brho, mu, G, grid_, zeta, errors=None):
-            out = original(model_, brho, mu, G, grid_, zeta, errors)
+        def inject(model_, brho, mu, G, grid_, zeta):
+            out = original(model_, brho, mu, G, grid_, zeta)
             for k, b in enumerate(np.atleast_1d(brho).tolist()):
                 if b == target:
-                    fail_row(errors, k, DomainExit("injected"))
+                    out[k] = 10 * model.delta  # Linv maps it to 6 delta
             return out
 
         monkeypatch.setattr(fixed_point, "apply_F", inject)
         got = sweep_rows(sweep(model, 1.0, seeded_mus, grid))
-        assert got[row] == "DomainExit: injected"
+        assert got[row] == (f"DomainExit: iterate left the ball: ||z|| = {6 * model.delta:.3e}"
+                            f" > delta = {model.delta:.3e}")
         assert got[:row] + got[row + 1:] == clean[:row] + clean[row + 1:]
 
     def test_builds_the_box_once(self, model, grid, box, monkeypatch):

@@ -22,6 +22,7 @@ from gravelast.io import (
     read_float_columns,
     sha256_of,
 )
+from gravelast.parameters import brho_plus
 
 
 def run(*argv):
@@ -422,14 +423,17 @@ class TestVerify:
          ("mu", math.nan, "mu must be finite"),
          ("mu", -math.inf, "mu must be finite"),
          ("N", 128.4, "N must be an integer"),
-         ("N", "128", "N must be an integer")],
+         ("N", "128", "N must be an integer"),
+         ("mu", 0.5, "mu outside proven range"),
+         ("brho0", 10 * brho_plus(1.0), "outside bracket")],
         ids=["brho0-negative", "brho0-zero", "brho0-nan", "brho0-inf", "mu-nan", "mu-inf",
-             "N-fraction", "N-string"],
+             "N-fraction", "N-string", "mu-outside-box", "brho0-outside-box"],
     )
     def test_bad_manifest_field_exits_2(self, tmp_path, solved_dir, capsys, field, value,
                                         message):
         # brho0 = -1 made verify trace back and evolve write a negative mass;
-        # NaN made verify fail its thresholds (exit 5); N = 128.4 read as 128
+        # NaN made verify fail its thresholds (exit 5); N = 128.4 read as 128;
+        # a (brho0, mu) outside the box made verify exit 5 and evolve exit 0
         bad = _copy_profile(solved_dir, tmp_path / "bad")
         manifest = json.loads((bad / "manifest.json").read_text())
         (manifest["results"] if field == "brho0" else manifest)[field] = value

@@ -122,10 +122,12 @@ class TestPicard:
     def test_warm_start_keeps_checks(self, model, grid512):
         with pytest.raises(ValueError):
             picard_solve(model, 1.3, 0.0, 1.0, grid512, zeta0=np.zeros(5))
-        with pytest.raises(DomainExit):
-            picard_solve(
-                model, 1.3, 0.0, 1.0, grid512, zeta0=np.full(513, 4 * model.delta)
-            )
+        # 1.5 delta is inside the strain window, so only the start check rejects it
+        for scale in (4.0, 1.5):
+            with pytest.raises(DomainExit, match="start outside the ball"):
+                picard_solve(
+                    model, 1.3, 0.0, 1.0, grid512, zeta0=np.full(513, scale * model.delta)
+                )
 
     def test_validates_each_model_once(self, grid512, monkeypatch):
         # The session model is validated already; a fresh one shows the call.
@@ -162,7 +164,7 @@ class TestPicard:
         # synthetic diverging map: iterates with geometrically growing gaps
         state = {"k": 0}
 
-        def fake_F(model_, brho, mu, G, grid, zeta, errors=None):
+        def fake_F(model_, brho, mu, G, grid, zeta):
             state["k"] += 1
             return np.full(np.shape(zeta), 1e-7 * 3.0 ** state["k"])
 

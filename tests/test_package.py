@@ -45,12 +45,12 @@ def test_signatures_are_pinned():
         "GeometryProfile": "f fprime lam y moment2",
         "moment_integral": "grid values p",
         "apply_L_inverse": "grid eta",
-        "reconstruct_geometry": "grid zeta errors=",
+        "reconstruct_geometry": "grid zeta",
         "y_at_boundary": "grid zeta",
         "ParameterBox": "G mu0 brho_plus",
         "build_parameter_box": "model G",
         "PicardDiagnostics": "iterations= updates= ratios=",
-        "apply_F": "model brho mu G grid zeta errors=",
+        "apply_F": "model brho mu G grid zeta",
         "picard_solve": "model brho mu G grid tol= zeta0=",
         "MismatchResult": "value zeta diagnostics",
         "SolutionProfile": "model mu brho0 G grid zeta f fprime lam y boundary_residual "
@@ -65,7 +65,7 @@ def test_signatures_are_pinned():
         "MotionSnapshot": "t q qdot phi u rho mass",
         "classify": "mu qdot0",
         "evolve_q": "mu qdot0 t_end dt",
-        "collapse_time": "mu qdot0 thresholds=",
+        "collapse_time": "mu qdot0",
         "assemble_motion": "profile temporal t",
         "ResidualReport": "residual_separated residual_reformulation equivalence_gap "
                           "boundary_residual grid_n stencil_order=",

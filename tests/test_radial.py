@@ -4,7 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from operator_oracles import apply_L
 
+from gravelast.constitutive import make_builtin_model
 from gravelast.errors import DegenerateGeometry
+from gravelast.fixed_point import apply_F
+from gravelast.parameters import build_parameter_box
 from gravelast.radial import (
     RadialGrid,
     apply_L_inverse,
@@ -219,6 +222,40 @@ class TestReconstruction:
         z[3] = np.nan
         with pytest.raises(ValueError):
             reconstruct_geometry(g, z)
+
+
+
+def ball_stack(n, delta, rng):
+    """404 curvature densities with ||z|| <= delta: z = +-delta, the two
+    alternating-sign profiles, 200 uniform draws and 200 sign draws."""
+    alternating = np.where(np.arange(n + 1) % 2 == 0, delta, -delta)
+    return np.vstack([
+        np.full((1, n + 1), delta), np.full((1, n + 1), -delta), alternating, -alternating,
+        rng.uniform(-delta, delta, (200, n + 1)),
+        delta * rng.choice([-1.0, 1.0], (200, n + 1)),
+    ])
+
+
+@pytest.mark.parametrize("n", [16, 64, 512])
+@pytest.mark.parametrize("kappa", [3060.0, 3100.0, 20000.0])
+def test_picard_ball_keeps_geometry_and_window(kappa, n):
+    # On ||z|| <= delta: f' >= 1 - 4 delta/3, lambda >= 1 - 5 delta/3 and
+    # |y - 1| <= delta/(3 (1 - 5 delta/3)) < delta, so apply_F never raises there.
+    model = make_builtin_model(kappa)
+    box = build_parameter_box(model, 1.0)
+    delta = model.delta
+    rng = np.random.default_rng(int(kappa) + n)
+    grid = RadialGrid(n)
+    zeta = ball_stack(n, delta, rng)
+    geo = reconstruct_geometry(grid, zeta)
+    assert geo.fprime.min() >= 1 - 4 * delta / 3
+    assert geo.lam.min() >= 1 - 5 * delta / 3
+    strain = np.abs(geo.y - 1).max()
+    assert strain <= delta / (3 * (1 - 5 * delta / 3)) < delta
+    assert strain >= delta / 3 * (1 - 1e-12)  # z = delta reaches delta/3 at R = 1
+    mus = rng.uniform(-box.mu0, box.mu0, len(zeta))
+    brhos = [rng.uniform(box.brho_lower(mu), box.brho_plus) for mu in mus]
+    assert np.isfinite(apply_F(model, brhos, mus, 1.0, grid, zeta)).all()
 
 
 class TestBoundaryValue:

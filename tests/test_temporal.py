@@ -10,6 +10,7 @@ from kepler_oracles import mp_amplitude, mp_anomaly, rk4_amplitude
 from gravelast import temporal as temporal_mod
 from gravelast.errors import KeplerNotConverged, NotCollapsing, OutOfRange
 from gravelast.temporal import (
+    COLLAPSE_THRESHOLDS,
     REGIME_COLLAPSING,
     REGIME_LINEAR,
     REGIME_SELF_SIMILAR,
@@ -26,6 +27,18 @@ EPS = np.finfo(float).eps
 # (mu, qdot0) of scripts/bench.py's evolve_q orbits: bound, repulsive, outward
 # and inward unbound
 BENCH_ORBITS = [(-0.001, 0.01), (0.001, 0.1), (-0.001, 0.3), (-0.001, -0.3)]
+
+
+def passages(mu, qdot0, thresholds):
+    """(T, passage time per eps, local exponent per eps) at any thresholds, by
+    collapse_time's closed forms on temporal._orbit; collapse_time itself
+    reports COLLAPSE_THRESHOLDS only."""
+    orbit = temporal_mod._orbit(mu, qdot0)
+    eps = np.array(thresholds)
+    big_t, to_go = orbit.to_collapse(eps)
+    local = to_go * np.sqrt(2.0 * (orbit.e - mu / eps)) / eps
+    return (float(big_t), dict(zip(thresholds, (big_t - to_go).tolist())),
+            dict(zip(thresholds, local.tolist())))
 
 
 class TestClassify:
@@ -318,12 +331,12 @@ class TestCollapseTime:
         # A = |mu|/(2 e_eff) = 4e-3: at q = 1e-4 the local exponent is not
         # yet 2/3, far below A it is; the asymptotic law is exact either way.
         coarse = collapse_time(-0.001, -0.5)
-        fine = collapse_time(-0.001, -0.5, thresholds=(1e-6, 1e-7, 1e-8))
-        assert fine.time == coarse.time
-        assert coarse.exponent == fine.exponent == 2.0 / 3.0
+        fine_time, _, fine_local = passages(-0.001, -0.5, (1e-6, 1e-7, 1e-8))
+        assert fine_time == coarse.time
+        assert coarse.exponent == 2.0 / 3.0
         assert coarse.prefactor == 0.0045 ** (1.0 / 3.0)
         assert coarse.local_exponents[1e-4] == pytest.approx(0.6683083809, rel=1e-10)
-        assert abs(fine.local_exponents[1e-8] - 2.0 / 3.0) <= 1e-6
+        assert abs(fine_local[1e-8] - 2.0 / 3.0) <= 1e-6
         local = [coarse.local_exponents[e] for e in (1e-2, 1e-3, 1e-4)]
         assert local[0] > local[1] > local[2] > 2.0 / 3.0
 
@@ -336,20 +349,17 @@ class TestCollapseTime:
         ],
     )
     def test_local_exponents_match_mpmath(self, mu, qdot0):
-        # (T - t)|qdot|/q of the 50-digit orbit at each reported passage time
-        thresholds = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
-        est = collapse_time(mu, qdot0, thresholds)
-        for eps in thresholds:
-            t = est.threshold_times[eps]
-            q, qd, big_t = mp_amplitude(mu, qdot0, t)
-            exact = float((big_t - t) * abs(qd) / q)
-            assert est.local_exponents[eps] == pytest.approx(exact, rel=1e-11)
-
-    def test_thresholds_must_lie_below_one(self):
-        with pytest.raises(ValueError):
-            collapse_time(-0.001, 0.0, thresholds=(2.0, 1e-3))
-        with pytest.raises(ValueError):
-            collapse_time(-0.001, 0.0, thresholds=(1e-2, 0.0))
+        # (T - t)|qdot|/q of the 50-digit orbit at each passage time, down to
+        # q = 1e-6; collapse_time reports the first three exactly so
+        est = collapse_time(mu, qdot0)
+        big_t, times, local = passages(mu, qdot0, (1e-2, 1e-3, 1e-4, 1e-5, 1e-6))
+        assert est.time == big_t and tuple(est.threshold_times) == COLLAPSE_THRESHOLDS
+        assert est.threshold_times == {eps: times[eps] for eps in COLLAPSE_THRESHOLDS}
+        assert est.local_exponents == {eps: local[eps] for eps in COLLAPSE_THRESHOLDS}
+        for eps, t in times.items():
+            q, qd, mp_big_t = mp_amplitude(mu, qdot0, t)
+            exact = float((mp_big_t - t) * abs(qd) / q)
+            assert local[eps] == pytest.approx(exact, rel=1e-11)
 
     def test_not_collapsing(self):
         with pytest.raises(NotCollapsing):
@@ -477,10 +487,11 @@ class TestClosedForm:
          if classify(m, v) == REGIME_COLLAPSING and (v <= 0 or abs(e_effective(m, v)) > 1e-9)],
     )
     def test_collapse_matches_mpmath(self, mu, qdot0):
-        est = collapse_time(mu, qdot0, thresholds=(1e-1, 1e-2, 1e-3, 1e-4, 1e-5))
+        est = collapse_time(mu, qdot0)
         big_t = mp_amplitude(mu, qdot0, 0.0)[2]
         assert abs(est.time - big_t) <= 1e-12 * big_t
-        for t in est.threshold_times.values():
+        _, times, _ = passages(mu, qdot0, (1e-1, 1e-2, 1e-3, 1e-4, 1e-5))
+        for t in times.values():
             q_ref, qd_ref, _ = mp_amplitude(mu, qdot0, t)
             q, qd = _amplitude(mu, qdot0, t)
             # near collapse q is ill-conditioned in t: t qdot/q reaches ~1e7
