@@ -2,19 +2,20 @@
 
 The material enters the radial problem only through a function g of the
 strain ratio y = (radial stretch)/(tangential stretch), normalized so that
-g(1) = 1 and g'(1) = -1/3.  Everything the solver consumes downstream
-(h, E, U, the admissible strain radius delta) derives from g and its first
-three derivatives.
+g(1) = 1 and g'(1) = -1/3.  The model supplies g, g', g'', g''' and
+E(y) = (h(y) - h(1))/(y - 1) - h'(y) with h = 3 y g' + g; the solver
+derives U = 2(y - 1) + E/g'' and the strain radius delta = 10/g''(1).
 
 The built-in family is
 
     g(y) = y**(-1/3) + (kappa/2) * (y - 1)**2
 
-which satisfies both normalizations identically for every stiffness
-kappa >= 0; kappa = 0 is the mass-critical-gas special case and fails the
-largeness condition.  The raw condition holds from kappa ~ 3023; with the
-1% margin charged against the sampled sup of |g'''|, validation passes
-from kappa ~ 3053 (default 3100).
+for which h = kappa (y - 1)(3y + (y - 1)/2), so E(y) = -(7 kappa/2)(y - 1)
+exactly.  The family satisfies both normalizations identically for every
+stiffness kappa >= 0; kappa = 0 is the mass-critical-gas special case and
+fails the largeness condition.  The raw condition holds from kappa ~ 3023;
+with the 1% margin charged against the sampled sup of |g'''|, validation
+passes from kappa ~ 3053 (default 3100).
 """
 
 from __future__ import annotations
@@ -31,14 +32,6 @@ from .errors import DomainExit, HypothesisFailed, NormalizationViolated
 FOUR_PI_3 = 4.0 * math.pi / 3.0
 EIGHT_PI_3 = 8.0 * math.pi / 3.0
 
-# Switch point of the series branch of E; below this the raw difference
-# quotient loses too many digits to cancellation.
-EPS_E = 1e-4
-
-# Step for the one finite difference we allow ourselves (g'''' of a C3
-# model, needed only for the quadratic term of the E series).
-FD_STEP = 1e-4
-
 NORMALIZATION_TOL = 1e-9
 NORMALIZATION_FLAG_TOL = 1e-12
 SUP_SAMPLES = 10_001
@@ -46,54 +39,15 @@ SUP_SAMPLES = 10_001
 
 @dataclass(frozen=True)
 class ConstitutiveModel:
-    """Evaluators for g and its first three derivatives on y > 0."""
+    """Evaluators for g, its first three derivatives and E on y > 0."""
 
     g: Callable
     dg: Callable
     d2g: Callable
     d3g: Callable
+    E: Callable
     family: str
     kappa: float | None = None
-
-    # -- derived scalar functions ------------------------------------
-
-    def h(self, y):
-        """h(y) = 3 y g'(y) + g(y); vanishes at y = 1 for normalized models."""
-        return 3.0 * y * self.dg(y) + self.g(y)
-
-    def d2h(self, y):
-        return 7.0 * self.d2g(y) + 3.0 * y * self.d3g(y)
-
-    def d3h(self, y):
-        # g'''' by central difference: the model is only assumed C3.
-        d4g = (self.d3g(y + FD_STEP) - self.d3g(y - FD_STEP)) / (2.0 * FD_STEP)
-        return 10.0 * self.d3g(y) + 3.0 * y * d4g
-
-    def strain_terms(self, y):
-        """(g''(y), E(y)), E(y) = (h(y) - h(1))/(y - 1) - h'(y).
-
-        Inside |y - 1| < EPS_E, where a solved profile has nearly all its
-        nodes, E is the series in t = y - 1 and reads only the constants at
-        y = 1. g and g' are evaluated, and the raw quotient formed, only at
-        the nodes outside it; g'' once at every node.
-        """
-        y = np.asarray(y, dtype=float)
-        d2g = self.d2g(y)
-        t = y - 1.0
-        h1, d2h1, d3h1 = self._h_at_1
-        big_e = np.asarray(-0.5 * d2h1 * t - d3h1 * t**2 / 3.0)
-        far = np.abs(t) >= EPS_E
-        if far.any():
-            yf, tf = y[far], t[far]
-            dg = self.dg(yf)
-            big_e[far] = (3.0 * yf * dg + self.g(yf) - h1) / tf - (4.0 * dg + 3.0 * yf * d2g[far])
-        return d2g, big_e
-
-    @cached_property
-    def _h_at_1(self) -> tuple[float, float, float]:
-        """h and its second and third derivatives at y = 1, the constants of
-        E; evaluated once per model."""
-        return self.h(1.0), self.d2h(1.0), self.d3h(1.0)
 
     def U(self, y):
         """U(y) = 2(y - 1) + E(y)/g''(y) on the window |y - 1| <= delta."""
@@ -102,8 +56,7 @@ class ConstitutiveModel:
             raise DomainExit(
                 f"strain ratio left the window |y-1| <= {self.delta:.3e}"
             )
-        d2g, big_e = self.strain_terms(y)
-        out = 2.0 * (y - 1.0) + big_e / d2g
+        out = 2.0 * (y - 1.0) + self.E(y) / self.d2g(y)
         return out if out.ndim else float(out)
 
     @cached_property
@@ -158,7 +111,10 @@ def make_builtin_model(kappa: float) -> ConstitutiveModel:
     def d3g(y):
         return -(28.0 / 27.0) * y ** (-10.0 / 3.0)
 
-    return ConstitutiveModel(g=g, dg=dg, d2g=d2g, d3g=d3g, family="builtin", kappa=kappa)
+    def E(y):
+        return -3.5 * kappa * (y - 1.0)
+
+    return ConstitutiveModel(g=g, dg=dg, d2g=d2g, d3g=d3g, E=E, family="builtin", kappa=kappa)
 
 
 def validate_model(model: ConstitutiveModel) -> ValidationReport:

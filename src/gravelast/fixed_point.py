@@ -72,9 +72,10 @@ def apply_F(
             f"strain ratio left the window |y-1| <= {delta:.3e} "
             f"(brho={brho.flat[row]:.6g}, mu={mu.flat[row]:.6g})"
         )
-    d2g, big_e = model.strain_terms(geo.y)
+    d2g = model.d2g(geo.y)
     out = V(brho, mu, G, geo.lam) / d2g
-    u = 2.0 * (geo.y[..., 1:] - 1.0) + big_e[..., 1:] / d2g[..., 1:]  # U(y), window checked above
+    y = geo.y[..., 1:]
+    u = 2.0 * (y - 1.0) + model.E(y) / d2g[..., 1:]  # U(y), window checked above
     out[..., 1:] -= geo.moment2[..., 1:] / grid.interior_powers[3] * u
     return out
 

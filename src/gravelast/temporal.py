@@ -17,8 +17,8 @@ over the samples and safeguarded by a bracket. Newton starts from a closed
 form of the root per branch, a fitted polynomial in a smooth function of the
 clock, or a short fixed-point refinement at large clocks, within 1e-5
 relative of the root. Convergence is quadratic, so a sample stops after its
-first Newton step of at most STOP_REL = 1e-8 relative, two steps from the
-starter, and a residual check certifies every returned anomaly to
+first Newton step of at most STOP_REL = 1e-8 times min(x, 1), two steps
+from the starter, and a residual check certifies every returned anomaly to
 KEPLER_RTOL. Each sample stops iterating on its own, so its value does not
 depend on the other samples evaluated with it.
 evolve_q evaluates its samples in blocks of SAMPLE_BLOCK and evaluates none
@@ -51,8 +51,9 @@ Q_MIN_STOP = 1e-6  # evolve_q stops before the first sample with q below this
 COLLAPSE_THRESHOLDS = (1e-2, 1e-3, 1e-4)  # the q = eps passages collapse_time reports
 NEWTON_MAX_ITER = 60  # Newton needs two steps from a starter; the cap bounds bisection
 KEPLER_RTOL = 1e-12
-# A sample stops after a Newton step that moves it by at most this, relative:
-# convergence is quadratic, so its error is then of order STOP_REL**2.
+# A sample stops after a Newton step of at most this times min(x, 1): q's
+# relative error follows x's absolute error on the sinh and cosh branches,
+# and convergence is quadratic, so both are then of order STOP_REL**2.
 STOP_REL = 1e-8
 # Below this anomaly x - sin x and sinh x - x are summed from their Taylor
 # series: the direct differences lose every digit as x -> 0 (near-parabolic
@@ -235,7 +236,7 @@ def _kepler_invert(S, dS, y: np.ndarray, hi: np.ndarray, x0: np.ndarray) -> np.n
     Newton's method starts from x0, a starter that reads only the sample's y,
     clipped into the bracket [0, hi]; a step that leaves the bracket bisects
     it instead. Each sample stops on its own, after the first Newton step
-    that moves it by at most STOP_REL relative, or at S(x) = y exactly; a
+    that moves it by at most STOP_REL min(x, 1), or at S(x) = y exactly; a
     bisection never stops a sample. Only samples still moving are iterated,
     so a sample's x depends on nothing but its own y, hi and x0, whatever
     other samples are passed with it. From the starters' 1e-5, quadratic
@@ -256,7 +257,7 @@ def _kepler_invert(S, dS, y: np.ndarray, hi: np.ndarray, x0: np.ndarray) -> np.n
             x_new = x - f / dS(x)
             newton = (x_new >= lo) & (x_new <= hi)
             x_new = np.where(newton, x_new, 0.5 * (lo + hi))
-            done = (newton & (np.abs(x_new - x) <= STOP_REL * x_new)) | (f == 0)
+            done = (newton & (np.abs(x_new - x) <= STOP_REL * np.minimum(x_new, 1.0))) | (f == 0)
             x = x_new
             if done.all():
                 break

@@ -18,7 +18,7 @@ the exact algebraic identity
 
     (separated defect) = R g''(y) * (reformulated defect)
 
-so their discrepancy measures the h/E/U bookkeeping and floating-point
+so their discrepancy measures the E/U bookkeeping and floating-point
 noise, never discretization.  Both forms have removable 1/R structure at
 the origin; sup norms exclude nodes R < 2h.
 """
@@ -72,7 +72,7 @@ def _residual_arrays(profile: SolutionProfile) -> tuple[np.ndarray, np.ndarray, 
     fpp = _derivative_stencil(fprime_dev, grid.h)[1:]
     e = m2[1:] / (lam * r)
 
-    gpp, big_e = profile.model.strain_terms(y)
+    gpp, big_e = profile.model.d2g(y), profile.model.E(y)
     if np.any(gpp <= 0.0):
         raise NonconvexModel("g'' <= 0 along the profile")
 

@@ -5,16 +5,17 @@ inverts, assembled from the same moment quadrature, so a round trip checks
 `apply_L_inverse` against a second formula. `lipschitz_probe` estimates the
 contraction factor of the real composition Linv F on random pairs, and
 `check_derivatives` compares a model's analytic g', g'', g''' with central
-differences of the next lower derivative. `strain_terms_both_branches`
-forms both branches of E at every node and picks one per node: the
-reference for `ConstitutiveModel.strain_terms`, which forms the raw
-quotient only outside the series branch. `K` is the gravity-vs-eigenvalue
-scale that the box conditions and the contraction bounds are stated in.
+differences of the next lower derivative. `E_mpmath` forms E from its
+definition, h = 3 y g' + g of the built-in g at 50 digits: the reference
+for the closed form `make_builtin_model` supplies. `K` is the
+gravity-vs-eigenvalue scale that the box conditions and the contraction
+bounds are stated in.
 """
 
+import mpmath as mp
 import numpy as np
 
-from gravelast.constitutive import EPS_E, FOUR_PI_3, ConstitutiveModel
+from gravelast.constitutive import FOUR_PI_3, ConstitutiveModel
 from gravelast.fixed_point import apply_F
 from gravelast.parameters import build_parameter_box
 from gravelast.radial import RadialGrid, apply_L_inverse, moment_integral
@@ -84,20 +85,26 @@ def check_derivatives(model: ConstitutiveModel) -> dict[str, float]:
     return out
 
 
-def strain_terms_both_branches(model: ConstitutiveModel, y):
-    """(g''(y), E(y)) with g, g', g'', the raw quotient and the series of E
-    evaluated at every node, and np.where choosing the series inside
-    |y - 1| < EPS_E."""
-    y = np.asarray(y, dtype=float)
-    g, dg, d2g = model.g(y), model.dg(y), model.d2g(y)
-    t = y - 1.0
-    near = np.abs(t) < EPS_E
-    # Guard the quotient where it is not used.
-    t_safe = np.where(near, 1.0, t)
-    h1, d2h1, d3h1 = model.h(1.0), model.d2h(1.0), model.d3h(1.0)
-    raw = (3.0 * y * dg + g - h1) / t_safe - (4.0 * dg + 3.0 * y * d2g)
-    series = -0.5 * d2h1 * t - d3h1 * t**2 / 3.0
-    return d2g, np.where(near, series, raw)
+def E_mpmath(kappa: float, y: float, dps: int = 50) -> mp.mpf:
+    """E(y) = (h(y) - h(1))/(y - 1) - h'(y) of the built-in family
+    g = y**(-1/3) + (kappa/2)(y - 1)**2, with h = 3 y g' + g and
+    h' = 4 g' + 3 y g'' evaluated at dps digits; y != 1."""
+    with mp.workdps(dps):
+        k, y, one = mp.mpf(kappa), mp.mpf(y), mp.mpf(1)
+
+        def g(v):
+            return v ** (-one / 3) + k / 2 * (v - 1) ** 2
+
+        def dg(v):
+            return -v ** (-4 * one / 3) / 3 + k * (v - 1)
+
+        def d2g(v):
+            return 4 * v ** (-7 * one / 3) / 9 + k
+
+        def h(v):
+            return 3 * v * dg(v) + g(v)
+
+        return (h(y) - h(one)) / (y - 1) - (4 * dg(y) + 3 * y * d2g(y))
 
 
 def K(brho: float, mu: float, G: float) -> float:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gravelast.constitutive import (
-    EPS_E,
     ConstitutiveModel,
     V,
     ensure_validated,
@@ -14,7 +14,7 @@ from gravelast.constitutive import (
     validate_model,
 )
 from gravelast.errors import DomainExit, HypothesisFailed, NormalizationViolated
-from operator_oracles import K, strain_terms_both_branches
+from operator_oracles import E_mpmath, K
 
 FOUR_PI_3 = 4 * math.pi / 3
 EIGHT_PI_3 = 8 * math.pi / 3
@@ -88,7 +88,7 @@ class TestValidation:
         base = make_builtin_model(3100.0)
         shifted = ConstitutiveModel(
             g=lambda y: base.g(y) + 1e-10, dg=base.dg, d2g=base.d2g, d3g=base.d3g,
-            family="shifted",
+            E=base.E, family="shifted",
         )
         rep = validate_model(shifted)
         assert not rep.normalization_ok and rep.margin_ok
@@ -106,94 +106,67 @@ class TestValidation:
         base = make_builtin_model(3100.0)
         bad = ConstitutiveModel(
             g=lambda y: 2.0 * base.g(y), dg=base.dg, d2g=base.d2g, d3g=base.d3g,
-            family="broken",
+            E=base.E, family="broken",
         )
         with pytest.raises(NormalizationViolated):
             validate_model(bad)
 
 
+def _E_error(model, kappa, ys):
+    """Largest relative error of model.E against the 50-digit definition."""
+    return max(float(abs(model.E(y) / E_mpmath(kappa, y) - 1)) for y in ys)
+
+
+def _E_points(model):
+    """1 +- delta, 1 +- 1e-12, 1 - 1e-9 and the window between."""
+    d = model.delta
+    window = np.linspace(1.0 - d, 1.0 + d, 41)
+    return [1.0 - d, 1.0 + d, 1.0 - 1e-12, 1.0 + 1e-12, 1.0 - 1e-9] + [
+        float(y) for y in window if y != 1.0
+    ]
+
+
 class TestScalarFunctions:
-    def test_h_vanishes_at_1(self):
-        m = make_builtin_model(3100.0)
-        assert m.h(1.0) == 0.0
-
-    def test_h_gas_case_identically_zero(self):
-        m = make_builtin_model(0.0)
-        for y in (0.5, 1.5, 2.0):
-            assert abs(m.h(y)) <= 1e-15
-
-    def test_h_builtin_closed_form(self):
-        # h(y) = kappa (y-1)(3y + (y-1)/2) for the built-in family
-        m = make_builtin_model(3100.0)
-        assert m.h(2.0) == pytest.approx(20150.0, rel=1e-12)
-
     def test_E_at_1(self):
-        m = make_builtin_model(3100.0)
-        assert m.strain_terms(1.0)[1] == 0.0
+        for kappa in (0.0, 3100.0, 20000.0):
+            assert make_builtin_model(kappa).E(1.0) == 0.0
 
     def test_E_gas_case_zero(self):
+        # h vanishes identically for kappa = 0, so E does too: an absolute
+        # bound, since the relative error of a zero means nothing
         m = make_builtin_model(0.0)
-        assert abs(m.strain_terms(1.3)[1]) <= 1e-12
+        for y in (0.5, 1.0 - 1e-9, 1.0 - 1e-12, 1.0 + 1e-12, 1.3, 2.0):
+            assert m.E(y) == 0.0
+            assert abs(E_mpmath(0.0, y)) <= 1e-30
+
+    @pytest.mark.parametrize("kappa", [3100.0, 20000.0])
+    def test_E_matches_mpmath(self, kappa):
+        m = make_builtin_model(kappa)
+        assert _E_error(m, kappa, _E_points(m)) <= 1e-15
+        stack = np.array(_E_points(m)[:4]).reshape(2, 2)
+        assert np.array_equal(m.E(stack), [[m.E(y) for y in row] for row in stack])
+
+    @pytest.mark.parametrize(
+        "wrong", [lambda k, y: 3.5 * k * (y - 1.0), lambda k, y: -3.0 * k * (y - 1.0)],
+        ids=["sign", "3kappa"],
+    )
+    def test_E_check_rejects_wrong_closed_forms(self, wrong):
+        base = make_builtin_model(3100.0)
+        bad = dataclasses.replace(base, E=lambda y: wrong(3100.0, y))
+        assert _E_error(bad, 3100.0, _E_points(bad)) > 1e-15
 
     def test_E_matches_extended_precision_quotient(self):
         m = make_builtin_model(3100.0)
         y = np.longdouble(1.001)
         h1 = 3 * y * m.dg(y) + m.g(y)
         raw = (h1 - 0) / (y - 1) - (4 * m.dg(y) + 3 * y * m.d2g(y))
-        assert m.strain_terms(1.001)[1] == pytest.approx(float(raw), rel=1e-8)
-
-    def test_E_continuous_across_switch(self):
-        m = make_builtin_model(3100.0)
-        tol = 1e-8 * (1.0 + abs(m.d2h(1.0)))
-        for y in (1.0 + EPS_E * (1 - 1e-3), 1.0 - EPS_E * (1 + 1e-3)):
-            t = y - 1.0
-            series = -0.5 * m.d2h(1.0) * t - m.d3h(1.0) * t**2 / 3.0
-            assert abs(m.strain_terms(y)[1] - series) <= tol
+        assert m.E(1.001) == pytest.approx(float(raw), rel=1e-8)
 
     def test_E_builtin_closed_form(self):
         # E(y) = -(7 kappa / 2)(y - 1) exactly for the built-in family
         m = make_builtin_model(3100.0)
         for y in (0.9, 1.0005, 1.2):
-            assert m.strain_terms(y)[1] == pytest.approx(-3.5 * 3100.0 * (y - 1.0), rel=1e-9)
-
-    @pytest.mark.parametrize("kappa", [3100.0, 20000.0])
-    def test_strain_terms_equal_both_branch_reference(self, kappa):
-        m = make_builtin_model(kappa)
-        # No float y has |y - 1| == EPS_E; take y = 1 +- EPS_E and the floats
-        # beside them, which put the switch between two neighbours on each side.
-        edge = [np.nextafter(y, [0.0, 2.0]) for y in (1.0 - EPS_E, 1.0 + EPS_E)]
-        edge = np.concatenate([[y[0], 1.0 + s * EPS_E, y[1]] for y, s in zip(edge, (-1, 1))])
-        assert list(np.abs(edge - 1.0) < EPS_E) == [False, True, True, True, True, False]
-        y = np.concatenate([np.linspace(1.0 - 2 * EPS_E, 1.0 + 2 * EPS_E, 47), [1.0], edge])
-        stack = y.reshape(2, -1)
-        for y in (stack, 1.0 + 0.5 * EPS_E, 1.0 + 3 * EPS_E):
-            d2g, big_e = m.strain_terms(y)
-            ref_d2g, ref_e = strain_terms_both_branches(m, y)
-            assert np.array_equal(d2g, ref_d2g) and np.array_equal(big_e, ref_e)
-            assert np.shape(big_e) == np.shape(y)
-
-    def test_g_and_dg_only_off_the_series(self):
-        base = make_builtin_model(3100.0)
-        sizes = {"g": [], "dg": []}
-
-        def recording(name):
-            def fn(y):
-                sizes[name].append(np.size(y))
-                return getattr(base, name)(y)
-            return fn
-
-        m = ConstitutiveModel(g=recording("g"), dg=recording("dg"), d2g=base.d2g,
-                              d3g=base.d3g, family="recording")
-        m.strain_terms(1.0)  # caches h and its derivatives at y = 1
-        for calls in sizes.values():
-            calls.clear()
-        near = 1.0 + np.linspace(-0.9, 0.9, 12).reshape(3, 4) * EPS_E
-        m.strain_terms(near)
-        assert sizes == {"g": [], "dg": []}
-        mixed = near.copy()
-        mixed[0, 0], mixed[2, 1], mixed[1, 3] = 1.0 + 2 * EPS_E, 1.1, 1.0 - 2 * EPS_E
-        m.strain_terms(mixed)
-        assert sizes == {"g": [3], "dg": [3]}
+            assert m.E(y) == pytest.approx(-3.5 * 3100.0 * (y - 1.0), rel=1e-9)
 
     def test_U_at_1(self):
         m = make_builtin_model(3100.0)
@@ -302,7 +275,7 @@ class TestDelta:
         base = make_builtin_model(3100.0)
         synthetic = ConstitutiveModel(
             g=base.g, dg=base.dg, d2g=lambda y: 100.0 + 0.0 * y, d3g=base.d3g,
-            family="synthetic",
+            E=base.E, family="synthetic",
         )
         assert synthetic.delta == pytest.approx(0.1, abs=1e-15)
 
@@ -313,5 +286,5 @@ def test_normalization_holds_for_every_kappa(kappa, y):
     m = make_builtin_model(kappa)
     assert m.g(1.0) == 1.0
     assert m.dg(1.0) == -1.0 / 3.0
-    assert m.h(1.0) == 0.0
+    assert m.E(1.0) == 0.0
     assert np.isfinite(m.g(y)) and np.isfinite(m.d3g(y))

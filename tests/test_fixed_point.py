@@ -50,12 +50,14 @@ class TestApplyF:
             fn = getattr(model, name)
             return lambda y: counts.update([name]) or fn(y)
 
-        spied = dataclasses.replace(model, **{n: counted(n) for n in ("g", "dg", "d2g")})
+        names = ("g", "dg", "d2g", "E")
+        spied = dataclasses.replace(model, **{n: counted(n) for n in names})
         zeta, _ = picard_solve(model, 1.8, 0.0, 1.0, grid512)
-        apply_F(spied, 1.8, 0.0, 1.0, grid512, zeta)  # fills the per-model constants
+        apply_F(spied, 1.8, 0.0, 1.0, grid512, zeta)
+        assert counts == {"d2g": 2, "E": 1}  # one more d2g caches delta = 10/g''(1)
         counts.clear()
         apply_F(spied, 1.8, 0.0, 1.0, grid512, zeta)
-        assert counts == {"g": 1, "dg": 1, "d2g": 1}
+        assert counts == {"d2g": 1, "E": 1}
 
     @pytest.mark.parametrize("mu_frac", [-0.5, 0.0, 0.5])
     def test_equals_assembly_from_public_pieces(self, model, box, grid512, mu_frac):

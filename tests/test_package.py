@@ -36,7 +36,7 @@ def test_signatures_are_pinned():
         for name in gravelast.__all__ if callable(obj := getattr(gravelast, name))
     }
     assert signatures == {
-        "ConstitutiveModel": "g dg d2g d3g family kappa=",
+        "ConstitutiveModel": "g dg d2g d3g E family kappa=",
         "ValidationReport": "normalization_ok largeness_ok margin_ok g2_at_1 sup_d3g threshold",
         "make_builtin_model": "kappa",
         "validate_model": "model",

@@ -500,6 +500,15 @@ class TestClosedForm:
             assert abs(q - q_ref) <= rel * q_ref
             assert abs(qd - qd_ref) <= rel * abs(qd_ref)
 
+    def test_long_unbound_orbit_to_full_accuracy(self):
+        # q is about x times as sensitive as the sinh branch's anomaly x (6.7
+        # at t = 19): a Newton stop relative to x alone left 2.4e-15 here
+        mu, qdot0 = -1.129e-3, 0.290
+        times = np.linspace(0.5, 40.0, 200)
+        q, _ = _amplitude(mu, qdot0, times)
+        worst = max(float(abs(qv / mp_amplitude(mu, qdot0, t)[0] - 1)) for t, qv in zip(times, q))
+        assert worst <= 1e-15
+
     @pytest.mark.parametrize("e_eff", [-1e-13, -1e-10])
     def test_long_bound_orbit_collapse_time(self, e_eff):
         # outward near-parabolic: T ~ |e_eff|**-1.5 needs e_eff to a few ulps

@@ -84,7 +84,7 @@ class TestEquivalence:
         base = make_builtin_model(3100.0)
         bent = ConstitutiveModel(
             g=base.g, dg=base.dg,
-            d2g=lambda y: -1.0 + 0.0 * y, d3g=base.d3g, family="bent",
+            d2g=lambda y: -1.0 + 0.0 * y, d3g=base.d3g, E=base.E, family="bent",
         )
         probe = reference_profile(brho=1.0)
         probe = dataclasses.replace(probe, model=bent)
@@ -105,6 +105,7 @@ class TestCheckDerivatives:
             dg=lambda y: 0.0 * y,
             d2g=lambda y: 0.0 * y,
             d3g=lambda y: 0.0 * y,
+            E=lambda y: 0.0 * y,
             family="flat",
         )
         assert check_derivatives(flat)["dg"] == 0.0
