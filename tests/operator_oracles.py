@@ -6,8 +6,9 @@ inverts, assembled from the same moment quadrature, so a round trip checks
 contraction factor of the real composition Linv F on random pairs, and
 `check_derivatives` compares a model's analytic g', g'', g''' with central
 differences of the next lower derivative. `E_mpmath` forms E from its
-definition, h = 3 y g' + g of the built-in g at 50 digits: the reference
-for the closed form `make_builtin_model` supplies. `K` is the
+definition, h = 3 y g' + g of the built-in g at 50 digits, and
+`E_series_mpmath` from its series about y = 1: the references for the
+closed form `make_builtin_model` supplies. `K` is the
 gravity-vs-eigenvalue scale that the box conditions and the contraction
 bounds are stated in.
 """
@@ -85,26 +86,47 @@ def check_derivatives(model: ConstitutiveModel) -> dict[str, float]:
     return out
 
 
+def _builtin_h_mp(k):
+    """h = 3 v g' + g and h' = 4 g' + 3 v g'' of the built-in family with
+    stiffness k, in the working mpmath precision."""
+    one = mp.mpf(1)
+
+    def g(v):
+        return v ** (-one / 3) + k / 2 * (v - 1) ** 2
+
+    def dg(v):
+        return -v ** (-4 * one / 3) / 3 + k * (v - 1)
+
+    def d2g(v):
+        return 4 * v ** (-7 * one / 3) / 9 + k
+
+    def h(v):
+        return 3 * v * dg(v) + g(v)
+
+    def dh(v):
+        return 4 * dg(v) + 3 * v * d2g(v)
+
+    return h, dh
+
+
 def E_mpmath(kappa: float, y: float, dps: int = 50) -> mp.mpf:
     """E(y) = (h(y) - h(1))/(y - 1) - h'(y) of the built-in family
     g = y**(-1/3) + (kappa/2)(y - 1)**2, with h = 3 y g' + g and
     h' = 4 g' + 3 y g'' evaluated at dps digits; y != 1."""
     with mp.workdps(dps):
-        k, y, one = mp.mpf(kappa), mp.mpf(y), mp.mpf(1)
+        y = mp.mpf(y)
+        h, dh = _builtin_h_mp(mp.mpf(kappa))
+        return (h(y) - h(mp.mpf(1))) / (y - 1) - dh(y)
 
-        def g(v):
-            return v ** (-one / 3) + k / 2 * (v - 1) ** 2
 
-        def dg(v):
-            return -v ** (-4 * one / 3) / 3 + k * (v - 1)
-
-        def d2g(v):
-            return 4 * v ** (-7 * one / 3) / 9 + k
-
-        def h(v):
-            return 3 * v * dg(v) + g(v)
-
-        return (h(y) - h(one)) / (y - 1) - (4 * dg(y) + 3 * y * d2g(y))
+def E_series_mpmath(kappa: float, y: float, dps: int = 50) -> mp.mpf:
+    """E(1 + t) = -h''(1) t/2 - h'''(1) t**2/3 of the built-in family at dps
+    digits, h'' and h''' by numerical differentiation; the higher terms of
+    the series vanish since h is a quadratic for this family."""
+    with mp.workdps(dps):
+        t = mp.mpf(y) - 1
+        h, _ = _builtin_h_mp(mp.mpf(kappa))
+        return -mp.diff(h, 1, 2) * t / 2 - mp.diff(h, 1, 3) * t**2 / 3
 
 
 def K(brho: float, mu: float, G: float) -> float:

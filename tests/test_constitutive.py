@@ -14,7 +14,7 @@ from gravelast.constitutive import (
     validate_model,
 )
 from gravelast.errors import DomainExit, HypothesisFailed, NormalizationViolated
-from operator_oracles import E_mpmath, K
+from operator_oracles import E_mpmath, E_series_mpmath, K
 
 FOUR_PI_3 = 4 * math.pi / 3
 EIGHT_PI_3 = 8 * math.pi / 3
@@ -117,6 +117,11 @@ def _E_error(model, kappa, ys):
     return max(float(abs(model.E(y) / E_mpmath(kappa, y) - 1)) for y in ys)
 
 
+def _h(model, y):
+    """h(y) = 3 y g'(y) + g(y), the function E is the divided difference of."""
+    return 3.0 * y * model.dg(y) + model.g(y)
+
+
 def _E_points(model):
     """1 +- delta, 1 +- 1e-12, 1 - 1e-9 and the window between."""
     d = model.delta
@@ -127,6 +132,20 @@ def _E_points(model):
 
 
 class TestScalarFunctions:
+    def test_h_vanishes_at_1(self):
+        m = make_builtin_model(3100.0)
+        assert _h(m, 1.0) == 0.0
+
+    def test_h_gas_case_identically_zero(self):
+        m = make_builtin_model(0.0)
+        for y in (0.5, 1.5, 2.0):
+            assert abs(_h(m, y)) <= 1e-15
+
+    def test_h_builtin_closed_form(self):
+        # h(y) = kappa (y-1)(3y + (y-1)/2) for the built-in family
+        m = make_builtin_model(3100.0)
+        assert _h(m, 2.0) == pytest.approx(20150.0, rel=1e-12)
+
     def test_E_at_1(self):
         for kappa in (0.0, 3100.0, 20000.0):
             assert make_builtin_model(kappa).E(1.0) == 0.0
@@ -167,6 +186,24 @@ class TestScalarFunctions:
         m = make_builtin_model(3100.0)
         for y in (0.9, 1.0005, 1.2):
             assert m.E(y) == pytest.approx(-3.5 * 3100.0 * (y - 1.0), rel=1e-9)
+
+    @pytest.mark.parametrize("kappa", [3100.0, 20000.0])
+    def test_strain_terms_equal_both_branch_reference(self, kappa):
+        # E on a stacked array against both branches of its definition at
+        # 50 digits, the divided-difference quotient and the series about
+        # y = 1, on a grid that straddles 1 and reaches 1 +- delta
+        m = make_builtin_model(kappa)
+        y = np.linspace(1.0 - 2e-4, 1.0 + 2e-4, 47)
+        stack = np.concatenate([y, [1.0 - m.delta, 1.0 + m.delta, 1.0]]).reshape(2, -1)
+        big_e = m.E(stack)
+        assert np.shape(big_e) == np.shape(stack)
+        for yi, ei in zip(stack.ravel(), big_e.ravel()):
+            series = E_series_mpmath(kappa, yi)
+            if yi == 1.0:
+                assert ei == 0.0 and series == 0
+                continue
+            for ref in (E_mpmath(kappa, yi), series):
+                assert abs(float(ei / ref - 1)) <= 1e-15
 
     def test_U_at_1(self):
         m = make_builtin_model(3100.0)
