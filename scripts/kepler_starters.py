@@ -48,7 +48,7 @@ class Branch(NamedTuple):
     upper: Callable
     y_of_v: Callable
     width: object  # the fitted range of w = v**2 is [0, width]
-    start: Callable  # temporal's y -> (hi, x0)
+    start: Callable  # temporal's y -> x0
     top: float  # the largest clock checked: pi, or 1e300 on the unbounded domains
     switch: float | None  # the clock past which the starter refines, not fits
 
@@ -133,7 +133,7 @@ def main(argv=None) -> int:
             print(f"{branch.const} = (\n" + "".join(f"    {c!r},\n" for c in coefs) + ")")
             continue
         y = clocks(branch, args.points)
-        err = max_rel_error(branch, y, branch.start(y)[1])
+        err = max_rel_error(branch, y, branch.start(y))
         same = coefs == tuple(getattr(temporal, branch.const))
         ok = same and err <= STARTER_RTOL
         failed |= not ok

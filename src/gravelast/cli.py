@@ -345,6 +345,8 @@ def cmd_evolve(args, argv) -> int:
         collapse = {"T": est.time, "exponent": est.exponent, "prefactor": est.prefactor,
                     "local_exponents": est.local_exponents}
     wall = time.perf_counter() - t0
+    # every snapshot before any file: a failing one leaves the output empty
+    snaps = [assemble_motion(profile, temporal, t_snap) for t_snap in args.snapshot_times]
 
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
@@ -354,8 +356,7 @@ def cmd_evolve(args, argv) -> int:
     )
     files = ["temporal.csv"]
     snapshots = {}
-    for idx, t_snap in enumerate(args.snapshot_times):
-        snap = assemble_motion(profile, temporal, t_snap)
+    for idx, snap in enumerate(snaps):
         name = f"snapshot_{idx:03d}.csv"
         write_csv(out / name, SNAPSHOT_UNITS, SNAPSHOT_COLUMNS,
                   (profile.grid.nodes, snap.phi, snap.u, snap.rho))

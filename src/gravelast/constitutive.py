@@ -34,6 +34,7 @@ EIGHT_PI_3 = 8.0 * math.pi / 3.0
 
 NORMALIZATION_TOL = 1e-9
 NORMALIZATION_FLAG_TOL = 1e-12
+E_RTOL = 1e-9
 SUP_SAMPLES = 10_001
 
 
@@ -124,7 +125,10 @@ def validate_model(model: ConstitutiveModel) -> ValidationReport:
     (SUP_SAMPLES uniform points), which is a lower bound on the true sup;
     a 1% margin on top of the threshold compensates.  A normalization error
     beyond NORMALIZATION_TOL raises; one beyond NORMALIZATION_FLAG_TOL, or a
-    failed largeness condition, is only flagged.
+    failed largeness condition, is only flagged.  Once the margin holds, so
+    that delta is meaningful, the model's E must equal its definition
+    (h(y) - h(1))/(y - 1) - h'(y), h = 3 y g' + g, to E_RTOL relative at
+    y = 1 +- delta and 1 +- delta/2; HypothesisFailed names E otherwise.
     """
     g1 = float(model.g(1.0))
     dg1 = float(model.dg(1.0))
@@ -141,6 +145,8 @@ def validate_model(model: ConstitutiveModel) -> ValidationReport:
     threshold = 50.0 * (50.0 + sup_d3g)
     largeness_ok = g2_1 > 0 and g2_1 >= threshold
     margin_ok = g2_1 >= 1.01 * threshold
+    if margin_ok:
+        _check_E(model)
     return ValidationReport(
         normalization_ok=normalization_ok,
         largeness_ok=largeness_ok,
@@ -149,6 +155,25 @@ def validate_model(model: ConstitutiveModel) -> ValidationReport:
         sup_d3g=sup_d3g,
         threshold=threshold,
     )
+
+
+def _check_E(model: ConstitutiveModel) -> None:
+    """HypothesisFailed unless model.E equals its definition from g to E_RTOL."""
+    def h(y):
+        return 3.0 * y * model.dg(y) + model.g(y)
+
+    d = model.delta
+    y = 1.0 + np.array([-d, -0.5 * d, 0.5 * d, d])
+    dh = 4.0 * model.dg(y) + 3.0 * y * model.d2g(y)
+    expected = (h(y) - h(1.0)) / (y - 1.0) - dh
+    supplied = np.asarray(model.E(y), dtype=float)
+    bad = ~np.isclose(supplied, expected, rtol=E_RTOL, atol=0.0)
+    if bad.any():
+        y1, e1, ref = (float(a[np.argmax(bad)]) for a in (y, supplied, expected))
+        raise HypothesisFailed(
+            f"E: the model's E({y1!r}) = {e1!r} differs from"
+            f" (h(y) - h(1))/(y - 1) - h'(y) = {ref!r} by more than {E_RTOL:g} relative"
+        )
 
 
 def ensure_validated(model: ConstitutiveModel) -> ValidationReport:

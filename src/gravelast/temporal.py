@@ -13,14 +13,13 @@ clock unit k = sqrt(A**3/|mu|):
 * mu > 0:            q = A(cosh x + 1) = 2A cosh(x/2)**2, t = k(sinh x + x) + c.
 
 A time sample is found by Newton's method on Kepler's equation, vectorised
-over the samples and safeguarded by a bracket. Newton starts from a closed
-form of the root per branch, a fitted polynomial in a smooth function of the
-clock, or a short fixed-point refinement at large clocks, within 1e-5
-relative of the root. Convergence is quadratic, so a sample stops after its
-first Newton step of at most STOP_REL = 1e-8 times min(x, 1), two steps
-from the starter, and a residual check certifies every returned anomaly to
-KEPLER_RTOL. Each sample stops iterating on its own, so its value does not
-depend on the other samples evaluated with it.
+over the samples: two Newton steps from the starter, certified by the
+residual. The starter is a closed form of the root per branch, a fitted
+polynomial in a smooth function of the clock, or a short fixed-point
+refinement at large clocks, within 1e-5 relative of the root; convergence is
+quadratic, so two steps reach roundoff, and a residual check certifies every
+returned anomaly to KEPLER_RTOL. Every sample takes the same steps, so its
+value does not depend on the other samples evaluated with it.
 evolve_q evaluates its samples in blocks of SAMPLE_BLOCK and evaluates none
 past the block that holds its stop. q = eps inverts to x with no iteration, so
 collapse times, threshold passages and rates are closed forms. _orbit decides
@@ -49,12 +48,8 @@ E_EFF_ZERO_TOL = 1e-14
 MU_FREE = 1e-300
 Q_MIN_STOP = 1e-6  # evolve_q stops before the first sample with q below this
 COLLAPSE_THRESHOLDS = (1e-2, 1e-3, 1e-4)  # the q = eps passages collapse_time reports
-NEWTON_MAX_ITER = 60  # Newton needs two steps from a starter; the cap bounds bisection
+NEWTON_STEPS = 2  # from a starter within 1e-5, quadratic convergence reaches roundoff
 KEPLER_RTOL = 1e-12
-# A sample stops after a Newton step of at most this times min(x, 1): q's
-# relative error follows x's absolute error on the sinh and cosh branches,
-# and convergence is quadratic, so both are then of order STOP_REL**2.
-STOP_REL = 1e-8
 # Below this anomaly x - sin x and sinh x - x are summed from their Taylor
 # series: the direct differences lose every digit as x -> 0 (near-parabolic
 # orbits and samples near collapse).
@@ -196,83 +191,57 @@ def _sinh_minus_x(x):
 
 
 def _bound_start(y):
-    """(hi, x0) for x - sin x = y on [0, pi]: x**3/6 >= x - sin x >= x**3/12
-    bounds the root by hi = min(cbrt(12y), pi), and x0 is its starter."""
+    """Newton's start for x - sin x = y on [0, pi]."""
     s = np.cbrt(6.0 * y)
-    return np.minimum(2.0 ** (1.0 / 3.0) * s, math.pi), s * _horner(_START_BOUND, s * s)
+    return s * _horner(_START_BOUND, s * s)
 
 
 def _unbound_start(y):
-    """(hi, x0) for sinh x - x = y: sinh x - x >= x**3/6 bounds the root by
-    cbrt(6y), so sinh x = y + x by hi = min(cbrt(6y), asinh(y + cbrt(6y)))."""
-    cube = np.cbrt(6.0 * y)
-    hi = np.minimum(cube, np.arcsinh(y + cube))
-
-    def fitted(y, cube, hi):
-        u = np.arcsinh(cube)
+    """Newton's start for sinh x - x = y."""
+    def fitted(y):
+        u = np.arcsinh(np.cbrt(6.0 * y))
         return u * _horner(_START_UNBOUND, u * u)
 
-    def refined(y, cube, hi):  # x <- asinh(y + x) contracts by about 1/y
-        return np.arcsinh(y + np.arcsinh(y + hi))
-    return hi, _piecewise(y < _UNBOUND_FIT_MAX, fitted, refined, y, cube, hi)
+    def refined(y):  # x <- asinh(y + x) contracts by about 1/y, from x <= cbrt(6y)
+        return np.arcsinh(y + np.arcsinh(y + np.arcsinh(y + np.cbrt(6.0 * y))))
+    return _piecewise(y < _UNBOUND_FIT_MAX, fitted, refined, y)
 
 
 def _repulsive_start(y):
-    """(hi, x0) for sinh x + x = y: hi = min(asinh(y), y/2) bounds the root."""
-    hi = np.minimum(np.arcsinh(y), 0.5 * y)
-
-    def fitted(y, hi):
+    """Newton's start for sinh x + x = y."""
+    def fitted(y):
         u = np.arcsinh(0.5 * y)
         return u * _horner(_START_REPULSIVE, u * u)
 
-    def refined(y, hi):  # x <- asinh(y - x) contracts by about 1/y
-        return np.arcsinh(y - np.arcsinh(y - hi))
-    return hi, _piecewise(y < _REPULSIVE_FIT_MAX, fitted, refined, y, hi)
+    def refined(y):  # x <- asinh(y - x) contracts by about 1/y, from x <= asinh(y)
+        return np.arcsinh(y - np.arcsinh(y - np.arcsinh(y)))
+    return _piecewise(y < _REPULSIVE_FIT_MAX, fitted, refined, y)
 
 
-def _kepler_invert(S, dS, y: np.ndarray, hi: np.ndarray, x0: np.ndarray) -> np.ndarray:
-    """The x in [0, hi] with S(x) = y, for S increasing and convex, S(0) = 0.
+def _kepler_invert(S, dS, y: np.ndarray, x0: np.ndarray) -> np.ndarray:
+    """The x with S(x) = y, for S increasing and convex, S(0) = 0: two Newton
+    steps from the starter, certified by the residual.
 
-    Newton's method starts from x0, a starter that reads only the sample's y,
-    clipped into the bracket [0, hi]; a step that leaves the bracket bisects
-    it instead. Each sample stops on its own, after the first Newton step
-    that moves it by at most STOP_REL min(x, 1), or at S(x) = y exactly; a
-    bisection never stops a sample. Only samples still moving are iterated,
-    so a sample's x depends on nothing but its own y, hi and x0, whatever
-    other samples are passed with it. From the starters' 1e-5, quadratic
-    convergence stops a sample after two steps, and the residual check
-    certifies the last one: KeplerNotConverged is raised unless the Kepler
-    equation holds to KEPLER_RTOL at every returned x.
+    Every sample takes NEWTON_STEPS Newton steps from x0, a starter that reads
+    only the sample's y, so its x depends on nothing but its own y and x0,
+    whatever other samples are passed with it. A sample with S(x) = y exactly
+    (y = 0 at and past collapse, where the step would be 0/0) stays where it
+    is. From the starters' 1e-5, quadratic convergence reaches roundoff in
+    two steps, and the residual check certifies them: KeplerNotConverged is
+    raised unless the Kepler equation holds to KEPLER_RTOL at every returned x.
     """
-    shape = y.shape
-    y, hi = y.ravel(), hi.ravel()
-    x_out = np.empty_like(y)
-    # the samples still moving: their indices, iterates, brackets and clocks
-    idx, x, lo, ya = np.arange(y.size), np.clip(x0.ravel(), 0.0, hi), np.zeros_like(y), y
+    x = x0
     with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(NEWTON_MAX_ITER):
-            f = S(x) - ya
-            lo = np.where(f < 0, x, lo)
-            hi = np.where(f > 0, x, hi)
-            x_new = x - f / dS(x)
-            newton = (x_new >= lo) & (x_new <= hi)
-            x_new = np.where(newton, x_new, 0.5 * (lo + hi))
-            done = (newton & (np.abs(x_new - x) <= STOP_REL * np.minimum(x_new, 1.0))) | (f == 0)
-            x = x_new
-            if done.all():
-                break
-            if done.any():
-                x_out[idx[done]] = x[done]
-                moving = ~done
-                idx, x, lo, hi, ya = idx[moving], x[moving], lo[moving], hi[moving], ya[moving]
-        x_out[idx] = x
-        excess = np.abs(S(x_out) - y) - KEPLER_RTOL * y
+        for _ in range(NEWTON_STEPS):
+            f = S(x) - y
+            x = np.where(f == 0, x, x - f / dS(x))
+        excess = np.abs(S(x) - y) - KEPLER_RTOL * y
     if not np.all(excess <= 0):  # NaN too: a clock beyond the float range
         raise KeplerNotConverged(
             f"Kepler equation residual exceeds {KEPLER_RTOL:g} * clock by "
-            f"{float(np.max(excess)):.3e} after {NEWTON_MAX_ITER} Newton steps"
+            f"{float(np.max(excess)):.3e} after {NEWTON_STEPS} Newton steps"
         )
-    return x_out.reshape(shape)
+    return x
 
 
 @dataclass(frozen=True)
@@ -333,7 +302,7 @@ def _orbit(mu: float, qdot0: float) -> _Orbit:
             clock = y0 + t / k
             y = np.abs(clock)
             x = np.sign(clock) * _kepler_invert(
-                lambda s: np.sinh(s) + s, lambda s: np.cosh(s) + 1.0, y, *_repulsive_start(y)
+                lambda s: np.sinh(s) + s, lambda s: np.cosh(s) + 1.0, y, _repulsive_start(y)
             )
             return 2.0 * a * np.cosh(0.5 * x) ** 2, v * np.tanh(0.5 * x)
         return _Orbit(e, REGIME_LINEAR, repulsive)
@@ -345,7 +314,7 @@ def _orbit(mu: float, qdot0: float) -> _Orbit:
         def unbound(t):
             y = np.maximum(y0 + sign * t / k, 0.0)
             x = _kepler_invert(
-                _sinh_minus_x, lambda s: 2.0 * np.sinh(0.5 * s) ** 2, y, *_unbound_start(y)
+                _sinh_minus_x, lambda s: 2.0 * np.sinh(0.5 * s) ** 2, y, _unbound_start(y)
             )
             with np.errstate(divide="ignore"):
                 return 2.0 * a * np.sinh(0.5 * x) ** 2, sign * v / np.tanh(0.5 * x)
@@ -364,7 +333,7 @@ def _orbit(mu: float, qdot0: float) -> _Orbit:
         falling = np.maximum(apex_to_collapse - t / k, 0.0)
         y = np.where(rising, y0 + t / k, falling)
         x = _kepler_invert(
-            _x_minus_sin, lambda s: 2.0 * np.sin(0.5 * s) ** 2, y, *_bound_start(y)
+            _x_minus_sin, lambda s: 2.0 * np.sin(0.5 * s) ** 2, y, _bound_start(y)
         )
         with np.errstate(divide="ignore"):
             return 2.0 * a * np.sin(0.5 * x) ** 2, np.where(rising, v, -v) / np.tan(0.5 * x)

@@ -290,6 +290,17 @@ class TestEvolve:
         assert "argument --snapshot-times:" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("times", [
+        ["--qdot0", "0.01", "--t-end", "1", "--dt", "0.01", "--snapshot-times", "0.5,5"],
+        ["--qdot0", "-0.3", "--t-end", "10", "--snapshot-times", "5"],
+    ], ids=["beyond-t_end", "past-collapse"])
+    def test_failing_snapshot_writes_nothing(self, tmp_path, capsys, times):
+        # OutOfRange left temporal.csv (and snapshot_000.csv) without a manifest
+        out = tmp_path / "x"
+        assert run("evolve", "--mu", "-0.001", *times, "--N", "64", "--out", out) == 3
+        assert "OutOfRange" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
     def test_snapshots_from_profile(self, tmp_path, solved_dir):
         out = tmp_path / "evs"
         code = run("evolve", "--profile", solved_dir, "--qdot0", "0.5",

@@ -14,6 +14,7 @@ from gravelast.constitutive import (
     validate_model,
 )
 from gravelast.errors import DomainExit, HypothesisFailed, NormalizationViolated
+from gravelast.parameters import build_parameter_box
 from operator_oracles import E_mpmath, E_series_mpmath, K
 
 FOUR_PI_3 = 4 * math.pi / 3
@@ -173,6 +174,9 @@ class TestScalarFunctions:
         base = make_builtin_model(3100.0)
         bad = dataclasses.replace(base, E=lambda y: wrong(3100.0, y))
         assert _E_error(bad, 3100.0, _E_points(bad)) > 1e-15
+        # and validation keeps an E that disagrees with its g from the solver
+        with pytest.raises(HypothesisFailed, match="^E: the model's E"):
+            build_parameter_box(bad, 1.0)
 
     def test_E_matches_extended_precision_quotient(self):
         m = make_builtin_model(3100.0)

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -169,43 +170,59 @@ class TestEvolve:
             assert evolve_q(mu, qdot0, 3.0, 0.01).t[-1] > 2.0
         # two Newton steps from the starters pass the check, here and on the
         # four orbits of scripts/bench.py
-        monkeypatch.setattr(temporal_mod, "NEWTON_MAX_ITER", 2)
+        monkeypatch.setattr(temporal_mod, "NEWTON_STEPS", 2)
         for mu, qdot0 in starts:
             assert evolve_q(mu, qdot0, 3.0, 0.01).t[-1] > 2.0
         for mu, qdot0 in BENCH_ORBITS:
             assert evolve_q(mu, qdot0, 30.0, 1e-3).t.size > 3000
-        # the starters alone fail it
-        monkeypatch.setattr(temporal_mod, "NEWTON_MAX_ITER", 0)
-        for mu, qdot0 in starts:
-            with pytest.raises(KeplerNotConverged):
-                evolve_q(mu, qdot0, 3.0, 0.01)
+        # one step, or the starters alone, fail it
+        for steps in (1, 0):
+            monkeypatch.setattr(temporal_mod, "NEWTON_STEPS", steps)
+            for mu, qdot0 in starts:
+                with pytest.raises(KeplerNotConverged):
+                    evolve_q(mu, qdot0, 3.0, 0.01)
 
-    def test_bisection_never_stops_a_sample(self):
-        # a derivative of the wrong sign sends every Newton step out of the
-        # bracket, so only bisection moves the samples: it must run on until
-        # they pass the residual check, not stop at a step of STOP_REL
+    def test_wrong_derivative_fails_the_residual_check(self):
+        # a derivative of the wrong sign sends every Newton step away from
+        # the root: the residual check, not the step count, must reject it
         y = np.linspace(0.1, 3.0, 7)
-        x = temporal_mod._kepler_invert(
-            temporal_mod._x_minus_sin, lambda s: -1.0 - s, y, *temporal_mod._bound_start(y))
-        assert np.all(np.abs(temporal_mod._x_minus_sin(x) - y) <= temporal_mod.KEPLER_RTOL * y)
+        with pytest.raises(KeplerNotConverged):
+            temporal_mod._kepler_invert(
+                temporal_mod._x_minus_sin, lambda s: -1.0 - s, y, temporal_mod._bound_start(y))
+
+    @pytest.mark.parametrize("S,dS,start", [
+        (temporal_mod._x_minus_sin, lambda s: 2.0 * np.sin(0.5 * s) ** 2,
+         temporal_mod._bound_start),
+        (temporal_mod._sinh_minus_x, lambda s: 2.0 * np.sinh(0.5 * s) ** 2,
+         temporal_mod._unbound_start),
+        (lambda s: np.sinh(s) + s, lambda s: np.cosh(s) + 1.0, temporal_mod._repulsive_start),
+    ], ids=["bound", "unbound", "repulsive"])
+    def test_zero_clock_stays_at_zero(self, S, dS, start):
+        # y = 0 (at and past collapse) has S(x0) = y and S'(x0) = 0: the sample
+        # keeps its starter, exactly 0, and the 0/0 step warns nothing
+        y = np.array([0.0, 0.5, 0.0, 2.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = temporal_mod._kepler_invert(S, dS, y, start(y))
+        assert x[0] == x[2] == 0.0 and np.all(x[[1, 3]] > 0)
 
     def test_two_newton_steps_per_sample(self, monkeypatch):
-        # every sample of the bench orbits stops within two steps: each block's
-        # inversion evaluates S at most three times, the last for the residual
+        # every block's inversion evaluates S exactly three times: two Newton
+        # steps and the residual
         inner, calls = temporal_mod._kepler_invert, []
 
-        def counting(S, dS, y, *args):
+        def counting(S, dS, y, x0):
             def counted(x):
                 calls[-1] += 1
                 return S(x)
             calls.append(0)
-            return inner(counted, dS, y, *args)
+            return inner(counted, dS, y, x0)
 
         monkeypatch.setattr(temporal_mod, "_kepler_invert", counting)
         for mu, qdot0 in BENCH_ORBITS:
             calls.clear()
             evolve_q(mu, qdot0, 30.0, 1e-3)
-            assert calls and max(calls) <= 3
+            assert calls and all(c == 3 for c in calls)
 
     def test_tiny_mu_is_free_motion(self):
         for mu in (5e-324, -1e-310):
@@ -567,7 +584,7 @@ class TestStarters:
     def _max_rel_error(branch, y, x):
         return max(float(abs(xi / mp_anomaly(branch, yi) - 1)) for yi, xi in zip(y, x) if yi > 0)
 
-    # branch -> (y -> (hi, x0), the largest clock, the switch to refinement)
+    # branch -> (y -> x0, the largest clock, the switch to refinement)
     BRANCHES = {
         "bound": (temporal_mod._bound_start, math.pi, None),
         "unbound": (temporal_mod._unbound_start, 1e300, temporal_mod._UNBOUND_FIT_MAX),
@@ -580,12 +597,11 @@ class TestStarters:
         y = self._clocks(top, switch)
         if branch == "repulsive":  # y/2 underflows the smallest subnormal to 0
             y = y[y != 5e-324]
-        hi, x0 = start(y)
-        assert x0[0] == hi[0] == 0.0 and np.all(x0[1:] > 0)
+        x0 = start(y)
+        assert x0[0] == 0.0 and np.all(x0[1:] > 0)
         assert self._max_rel_error(branch, y, x0) <= self.RTOL
-        # the check can fail: the bracket's upper bound, Newton's start before
-        # the starters, is rejected
-        assert self._max_rel_error(branch, y, hi) > self.RTOL
+        # the check can fail: a start off by twice the bound is rejected
+        assert self._max_rel_error(branch, y, x0 * (1 + 2 * self.RTOL)) > self.RTOL
 
 
 def _whole_array(mu, qdot0, t_end, dt, q_min_stop):
@@ -636,9 +652,9 @@ class TestBlocks:
         inner = temporal_mod._kepler_invert
         evaluated = []
 
-        def counting(S, dS, y, *args):
+        def counting(S, dS, y, x0):
             evaluated.append(y.size)
-            return inner(S, dS, y, *args)
+            return inner(S, dS, y, x0)
 
         mu, qdot0, t_end = -0.001, -0.3, 30.0
         n_times = temporal_mod._sample_times(t_end, dt).size
