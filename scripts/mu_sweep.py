@@ -8,6 +8,7 @@ import sys
 import numpy as np
 
 from gravelast.constitutive import make_builtin_model
+from gravelast.errors import SolverError
 from gravelast.parameters import build_parameter_box
 from gravelast.radial import RadialGrid
 from gravelast.shooting import sweep
@@ -24,15 +25,15 @@ def main():
 
     print(f"mu0 = {box.mu0:.6e}, brho_plus = {box.brho_plus:.6f}, N = {cells}")
     print(f"{'mu':>14} {'brho0':>16} {'y(1)-1':>12} {'iters':>6} {'bc residual':>12}")
-    for r in rows:
-        if r.error:
-            print(f"{r.mu:14.6e}  FAILED: {r.error}")
+    for mu, r in zip(mus, rows):
+        if isinstance(r, SolverError):
+            print(f"{mu:14.6e}  FAILED: {type(r).__name__}: {r}")
         else:
             print(
-                f"{r.mu:14.6e} {r.brho0:16.10f} {r.y1 - 1:12.4e} "
-                f"{r.iterations:6d} {r.bc_residual:12.3e}"
+                f"{mu:14.6e} {r.brho0:16.10f} {r.y[-1] - 1:12.4e} "
+                f"{r.diagnostics.iterations:6d} {r.boundary_residual:12.3e}"
             )
-    ok = [r for r in rows if not r.error]
+    ok = [r for r in rows if not isinstance(r, SolverError)]
     if len(ok) > 1:
         slope = (ok[-1].brho0 - ok[0].brho0) / (ok[-1].mu - ok[0].mu)
         print(f"\n{len(ok)}/{len(rows)} rows ok; d(brho0)/d(mu) ~ {slope:.4f}")

@@ -28,7 +28,6 @@ from .radial import (
 from .shooting import (
     MismatchResult,
     SolutionProfile,
-    SweepRow,
     boundary_mismatch,
     solve_separable,
     sweep,
@@ -64,7 +63,6 @@ __all__ = [
     "picard_solve",
     "MismatchResult",
     "SolutionProfile",
-    "SweepRow",
     "boundary_mismatch",
     "solve_separable",
     "sweep",

@@ -89,40 +89,39 @@ def picard_rows(
     box: ParameterBox,
     tol: float,
     zeta0: list[np.ndarray] | None,
-) -> tuple[np.ndarray, list[PicardDiagnostics | None], list[SolverError | None]]:
+) -> tuple[np.ndarray, list[PicardDiagnostics | SolverError]]:
     """The Picard kernel: one run per row (brho[i], mu[i]), all in lockstep.
 
     Each step applies Linv F to the rows of the (rows, N+1) array zeta still
     running; a row leaves when its update drops below tol or when it fails.
-    Row i returns zeta[i] and its diagnostics, or its SolverError in
-    errors[i], with the checks and messages of picard_solve; one failing
-    row never stops the others.  A row outside the box or starting outside
-    the ball fails before any step, so every stack apply_F sees lies in the
-    ball.  zeta0 holds one start per row (None: z = 0).  box must be
-    build_parameter_box(model, G).
+    Returns (zeta, outcomes): row i ends as zeta[i] with its diagnostics in
+    outcomes[i], or as the SolverError in outcomes[i], with the checks and
+    messages of picard_solve; one failing row never stops the others.  A
+    row outside the box or starting outside the ball fails before any step,
+    so every stack apply_F sees lies in the ball.  zeta0 holds one start per
+    row (None: z = 0).  box must be build_parameter_box(model, G).
     """
     brho, mu = np.array(brho, dtype=float), np.array(mu, dtype=float)
     rows = len(brho)
     zeta = np.zeros((rows, grid.n + 1)) if zeta0 is None else np.array(zeta0, dtype=float)
     delta = model.delta
-    errors: list[SolverError | None] = [None] * rows
-    diags: list[PicardDiagnostics | None] = [None] * rows
+    outcomes: list[PicardDiagnostics | SolverError] = []
     starts = np.abs(zeta).max(axis=-1).tolist()
-    for i, (b, m, norm) in enumerate(zip(brho.tolist(), mu.tolist(), starts)):
+    for b, m, norm in zip(brho.tolist(), mu.tolist(), starts):
         try:
             box.check_brho(b, m)
         except SolverError as exc:
-            errors[i] = exc
+            outcomes.append(exc)
             continue
         if norm > delta:  # a NaN start runs on into the finiteness check
-            errors[i] = DomainExit(
+            outcomes.append(DomainExit(
                 f"start outside the ball: ||z0|| = {norm:.3e} > delta = {delta:.3e}"
-            )
+            ))
         else:
-            diags[i] = PicardDiagnostics()
+            outcomes.append(PicardDiagnostics())
 
     growth_streak = [0] * rows
-    active = [i for i in range(rows) if errors[i] is None]
+    active = [i for i, o in enumerate(outcomes) if isinstance(o, PicardDiagnostics)]
     for _ in range(MAX_ITER):
         if not active:
             break
@@ -133,14 +132,14 @@ def picard_rows(
         norms = np.abs(nxt).max(axis=-1).tolist()
         running = []
         for i, update, norm in zip(active, updates, norms):
-            diag = diags[i]
+            diag = outcomes[i]
             if diag.updates and diag.updates[-1] > 0 and update > 0:
                 ratio = update / diag.updates[-1]
                 diag.ratios.append(ratio)
                 if ratio >= 1.0:
                     growth_streak[i] += 1
                     if growth_streak[i] >= 2:
-                        errors[i] = NotContracting(
+                        outcomes[i] = NotContracting(
                             f"updates grew twice in a row (last ratio {ratio:.3g})"
                         )
                         continue
@@ -149,15 +148,15 @@ def picard_rows(
             diag.updates.append(update)
             diag.iterations += 1
             if norm > delta:
-                errors[i] = DomainExit(
+                outcomes[i] = DomainExit(
                     f"iterate left the ball: ||z|| = {norm:.3e} > delta = {delta:.3e}"
                 )
             elif not update < tol:  # a NaN update runs on into the finiteness check
                 running.append(i)
         active = running
     for i in active:
-        errors[i] = MaxIterExceeded(f"no convergence to {tol:g} in {MAX_ITER} iterations")
-    return zeta, diags, errors
+        outcomes[i] = MaxIterExceeded(f"no convergence to {tol:g} in {MAX_ITER} iterations")
+    return zeta, outcomes
 
 
 def picard_solve(
@@ -179,9 +178,9 @@ def picard_solve(
     The model's validation is cached on it, so repeated calls are cheap.
     """
     box = build_parameter_box(model, G)
-    zeta, (diag,), (error,) = picard_rows(
+    zeta, (outcome,) = picard_rows(
         model, [brho], [mu], G, grid, box, tol, None if zeta0 is None else [zeta0]
     )
-    if error is not None:
-        raise error
-    return zeta[0], diag
+    if isinstance(outcome, SolverError):
+        raise outcome
+    return zeta[0], outcome

@@ -126,6 +126,8 @@ def read_manifest(path: Path) -> dict:
 
 def parse_model_spec(spec: str) -> ConstitutiveModel:
     """Parse "builtin:kappa=<float>" into a model; anything else is a usage error."""
+    if not isinstance(spec, str):  # a manifest's JSON value may be any type
+        raise ValueError(f"model spec must be a string, got {spec!r}")
     family, _, rest = spec.partition(":")
     if family != "builtin":
         raise ValueError(f"unknown model family {family!r}; supported: builtin")

@@ -24,8 +24,10 @@ the cubic (4 pi/3) G u**3 - w u + mu = 0 (_brho_from_w).
 sweep runs one search per mu in lockstep (_find_roots): brent_steps yields
 each row's trials one at a time, and each round evaluates the trials of
 all rows still searching in one picard_rows run.  A row sees the same
-arithmetic as a search of its own, so it equals solve_separable, the
-batch of one, bit for bit; a SolverError ends only its own row.
+arithmetic as a search of its own, so it is the SolutionProfile of
+solve_separable, the batch of one, bit for bit; a SolverError ends only
+its own row.  Both assemble their profiles in _profiles and differ only in
+how a round is evaluated.
 """
 
 from __future__ import annotations
@@ -302,6 +304,39 @@ def _find_roots(
     return out
 
 
+def _profiles(
+    model: ConstitutiveModel,
+    mus: list[float],
+    G: float,
+    grid: RadialGrid,
+    roots: list[_Search | SolverError],
+) -> list[SolutionProfile | SolverError]:
+    """roots with each finished search replaced, in place, by its profile,
+    from one reconstruct_geometry call on the stack of their best fixed
+    points; a SolverError stays."""
+    found = [i for i, root in enumerate(roots) if isinstance(root, _Search)]
+    zeta = np.array([roots[i].best.zeta for i in found]).reshape(len(found), grid.n + 1)
+    geo = reconstruct_geometry(grid, zeta)  # converged iterates lie in the ball
+    for k, i in enumerate(found):
+        root = roots[i]
+        roots[i] = SolutionProfile(
+            model=model,
+            mu=mus[i],
+            brho0=root.brho0,
+            G=G,
+            grid=grid,
+            zeta=zeta[k],
+            f=geo.f[k],
+            fprime=geo.fprime[k],
+            lam=geo.lam[k],
+            y=geo.y[k],
+            boundary_residual=root.best.value,
+            diagnostics=root.best.diagnostics,
+            root_evaluations=root.evaluations,
+        )
+    return roots
+
+
 def solve_separable(
     model: ConstitutiveModel,
     mu: float,
@@ -339,67 +374,18 @@ def solve_separable(
 
     def evaluate(brho, mus, zeta0):
         results = []
-        for k, (b, m) in enumerate(zip(brho, mus)):
+        for b, m, z0 in zip(brho, mus, zeta0 or [None] * len(brho)):
             try:
-                results.append(boundary_mismatch(
-                    model, b, m, G, grid, tol=tol_picard,
-                    zeta0=None if zeta0 is None else zeta0[k],
-                ))
+                results.append(boundary_mismatch(model, b, m, G, grid, tol=tol_picard, zeta0=z0))
             except SolverError as exc:
                 results.append(exc)
         return results
 
-    (root,) = _find_roots([mu], G, derived, tol_bc, tol_brho, evaluate)
-    if isinstance(root, SolverError):
-        raise root
-    best = root.best
-    geo = reconstruct_geometry(grid, best.zeta)
-    return SolutionProfile(
-        model=model,
-        mu=mu,
-        brho0=root.brho0,
-        G=G,
-        grid=grid,
-        zeta=best.zeta,
-        f=geo.f,
-        fprime=geo.fprime,
-        lam=geo.lam,
-        y=geo.y,
-        boundary_residual=best.value,
-        diagnostics=best.diagnostics,
-        root_evaluations=root.evaluations,
-    )
-
-
-@dataclass
-class SweepRow:
-    mu: float
-    brho0: float = math.nan
-    y1: float = math.nan
-    fprime0: float = math.nan
-    zeta_norm: float = math.nan
-    iterations: int = 0
-    bc_residual: float = math.nan
-    error: str | None = None
-
-
-def _mismatch_rows(
-    model: ConstitutiveModel,
-    brho: list[float],
-    mu: list[float],
-    G: float,
-    grid: RadialGrid,
-    box: ParameterBox,
-    tol: float,
-    zeta0: list[np.ndarray] | None,
-) -> list[MismatchResult | SolverError]:
-    """boundary_mismatch for every row from one picard_rows run."""
-    zeta, diags, errors = picard_rows(model, brho, mu, G, grid, box, tol, zeta0)
-    ok = [i for i, exc in enumerate(errors) if exc is None]
-    results: list[MismatchResult | SolverError] = list(errors)
-    for i, y1 in zip(ok, y_at_boundary(grid, zeta[ok]).tolist()):
-        results[i] = MismatchResult(value=float(model.dg(y1)), zeta=zeta[i], diagnostics=diags[i])
-    return results
+    roots = _find_roots([mu], G, derived, tol_bc, tol_brho, evaluate)
+    (sol,) = _profiles(model, [mu], G, grid, roots)
+    if isinstance(sol, SolverError):
+        raise sol
+    return sol
 
 
 def sweep(
@@ -410,37 +396,26 @@ def sweep(
     tol_bc: float = DEFAULT_TOL_BC,
     tol_brho: float = DEFAULT_TOL_BRHO,
     tol_picard: float = DEFAULT_TOL,
-) -> list[SweepRow]:
+) -> list[SolutionProfile | SolverError]:
     """Solve every mu, in input order, as one lockstep batch.
 
     Each round of the root searches is one picard_rows run over the rows
-    still searching, so a row equals solve_separable at its mu bit for bit.
-    A row that meets a SolverError records the error and the other rows go
-    on; any other exception is a bug and propagates.  A tolerance that is
-    not finite and >= 0 raises ValueError before any row.
+    still searching, so a row is the SolutionProfile that solve_separable
+    returns at its mu, bit for bit, or the SolverError it raises.  A failed
+    row is data: the other rows go on.  Any other exception is a bug and
+    propagates.  A tolerance that is not finite and >= 0 raises ValueError
+    before any row.
     """
     _check_tolerances(tol_bc, tol_brho, tol_picard)
     box = build_parameter_box(model, G)  # a bad model or G aborts before any row
     mus = [float(mu) for mu in mu_values]
 
-    def evaluate(brho, mus, zeta0):
-        return _mismatch_rows(model, brho, mus, G, grid, box, tol_picard, zeta0)
+    def evaluate(brho, mus, zeta0):  # boundary_mismatch of every row from one picard_rows run
+        zeta, rows = picard_rows(model, brho, mus, G, grid, box, tol_picard, zeta0)
+        ok = [i for i, row in enumerate(rows) if isinstance(row, PicardDiagnostics)]
+        for i, y1 in zip(ok, y_at_boundary(grid, zeta[ok]).tolist()):
+            rows[i] = MismatchResult(value=float(model.dg(y1)), zeta=zeta[i], diagnostics=rows[i])
+        return rows
 
     roots = _find_roots(mus, G, box, tol_bc, tol_brho, evaluate)
-    found = [i for i, root in enumerate(roots) if isinstance(root, _Search)]
-    zeta = np.array([roots[i].best.zeta for i in found]).reshape(len(found), grid.n + 1)
-    geo = reconstruct_geometry(grid, zeta)  # converged iterates lie in the ball
-    for k, i in enumerate(found):
-        root = roots[i]
-        roots[i] = SweepRow(
-            mu=mus[i],
-            brho0=root.brho0,
-            y1=float(geo.y[k, -1]),
-            fprime0=float(geo.fprime[k, 0]),
-            zeta_norm=float(np.max(np.abs(zeta[k]))),
-            iterations=root.best.diagnostics.iterations,
-            bc_residual=root.best.value,
-        )
-    # a failed row is data, not an abort
-    return [SweepRow(mu=mu, error=f"{type(row).__name__}: {row}")
-            if isinstance(row, SolverError) else row for mu, row in zip(mus, roots)]
+    return _profiles(model, mus, G, grid, roots)

@@ -14,7 +14,7 @@ import math
 import numpy as np
 import pytest
 
-from gravelast import fixed_point, parameters, shooting
+from gravelast import cli, fixed_point, parameters, shooting
 from gravelast.errors import DegenerateGeometry, DomainExit, SolverError
 from gravelast.fixed_point import apply_F, picard_rows, picard_solve
 from gravelast.radial import (
@@ -24,7 +24,8 @@ from gravelast.radial import (
     reconstruct_geometry,
     y_at_boundary,
 )
-from gravelast.shooting import solve_separable, sweep
+from gravelast.shooting import SolutionProfile, solve_separable, sweep
+from gravelast.verify import residual_report
 
 N = 64
 
@@ -128,36 +129,43 @@ class TestPicardRows:
         # Row 0 starts outside the ball, row 1 outside the bracket.
         brhos = [brhos[0], 10 * box.brho_plus, *brhos[2:]]
         starts = [np.full(N + 1, 4 * model.delta), *zeta[1:]]
-        rows, diags, errors = picard_rows(model, brhos, mus, 1.0, grid, box, 1e-13, starts)
+        rows, outcomes = picard_rows(model, brhos, mus, 1.0, grid, box, 1e-13, starts)
         for i, (b, m, z0) in enumerate(zip(brhos, mus, starts)):
             try:
                 one, diag = picard_solve(model, b, m, 1.0, grid, zeta0=z0)
             except SolverError as exc:
-                assert error_text(errors[i]) == error_text(exc)
+                assert error_text(outcomes[i]) == error_text(exc)
                 continue
-            assert errors[i] is None
             assert np.array_equal(rows[i], one)
-            assert diags[i] == diag
-        assert [e is None for e in errors] == [False, False] + [True] * (len(brhos) - 2)
+            assert outcomes[i] == diag
+        failed = [isinstance(o, SolverError) for o in outcomes]
+        assert failed == [True, True] + [False] * (len(brhos) - 2)
 
 
 def solve_rows(model, mus, grid):
-    """What sweep reports for each mu, from one solve_separable per mu."""
+    """What sweep returns for each mu, from one solve_separable per mu."""
     out = []
     for mu in mus:
         try:
-            sol = solve_separable(model, mu, 1.0, grid)
+            out.append(solve_separable(model, mu, 1.0, grid))
         except SolverError as exc:
-            out.append(error_text(exc))
-            continue
-        out.append((sol.brho0, float(sol.y[-1]), sol.fprime0, float(np.max(np.abs(sol.zeta))),
-                    sol.diagnostics.iterations, sol.boundary_residual))
+            out.append(exc)
     return out
 
 
-def sweep_rows(rows):
-    return [row.error or (row.brho0, row.y1, row.fprime0, row.zeta_norm, row.iterations,
-                          row.bc_residual) for row in rows]
+def assert_same_rows(got, want):
+    """Each row is the same whole profile, or a SolverError of the same type and message."""
+    assert len(got) == len(want)
+    for i, (row, ref) in enumerate(zip(got, want)):
+        if isinstance(ref, SolverError):
+            assert type(row) is type(ref) and str(row) == str(ref), i
+            continue
+        assert isinstance(row, SolutionProfile), i
+        for name in ("zeta", "f", "fprime", "lam", "y"):
+            assert np.array_equal(getattr(row, name), getattr(ref, name)), (i, name)
+        for name in ("brho0", "boundary_residual", "diagnostics", "root_evaluations", "mu", "G"):
+            assert getattr(row, name) == getattr(ref, name), (i, name)
+        assert row.model is ref.model and row.grid == ref.grid, i
 
 
 @pytest.fixture(scope="module")
@@ -168,9 +176,24 @@ def seeded_mus(box):
 
 class TestLockstepSweep:
     def test_rows_equal_single_solves(self, model, grid, seeded_mus):
-        got = sweep_rows(sweep(model, 1.0, seeded_mus, grid))
-        assert got == solve_rows(model, seeded_mus, grid)
-        assert [isinstance(row, str) for row in got] == [False, False, True, True] + [False] * 6
+        got = sweep(model, 1.0, seeded_mus, grid)
+        assert_same_rows(got, solve_rows(model, seeded_mus, grid))
+        failed = [isinstance(row, SolverError) for row in got]
+        assert failed == [False, False, True, True] + [False] * 6
+
+    def test_solved_rows_pass_verify(self, model, grid, seeded_mus):
+        # Every solved row passes residual_report at verify's default thresholds.
+        defaults = cli._build_parser().parse_args(["verify", "--profile", "unused"])
+        rows = [row for row in sweep(model, 1.0, seeded_mus, grid)
+                if isinstance(row, SolutionProfile)]
+        assert len(rows) == 8
+        for row in rows:
+            report = residual_report(row)
+            assert report.residual_separated <= defaults.max_residual
+            assert report.residual_reformulation <= defaults.max_residual
+            assert report.equivalence_gap <= defaults.max_equivalence * (
+                1.0 + report.residual_separated)
+            assert abs(report.boundary_residual) <= defaults.max_boundary
 
     def test_rows_make_their_own_evaluations(self, model, grid, seeded_mus, monkeypatch):
         # Each row's trials and Picard updates, round by round, are those of
@@ -180,10 +203,10 @@ class TestLockstepSweep:
         rows_kernel, solve_kernel = shooting.picard_rows, shooting.picard_solve
 
         def record_rows(model_, brho, mu, *args):
-            zeta, diags, errors = rows_kernel(model_, brho, mu, *args)
-            for b, m, diag in zip(brho, mu, diags):
+            zeta, outcomes = rows_kernel(model_, brho, mu, *args)
+            for b, m, diag in zip(brho, mu, outcomes):
                 in_sweep[m].append((b, diag.updates))
-            return zeta, diags, errors
+            return zeta, outcomes
 
         def record_solve(model_, brho, mu, *args, **kwargs):
             zeta, diag = solve_kernel(model_, brho, mu, *args, **kwargs)
@@ -199,7 +222,7 @@ class TestLockstepSweep:
 
     def test_injected_error_stays_in_its_row(self, model, box, grid, seeded_mus, monkeypatch):
         # One row's iterate is pushed out of the ball: that row fails, the others stand.
-        clean = sweep_rows(sweep(model, 1.0, seeded_mus, grid))
+        clean = sweep(model, 1.0, seeded_mus, grid)
         original = fixed_point.apply_F
         seen = []
 
@@ -222,10 +245,11 @@ class TestLockstepSweep:
             return out
 
         monkeypatch.setattr(fixed_point, "apply_F", inject)
-        got = sweep_rows(sweep(model, 1.0, seeded_mus, grid))
-        assert got[row] == (f"DomainExit: iterate left the ball: ||z|| = {6 * model.delta:.3e}"
-                            f" > delta = {model.delta:.3e}")
-        assert got[:row] + got[row + 1:] == clean[:row] + clean[row + 1:]
+        got = sweep(model, 1.0, seeded_mus, grid)
+        assert error_text(got[row]) == (
+            f"DomainExit: iterate left the ball: ||z|| = {6 * model.delta:.3e}"
+            f" > delta = {model.delta:.3e}")
+        assert_same_rows(got[:row] + got[row + 1:], clean[:row] + clean[row + 1:])
 
     def test_builds_the_box_once(self, model, grid, box, monkeypatch):
         calls = []
@@ -238,7 +262,7 @@ class TestLockstepSweep:
         for module in (parameters, fixed_point, shooting):
             monkeypatch.setattr(module, "build_parameter_box", counted)
         rows = sweep(model, 1.0, np.linspace(-box.mu0, box.mu0, 9), grid)
-        assert all(row.error is None for row in rows)
+        assert all(isinstance(row, SolutionProfile) for row in rows)
         assert len(calls) == 1
 
     def test_no_solve_per_row(self, model, grid, box, monkeypatch):
@@ -248,7 +272,8 @@ class TestLockstepSweep:
         for name in ("solve_separable", "boundary_mismatch", "picard_solve"):
             monkeypatch.setattr(shooting, name, forbidden)
         monkeypatch.setattr(fixed_point, "picard_solve", forbidden)
-        assert all(row.error is None for row in sweep(model, 1.0, [0.0, box.mu0 / 2], grid))
+        rows = sweep(model, 1.0, [0.0, box.mu0 / 2], grid)
+        assert all(isinstance(row, SolutionProfile) for row in rows)
 
 
 def test_every_kernel_step_gets_a_stack(model, box, grid, monkeypatch):

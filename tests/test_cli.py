@@ -436,15 +436,19 @@ class TestVerify:
          ("N", 128.4, "N must be an integer"),
          ("N", "128", "N must be an integer"),
          ("mu", 0.5, "mu outside proven range"),
-         ("brho0", 10 * brho_plus(1.0), "outside bracket")],
+         ("brho0", 10 * brho_plus(1.0), "outside bracket"),
+         ("model", 3100, "model spec must be a string"),
+         ("model", None, "model spec must be a string")],
         ids=["brho0-negative", "brho0-zero", "brho0-nan", "brho0-inf", "mu-nan", "mu-inf",
-             "N-fraction", "N-string", "mu-outside-box", "brho0-outside-box"],
+             "N-fraction", "N-string", "mu-outside-box", "brho0-outside-box", "model-int",
+             "model-null"],
     )
     def test_bad_manifest_field_exits_2(self, tmp_path, solved_dir, capsys, field, value,
                                         message):
         # brho0 = -1 made verify trace back and evolve write a negative mass;
         # NaN made verify fail its thresholds (exit 5); N = 128.4 read as 128;
-        # a (brho0, mu) outside the box made verify exit 5 and evolve exit 0
+        # a (brho0, mu) outside the box made verify exit 5 and evolve exit 0;
+        # a model that is not a string made both trace back (exit 1)
         bad = _copy_profile(solved_dir, tmp_path / "bad")
         manifest = json.loads((bad / "manifest.json").read_text())
         (manifest["results"] if field == "brho0" else manifest)[field] = value
@@ -595,11 +599,20 @@ class TestConfig:
         assert run(*args, "--config", same, "--out", tmp_path / "y") == 0
 
     def test_unread_keys_ignored(self, tmp_path):
-        # qdot0 is not a solve option; cmd and out are parser dests, not config keys
-        cfg = _config(tmp_path, "qdot0 = abc\ncmd = sweep\nout = elsewhere\nN = 64\n")
+        # qdot0 and dt are config keys but not solve options
+        cfg = _config(tmp_path, "qdot0 = abc\ndt = abc\nN = 64\n")
         out = tmp_path / "o"
         assert run("solve", "--config", cfg, "--out", out) == 0
         assert json.loads((out / "manifest.json").read_text())["N"] == 64
+
+    @pytest.mark.parametrize("key", ["tol-bc", "kapa", "cmd", "out"])
+    def test_unknown_key_exits_2(self, tmp_path, capsys, key):
+        # tol-bc = 1e-3 was dropped without a word: the run exited 0 with tol_bc = 1e-10;
+        # cmd and out are parser dests, not config keys
+        cfg = _config(tmp_path, f"N = 64\n{key} = 1e-3\n")
+        assert run("solve", "--config", cfg, "--out", tmp_path / "o") == 2
+        assert f"unknown config key '{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("text", [None, "N 64\n"], ids=["missing", "malformed"])
     def test_unreadable_config(self, tmp_path, capsys, text):

@@ -19,7 +19,7 @@ def test_exported_set_is_pinned():
         "reconstruct_geometry", "y_at_boundary",
         "ParameterBox", "build_parameter_box",
         "PicardDiagnostics", "apply_F", "picard_solve",
-        "MismatchResult", "SolutionProfile", "SweepRow", "boundary_mismatch",
+        "MismatchResult", "SolutionProfile", "boundary_mismatch",
         "solve_separable", "sweep",
         "TemporalSolution", "CollapseEstimate", "MotionSnapshot", "classify", "evolve_q",
         "collapse_time", "assemble_motion",
@@ -55,7 +55,6 @@ def test_signatures_are_pinned():
         "MismatchResult": "value zeta diagnostics",
         "SolutionProfile": "model mu brho0 G grid zeta f fprime lam y boundary_residual "
                            "diagnostics root_evaluations",
-        "SweepRow": "mu brho0= y1= fprime0= zeta_norm= iterations= bc_residual= error=",
         "boundary_mismatch": "model brho mu G grid tol= zeta0=",
         "solve_separable": "model mu G grid tol_bc= tol_brho= tol_picard= box=",
         "sweep": "model G mu_values grid tol_bc= tol_brho= tol_picard=",

@@ -16,6 +16,7 @@ from gravelast.parameters import build_parameter_box, k_minimum, mu_ceiling
 from gravelast.radial import RadialGrid, reconstruct_geometry, y_at_boundary
 from gravelast.shooting import (
     DEFAULT_TOL_BC,
+    SolutionProfile,
     boundary_mismatch,
     brent_steps,
     solve_separable,
@@ -241,7 +242,7 @@ class TestSolve:
         other = make_builtin_model(3100.0)
         mus = np.linspace(-sol.box.mu0 / 2, sol.box.mu0 / 2, 9)
         rows = sweep(other, 1.0, mus, RadialGrid(64))
-        assert all(row.error is None for row in rows)
+        assert all(isinstance(row, SolutionProfile) for row in rows)
         assert len(calls) == 2 and calls[1] is other
 
     def test_box_must_be_that_of_model_and_G(self, model, box):
@@ -322,9 +323,9 @@ class TestSweep:
         rows = sweep(model, 1.0, [0.0], grid)
         sol = solve_separable(model, 0.0, 1.0, grid)
         row = rows[0]
-        assert row.error is None
+        assert isinstance(row, SolutionProfile)
         assert row.brho0 == sol.brho0
-        assert row.y1 == float(sol.y[-1])
+        assert row.y[-1] == sol.y[-1]
         assert row.fprime0 == sol.fprime0
 
     def test_empty(self, model):
@@ -334,19 +335,20 @@ class TestSweep:
         grid = RadialGrid(128)
         mus = np.linspace(-box.mu0 / 2, box.mu0 / 2, 11)
         rows = sweep(model, 1.0, mus, grid)
-        assert all(r.error is None for r in rows)
+        assert all(isinstance(r, SolutionProfile) for r in rows)
         brhos = np.array([r.brho0 for r in rows])
         jumps = np.abs(np.diff(brhos))
         assert np.max(jumps) <= 10 * np.mean(jumps)
 
     def test_row_error_capture(self, model, box):
         rows = sweep(model, 1.0, [0.0, 5 * box.mu0], RadialGrid(64))
-        assert rows[0].error is None
-        assert rows[1].error is not None and "ParameterOutOfRange" in rows[1].error
+        assert isinstance(rows[0], SolutionProfile)
+        assert isinstance(rows[1], ParameterOutOfRange)
 
     def test_nan_row_error(self, model):
         rows = sweep(model, 1.0, [math.nan], RadialGrid(64))
-        assert rows[0].error.startswith("ParameterOutOfRange: mu outside proven range")
+        assert isinstance(rows[0], ParameterOutOfRange)
+        assert str(rows[0]).startswith("mu outside proven range")
 
     def test_non_solver_error_propagates(self, model, monkeypatch):
         # Injected inside the batched round: any row with mu > 0 hits a bug.
@@ -358,6 +360,6 @@ class TestSweep:
             return original(model_, brho, mu, *args)
 
         monkeypatch.setattr(fixed_point, "apply_F", broken)
-        assert sweep(model, 1.0, [0.0], RadialGrid(64))[0].error is None
+        assert isinstance(sweep(model, 1.0, [0.0], RadialGrid(64))[0], SolutionProfile)
         with pytest.raises(RuntimeError, match="bug in a row"):
             sweep(model, 1.0, [0.0, 1e-4], RadialGrid(64))
