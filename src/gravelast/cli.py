@@ -299,6 +299,13 @@ def cmd_sweep(args, argv) -> int:
     return EXIT_OK
 
 
+def _number(value, name: str) -> float:
+    """A manifest field that must be a JSON number: not a bool or a string."""
+    if type(value) not in (int, float):
+        raise ValueError(f"{name} must be a JSON number, got {value!r}")
+    return float(value)
+
+
 def _load_profile_dir(path: Path) -> SolutionProfile:
     manifest_path = path / MANIFEST_FILE
     csv_path = path / PROFILE_FILE
@@ -311,11 +318,11 @@ def _load_profile_dir(path: Path) -> SolutionProfile:
         if sha256_of(csv_path) != manifest["files"][PROFILE_FILE]["sha256"]:
             raise UsageError(f"{csv_path} does not match the sha256 in {manifest_path}")
         model = parse_model_spec(manifest["model"])
-        G = float(manifest["G"])
-        mu = float(manifest["mu"])
+        G = _number(manifest["G"], "G")
+        mu = _number(manifest["mu"], "mu")
         if not math.isfinite(mu):
             raise ValueError(f"mu must be finite, got {mu!r}")
-        brho0 = float(manifest["results"]["brho0"])
+        brho0 = _number(manifest["results"]["brho0"], "brho0")
         if not 0 < brho0 < math.inf:
             raise ValueError(f"brho0 must be finite and positive, got {brho0!r}")
         if type(manifest["N"]) is not int:
@@ -326,7 +333,7 @@ def _load_profile_dir(path: Path) -> SolutionProfile:
             raise UsageError(f"profile radius column does not match an N={grid.n} grid")
         # a bad G or a (brho0, mu) outside the box exits 2, a failing model 3
         build_parameter_box(model, G).check_brho(brho0, mu)
-    except (KeyError, ValueError, TypeError, ParameterOutOfRange) as exc:
+    except (KeyError, ValueError, TypeError, OverflowError, ParameterOutOfRange) as exc:
         raise UsageError(f"corrupt profile directory {path}: {exc}") from exc
     return SolutionProfile(
         model=model, mu=mu, brho0=brho0, G=G, grid=grid,

@@ -438,20 +438,32 @@ class TestVerify:
          ("mu", 0.5, "mu outside proven range"),
          ("brho0", 10 * brho_plus(1.0), "outside bracket"),
          ("model", 3100, "model spec must be a string"),
-         ("model", None, "model spec must be a string")],
+         ("model", None, "model spec must be a string"),
+         ("G", True, "G must be a JSON number"),
+         ("G", repr, "G must be a JSON number"),
+         ("mu", repr, "mu must be a JSON number"),
+         ("mu", False, "mu must be a JSON number"),
+         ("brho0", repr, "brho0 must be a JSON number"),
+         ("brho0", True, "brho0 must be a JSON number"),
+         ("N", True, "N must be an integer"),
+         ("mu", 10**400, "int too large to convert to float")],
         ids=["brho0-negative", "brho0-zero", "brho0-nan", "brho0-inf", "mu-nan", "mu-inf",
              "N-fraction", "N-string", "mu-outside-box", "brho0-outside-box", "model-int",
-             "model-null"],
+             "model-null", "G-true", "G-string", "mu-string", "mu-false", "brho0-string",
+             "brho0-true", "N-true", "mu-huge-int"],
     )
     def test_bad_manifest_field_exits_2(self, tmp_path, solved_dir, capsys, field, value,
                                         message):
         # brho0 = -1 made verify trace back and evolve write a negative mass;
         # NaN made verify fail its thresholds (exit 5); N = 128.4 read as 128;
         # a (brho0, mu) outside the box made verify exit 5 and evolve exit 0;
-        # a model that is not a string made both trace back (exit 1)
+        # a model that is not a string made both trace back (exit 1); G, mu
+        # or brho0 as a bool or as its own value in a string (value = repr)
+        # passed float() and verified (exit 0)
         bad = _copy_profile(solved_dir, tmp_path / "bad")
         manifest = json.loads((bad / "manifest.json").read_text())
-        (manifest["results"] if field == "brho0" else manifest)[field] = value
+        fields = manifest["results"] if field == "brho0" else manifest
+        fields[field] = value(fields[field]) if callable(value) else value
         (bad / "manifest.json").write_text(json.dumps(manifest))
         assert run("verify", "--profile", bad, "--out", tmp_path / "v") == 2
         assert run("evolve", "--profile", bad, "--t-end", "1", "--snapshot-times", "0.5",

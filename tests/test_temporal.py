@@ -1,7 +1,9 @@
+import dataclasses
 import math
 import re
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -28,6 +30,9 @@ EPS = np.finfo(float).eps
 # (mu, qdot0) of scripts/bench.py's evolve_q orbits: bound, repulsive, outward
 # and inward unbound
 BENCH_ORBITS = [(-0.001, 0.01), (0.001, 0.1), (-0.001, 0.3), (-0.001, -0.3)]
+# an inward bound orbit drawn by perfbench's regime_portrait: at dt = 1e-3 it
+# stops after 22,518 of 30,001 samples
+PORTRAIT_BOUND = (-0.001573492102369512, -0.01055587685835712)
 
 
 def passages(mu, qdot0, thresholds):
@@ -549,6 +554,63 @@ class TestClosedForm:
         assert np.all(np.sign(dev) == np.sign(e_eff))
 
 
+class TestHalfAngle:
+    """The bound branch forms sin x, 1 - cos x, q and qdot from t = tan(x/2).
+
+    Against 50-digit mpmath on an outward bound orbit, at samples with x >= 1
+    and near the apex, where x meets pi and t reaches 1e16: q within ULPS of
+    itself, and qdot within ULPS of max(|qdot|, v). Near the apex one ulp of
+    the clock moves qdot = v/t by about v eps/2, so no float formula does
+    better in relative terms there.
+    """
+
+    ULPS = 16
+    MU, QDOT0 = -0.001, 0.01
+
+    @classmethod
+    def _worst(cls, refs, q, qd):
+        """Largest errors of q and qdot against refs, in ulps as above."""
+        v = math.sqrt(-2.0 * e_effective(cls.MU, cls.QDOT0))
+        q_ref, qd_ref = (np.array([float(r[i]) for r in refs]) for i in (0, 1))
+        return (float(np.max(np.abs(q - q_ref) / np.spacing(q_ref))),
+                float(np.max(np.abs(qd - qd_ref) / np.spacing(np.maximum(np.abs(qd_ref), v)))))
+
+    def test_matches_mpmath_to_16_ulp(self, monkeypatch):
+        inner, anomalies = temporal_mod._kepler_invert, []
+
+        def capture(S, dS, y, x0):
+            anomalies.append(inner(S, dS, y, x0))
+            return anomalies[-1]
+
+        monkeypatch.setattr(temporal_mod, "_kepler_invert", capture)
+        big_t = mp_amplitude(self.MU, self.QDOT0, 0.0)[2]
+        e = e_effective(self.MU, self.QDOT0)
+        k = -self.MU / (2.0 * abs(e)) ** 1.5
+        t_apex = float(big_t - k * mp.pi)  # the last half-orbit takes k pi
+        near = t_apex + np.concatenate([
+            np.arange(-4, 5) * np.spacing(t_apex),
+            np.ravel([(-d, d) for d in 10.0 ** -np.arange(2, 14, 2)])])
+        times = np.concatenate([np.linspace(0.0, 0.95 * float(big_t), 41), near])
+        q, qd = _amplitude(self.MU, self.QDOT0, times)
+        x = anomalies[0]
+        assert np.min(x[41:]) >= 3.14 and np.max(np.tan(0.5 * x)) >= 1e15
+        mid = x >= 1.0
+        assert mid.sum() >= 60
+        refs = [mp_amplitude(self.MU, self.QDOT0, t) for t in times[mid]]
+        q_ulps, qd_ulps = self._worst(refs, q[mid], qd[mid])
+        assert q_ulps <= self.ULPS
+        assert qd_ulps <= self.ULPS
+
+        # the check can fail: the 1 + cos identities, 1 - cos x = sin(x)**2/(1 + cos x)
+        # and cot(x/2) = (1 + cos x)/sin x, cancel to nothing near the apex
+        a = self.MU / (2.0 * e)
+        with np.errstate(divide="ignore"):
+            q_cos = a * np.sin(x) ** 2 / (1.0 + np.cos(x))
+        qd_cos = np.sign(qd) * math.sqrt(-2.0 * e) * (1.0 + np.cos(x)) / np.sin(x)
+        assert self._worst(refs, q_cos[mid], qd[mid])[0] > self.ULPS
+        assert self._worst(refs, q[mid], qd_cos[mid])[1] > self.ULPS
+
+
 class TestSeriesSplit:
     """x - sin x and sinh x - x: a sample's value comes from its own side of
     SERIES_CUTOFF, whether the other side has samples or not, and 0-d too."""
@@ -649,6 +711,9 @@ class TestBlocks:
 
     @pytest.mark.parametrize("dt", [1e-3, 2.5e-4])
     def test_no_sample_past_the_stop_block(self, monkeypatch, dt):
+        # Samples are evaluated up to one guard sample past the closed-form
+        # stop time and no further, in blocks of at most SAMPLE_BLOCK. The stop
+        # index may sit one sample before or after that time by rounding.
         inner = temporal_mod._kepler_invert
         evaluated = []
 
@@ -656,14 +721,50 @@ class TestBlocks:
             evaluated.append(y.size)
             return inner(S, dS, y, x0)
 
-        mu, qdot0, t_end = -0.001, -0.3, 30.0
-        n_times = temporal_mod._sample_times(t_end, dt).size
         monkeypatch.setattr(temporal_mod, "_kepler_invert", counting)
-        sol = evolve_q(mu, qdot0, t_end, dt)
+        for mu, qdot0 in [(-0.001, -0.3), PORTRAIT_BOUND]:
+            evaluated.clear()
+            sol = evolve_q(mu, qdot0, 30.0, dt)
+            assert sol.stopped_early
+            assert 0 < sum(evaluated) <= sol.t.size + 2
+            assert max(evaluated) <= self.BLOCK
+            if dt == 1e-3 and (mu, qdot0) == PORTRAIT_BOUND:
+                assert sol.t.size == 22518
+            _assert_equals_whole_array(mu, qdot0, 30.0, dt)
+
+    def test_no_closed_form_stop_falls_back_to_blocks(self):
+        # repulsive, so no collapse time, yet q passes below Q_MIN_STOP near
+        # its pericentre at t = 1
+        assert temporal_mod._orbit(1e-9, -1.0).to_collapse is None
+        sol = _assert_equals_whole_array(1e-9, -1.0, 3.0, 1e-3)
         assert sol.stopped_early
-        stop_block = sol.t.size // self.BLOCK
-        assert stop_block < n_times // self.BLOCK - 1  # blocks remain unevaluated
-        assert evaluated == [self.BLOCK] * (stop_block + 1)
+        assert sol.t.size == 1000
+
+    def test_nan_closed_form_stop_falls_back_to_blocks(self, monkeypatch):
+        # the bound orbit's apex 2A = 1.04 lies below q = 2: no passage, so the
+        # closed-form stop is NaN, while q(0) = 1 is already below
+        monkeypatch.setattr(temporal_mod, "Q_MIN_STOP", 2.0)
+        with np.errstate(invalid="ignore"):
+            big_t, to_go = temporal_mod._orbit(*PORTRAIT_BOUND).to_collapse(2.0)
+        assert math.isnan(big_t - to_go)
+        sol = _assert_equals_whole_array(*PORTRAIT_BOUND, 30.0, 1e-3)
+        assert sol.stopped_early
+        assert sol.t.size == 0
+
+    def test_early_closed_form_stop_falls_back_to_blocks(self, monkeypatch):
+        # a closed-form stop that no evaluated sample confirms continues block
+        # by block: here t = 0, so only q(0) = 1 and the guard q(dt) come first
+        inner = temporal_mod._orbit
+
+        def early(mu, qdot0):
+            orbit = inner(mu, qdot0)
+            return dataclasses.replace(orbit, to_collapse=lambda q: (0.0, 0.0))
+
+        monkeypatch.setattr(temporal_mod, "_orbit", early)
+        for mu, qdot0 in [(-0.001, -0.3), PORTRAIT_BOUND]:
+            sol = _assert_equals_whole_array(mu, qdot0, 30.0, 1e-3)
+            assert sol.stopped_early
+            assert sol.t.size > 1
 
 
 class TestOneDecision:
