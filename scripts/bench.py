@@ -11,10 +11,12 @@ benchmark's regime_portrait: bound (-0.001, 0.01), repulsive
 (-0.001, -0.3), which collapses near t = 3.2 and so stops early,
 collapse_time on the bound orbit, one call each of
 moment_integral, apply_F, picard_solve and boundary_mismatch at N = 512,
-and the root search alone: brent_steps replaying the mismatch values of
-one N = 512 solve, so no Picard run is timed.  Each case is warmed up, then
-timed a fixed number of times; a sample of a fast case times a loop of
-calls and reports the time per call.
+the root search alone: brent_steps replaying the mismatch values of
+one N = 512 solve, so no Picard run is timed, and the profile CSV of one
+N = 8192 solve: io.write_csv of its nine columns into the temporary
+directory and read_float_columns of its first six, as verify reads them.
+Each case is warmed up, then timed a fixed number of times; a sample of a
+fast case times a loop of calls and reports the time per call.
 
 gravelast is imported from sys.path, so PYTHONPATH chooses the tree to time.
 The run's median and quartiles per case print as JSON, after env: the
@@ -53,6 +55,12 @@ import gravelast  # noqa: E402
 from gravelast import cli, shooting  # noqa: E402
 from gravelast.constitutive import V, make_builtin_model  # noqa: E402
 from gravelast.fixed_point import apply_F, picard_solve  # noqa: E402
+from gravelast.io import (  # noqa: E402
+    PROFILE_COLUMNS,
+    PROFILE_UNITS,
+    read_float_columns,
+    write_csv,
+)
 from gravelast.parameters import build_parameter_box  # noqa: E402
 from gravelast.radial import RadialGrid, moment_integral  # noqa: E402
 from gravelast.temporal import collapse_time, evolve_q  # noqa: E402
@@ -122,7 +130,7 @@ def _quiet_cli(argv: list[str]):
 
 
 def cases(quick: bool, tmp: Path) -> dict:
-    """name -> (fn, repeats, inner); the CLI case writes into tmp."""
+    """name -> (fn, repeats, inner); the CLI and CSV cases write into tmp."""
     model = make_builtin_model(KAPPA)
     box = build_parameter_box(model, G)
     mu = 0.3 * box.mu0
@@ -149,6 +157,16 @@ def cases(quick: bool, tmp: Path) -> dict:
         "boundary_mismatch": (lambda: shooting.boundary_mismatch(model, brho, mu, G, grid),
                               30 // r, 5),
         "root_search": (_replayed_root_search(model, box, grid, mu), 30 // r, 50),
+    })
+    solved = shooting.solve_separable(model, mu, G, RadialGrid(sizes[-1]))
+    profile = cli._profile_csv_arrays(solved)
+    csv_path = tmp / "profile.csv"
+    write_csv(csv_path, PROFILE_UNITS, PROFILE_COLUMNS, profile)
+    out.update({
+        f"write_profile_csv_N{sizes[-1]}": (
+            lambda: write_csv(csv_path, PROFILE_UNITS, PROFILE_COLUMNS, profile), 30 // r, 1),
+        f"read_profile_csv_N{sizes[-1]}": (
+            lambda: read_float_columns(csv_path, PROFILE_COLUMNS[:6]), 30 // r, 1),
     })
     return out
 

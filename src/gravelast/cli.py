@@ -285,7 +285,8 @@ def cmd_sweep(args, argv) -> int:
         *map(column, ("brho0", "y1", "fprime0", "zeta_norm")),
         column("picard_iterations", int, 0),
         column("boundary_residual"),
-        [e.replace(",", ";") for e in errors],
+        # the CSV's own separators must not appear in a cell
+        [e.replace(",", ";").replace("\r", " ").replace("\n", " ") for e in errors],
     )
     write_csv(out / "sweep.csv", SWEEP_UNITS, SWEEP_COLUMNS, cols)
 

@@ -15,6 +15,7 @@ from kepler_oracles import mp_amplitude
 
 from gravelast import cli
 from gravelast.cli import main
+from gravelast.errors import BracketFailure
 from gravelast.io import (
     fmt,
     parse_model_spec,
@@ -215,6 +216,21 @@ class TestSweep:
         code = run("sweep", "--mu-min", "0.1", "--mu-max", "0.2", "--steps", "2",
                    "--N", "64", "--out", tmp_path / "swbad")
         assert code == 4
+
+    def test_error_text_keeps_the_csv_readable(self, tmp_path, monkeypatch):
+        # a comma or line break in the text once split the row or the file
+        message = "no sign change, twice\nsecond line\r\nthird"
+        monkeypatch.setattr(cli, "sweep_rows", lambda model, G, mus, N, **tol: [
+            BracketFailure(message) for _ in mus])
+        out = tmp_path / "swerr"
+        assert run("sweep", "--mu-min", "0", "--mu-max", "1e-4", "--steps", "2",
+                   "--N", "16", "--out", out) == 4
+        rows = (out / "sweep.csv").read_text().split("\n")
+        assert rows[2].endswith(",BracketFailure: no sign change; twice second line  third")
+        assert len(rows) == 2 + 2 + 1
+        assert read_float_columns(out / "sweep.csv", ("mu",))["mu"].tolist() == [0.0, 1e-4]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["results"]["errors"] == [f"BracketFailure: {message}"] * 2
 
     # were rows mu = [nan, inf, inf], [nan, inf, 1e308] and [nan, nan, 0], exit 4
     @pytest.mark.parametrize("lo,hi", [("-1e-3", "inf"), ("-1e308", "1e308"), ("nan", "0")])

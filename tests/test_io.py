@@ -1,13 +1,16 @@
-"""CSV writer and reader: the same bytes as a cell-by-cell writer, and strict rows.
+"""CSV writer and reader: the bytes of "%.17g" and "%d", and strict rows.
 
-The writer formats whole rows with one ``%`` template per file; the oracle
-below is the cell-by-cell loop it replaced, one ``fmt`` call per numeric
-cell. Every column kind the writer takes (numeric arrays and lists of str)
-is compared byte for byte, at row counts on both sides of the writer's
-chunk edges; every other kind is rejected before the file is opened.
+Two oracles check the writer. The cell-by-cell loop it replaced, one
+``fmt`` call per numeric cell, is compared byte for byte on every column
+kind the writer takes (numeric arrays and lists of str), at row counts on
+both sides of the writer's block edges; every other kind is rejected
+before the file is opened. The definition itself, ``"%.17g" % float(x)``
+per cell, is compared on a million values chosen to reach every rounding
+and layout rule of the writer's kernel.
 """
 
 import warnings
+from decimal import ROUND_DOWN, Context, Decimal
 
 import numpy as np
 import pytest
@@ -62,6 +65,9 @@ def _both(tmp_path, header, columns, comment="# units: test"):
 
 
 class TestWriterBytes:
+    def test_row_counts_meet_block_edges(self):
+        assert {n % io._BLOCK_ROWS for n in ROW_COUNTS} == {0, 1, io._BLOCK_ROWS - 1}
+
     @pytest.mark.parametrize("n", ROW_COUNTS)
     def test_every_column_kind(self, tmp_path, n):
         cols = _columns(n)
@@ -78,6 +84,11 @@ class TestWriterBytes:
         assert cols[5].dtype.kind == "i"
         new, old = _both(tmp_path, io.SWEEP_COLUMNS, cols, io.SWEEP_UNITS)
         assert new == old
+
+    def test_text_only_columns(self, tmp_path):
+        # no numeric cell: the block is as wide as the longest text
+        new, old = _both(tmp_path, ("a", "b"), (["x", "yy", ""], ["", "zzz", "w"]))
+        assert new == old == b"# units: test\na,b\nx,\nyy,zzz\n,w\n"
 
     @settings(max_examples=100, deadline=None)
     @given(x=arrays(np.float64, st.integers(0, 40), elements=st.floats()))
@@ -100,6 +111,76 @@ class TestWriterBytes:
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
+def _written(tmp_path, column):
+    """The cells write_csv writes for one column."""
+    path = tmp_path / "one.csv"
+    write_csv(path, "# units: none", ("x",), (column,))
+    return path.read_bytes().split(b"\n")[2:-1]
+
+
+def _assert_cells(got, want):
+    assert got == want, [(i, g, w) for i, (g, w) in enumerate(zip(got, want)) if g != w][:5]
+
+
+class TestDefinitionOracle:
+    def test_float_cells(self, tmp_path):
+        rng = np.random.default_rng(25)
+        exponents = range(-95, 96)  # the kernel's range [1e-90, 1e90) and beyond
+        powers = np.array([float(f"1e{k}") for k in exponents])
+        around = np.stack([np.nextafter(powers, 0), powers, np.nextafter(powers, np.inf)])
+        # n + 0.25 and n + 0.75 with 16-digit n: 18 digits ending in 5, exact ties
+        ties = rng.integers(10**15, 2**50, 2000) + np.repeat([0.25, 0.75], 1000)
+        edges = [1e-90, 1e90, 2.0**53 - 1, 2.0**53, 2.2250738585072009e-308]
+        x = np.concatenate([
+            around.ravel(), -around.ravel(), ties,
+            10.0 ** rng.uniform(-13, 18, 10**6) * rng.choice([-1.0, 1.0], 10**6),
+            rng.integers(1, 2**53, 20000) * 2.0 ** -rng.integers(0, 80, 20000),
+            rng.integers(0, 2**53, 20000).astype(float),
+            # short decimals: their 17 digits end in a run of zeros or nines
+            rng.integers(1, 10**9, 20000) / 10.0 ** rng.integers(0, 20, 20000),
+            10.0 ** rng.uniform(-308, 308, 20000),
+            np.nextafter(edges, 0), edges, np.nextafter(edges, np.inf), SPECIALS,
+        ])
+        want = [b"%.17g" % v for v in x.tolist()]
+        _assert_cells(_written(tmp_path, x), want)
+
+        # The set holds values that a wrong rounding rule or exponent gets wrong.
+        truncate = Context(prec=17, rounding=ROUND_DOWN)
+        start = around.size * 2
+
+        def rounds_up(i):
+            return truncate.plus(Decimal(x[i])) != Decimal(want[i].decode())
+
+        tie_up = [rounds_up(i) for i in range(start, start + len(ties))]
+        assert 0 < sum(tie_up) < len(ties)  # half-even goes both ways
+        assert any(rounds_up(i) for i in range(start + len(ties), start + len(ties) + 100))
+        for k, cells in zip(exponents, np.array(want[:around.size]).reshape(3, -1).T):
+            # both sides of every exponent switch, the %g layout ones included;
+            # 1e-14 and 1e-79 are doubles below 10**k that round up to it
+            assert {Decimal(c.decode()).adjusted() for c in cells} == {k - 1, k}
+
+    def test_kernel_certifies_nearly_every_cell(self):
+        # The per-cell fallback alone would pass the oracle above. Exact ties,
+        # common from about 1e12 up, round half-even in the kernel.
+        x = 10.0 ** np.random.default_rng(28).uniform(-80, 80, 10**5)
+        assert np.count_nonzero(~io._round17(x)[-1]) <= 1
+
+    def test_float32_cells(self, tmp_path):
+        rng = np.random.default_rng(26)
+        x = (rng.standard_normal(20000) * 10.0 ** rng.integers(-40, 38, 20000)).astype(np.float32)
+        x[:6] = [0.0, -0.0, np.inf, -np.inf, np.nan, np.finfo(np.float32).tiny / 4]
+        _assert_cells(_written(tmp_path, x), [b"%.17g" % v for v in x.tolist()])
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint64])
+    def test_integer_cells(self, tmp_path, dtype):
+        # beyond 2**53 an integer's float64 is not the integer
+        rng = np.random.default_rng(27)
+        info = np.iinfo(dtype)
+        v = np.concatenate([rng.integers(max(info.min, -(2**53)), 2**53, 20000, dtype=dtype),
+                            np.array([2**53 - 1, 2**53, 2**53 + 1, info.max, info.min, 0], dtype)])
+        _assert_cells(_written(tmp_path, v), [b"%d" % i for i in v.tolist()])
+
+
 class TestWriterChecks:
     @pytest.mark.parametrize(
         "header,columns,match",
@@ -113,6 +194,14 @@ class TestWriterChecks:
         path = tmp_path / "x.csv"
         with pytest.raises(ValueError, match=match):
             write_csv(path, "# units: none", header, columns)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("cell", ["ok, fine", "two\nlines", "cr\rhere", "nul\0"])
+    def test_text_cell_that_breaks_the_csv_rejected_before_open(self, tmp_path, cell):
+        # written verbatim, the cell split its row or the file, and the reader failed
+        path = tmp_path / "t.csv"
+        with pytest.raises(ValueError, match="text cell"):
+            write_csv(path, "# units: none", ("a", "msg"), (np.array([1.0, 2.0]), ["", cell]))
         assert not path.exists()
 
     @pytest.mark.parametrize(
@@ -167,6 +256,15 @@ class TestReader:
         path.write_text("# units: none\na,b\n1,2\n# a note\n\n3,4\n")
         out = read_float_columns(path, ("b",))
         assert out["b"].tolist() == [2.0, 4.0]
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_other_line_ends(self, tmp_path, end):
+        # the reader decodes bytes itself, so it must translate them as read_text did
+        path = tmp_path / "e.csv"
+        lines = ["# units: none", "a,b", "1,2", "# note", "", "3,4", ""]
+        path.write_bytes(end.join(lines).encode())
+        out = read_float_columns(path, ("b", "a"))
+        assert out["b"].tolist() == [2.0, 4.0] and out["a"].tolist() == [1.0, 3.0]
 
     @pytest.mark.parametrize("row", ["1,2,3", "1", "1,2,", ",1,2"])
     def test_field_count_checked(self, tmp_path, row):
