@@ -1,7 +1,8 @@
 """Command-line driver: solve, sweep, evolve, verify.
 
-Exit codes: 0 success, 2 usage/corrupt input, 3 solver error, 4 sweep with
-no successful row, 5 verification threshold exceeded.
+Exit codes: 0 success, 2 usage error (a bad option, a corrupt or unreadable
+input, an unwritable output, a size beyond memory), 3 solver error, 4 sweep
+with no successful row, 5 verification threshold exceeded.
 """
 
 from __future__ import annotations
@@ -275,15 +276,15 @@ def cmd_sweep(args, argv) -> int:
     errors = [f"{type(r).__name__}: {r}" if isinstance(r, SolverError) else "" for r in rows]
     del rows
 
-    def column(key, dtype=float, failed=math.nan):
-        return np.array([failed if s is None else s[key] for s in summaries], dtype=dtype)
+    def column(key, failed=math.nan):
+        return np.array([failed if s is None else s[key] for s in summaries], dtype=float)
 
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
     cols = (
         np.array(mu_values, dtype=float),
         *map(column, ("brho0", "y1", "fprime0", "zeta_norm")),
-        column("picard_iterations", int, 0),
+        column("picard_iterations", 0.0),
         column("boundary_residual"),
         # the CSV's own separators must not appear in a cell
         [e.replace(",", ";").replace("\r", " ").replace("\n", " ") for e in errors],
@@ -310,11 +311,7 @@ def _number(value, name: str) -> float:
 def _load_profile_dir(path: Path) -> SolutionProfile:
     manifest_path = path / MANIFEST_FILE
     csv_path = path / PROFILE_FILE
-    if not manifest_path.exists():
-        raise UsageError(f"missing manifest: {manifest_path}")
-    if not csv_path.exists():
-        raise UsageError(f"missing profile: {csv_path}")
-    try:
+    try:  # a missing or unreadable file raises OSError, which main reports
         manifest = read_manifest(manifest_path)
         if sha256_of(csv_path) != manifest["files"][PROFILE_FILE]["sha256"]:
             raise UsageError(f"{csv_path} does not match the sha256 in {manifest_path}")
@@ -461,10 +458,13 @@ def main(argv=None) -> int:
     }
     try:
         args = _parse_args(argv)
+        # a run that fails leaves no output, so a blocked --out stops it before any work
+        if blocked := [p for p in (args.out, *args.out.parents) if p.exists() and not p.is_dir()]:
+            raise UsageError(f"--out {args.out}: {blocked[0]} exists and is not a directory")
         return handlers[args.cmd](args, argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
-    except UsageError as exc:
+    except (UsageError, OSError, MemoryError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SolverError as exc:

@@ -8,8 +8,8 @@ radius delta = 10/g''(1), where
 and (f, f', lambda, y) are rebuilt from z at every application.  Inside the
 admissible (mu, brho) box the composition shrinks sup-distances by roughly
 (7/5) (1/16 + K/400) < 0.126, so the ratio of successive updates is a live
-health check and plain iteration from z = 0 converges in a dozen steps;
-started from a nearby fixed point (a neighbouring brho) it needs fewer.
+health check; plain iteration from z = 0 took 2 to 4 steps over the box for
+kappa = 3100 and 20000, the ratio at most 3.2e-4 (at brho_plus, kappa 3100).
 The ball is the kernel's invariant: the moment weights are nonnegative and
 sum to int t**p, so ||z|| <= delta gives f' >= 1 - 4 delta/3, lambda >=
 1 - 5 delta/3 and |y - 1| <= delta/(3 (1 - 5 delta/3)) < delta (validation

@@ -6,10 +6,10 @@ directory gets a JSON manifest recording inputs, results and sha256 hashes
 of the emitted CSVs; wall time and timestamps live only in the manifest,
 so identical reruns produce byte-identical CSVs.
 
-A column is a numeric array or a list of text.  The writer turns each
+A column is a float array or a list of text.  The writer turns each
 block of ``_BLOCK_ROWS`` rows into one NUL-padded byte matrix, a
 fixed-width cell per column followed by its "," or newline, and writes
-it with the NULs dropped by ``bytes.translate``.  Numeric cells hold the
+it with the NULs dropped by ``bytes.translate``.  Float cells hold the
 bytes ``"%.17g" % x`` would (``fmt``'s), from one vectorized kernel: for
 |x| in the certified range [1e-90, 1e90) it rounds |x| * 10**(16 - k),
 formed as Dekker's exact two-product against a (hi, lo) table of powers
@@ -18,13 +18,11 @@ and lays them out by the %g rules.  The cells it cannot certify are
 formatted one at a time by "%.17g": zero, subnormal, non-finite and
 out-of-range values, values below 1e-6 (whose product is not exact)
 within 1e-9 of a rounding tie, and the rare value whose 17 digits round
-up to the next power of ten.  An integer or bool column goes through the
-kernel as float64, which below 2**53 is exact and prints as "%d" does;
-its cells beyond that are formatted by "%d".  Text cells are written
-verbatim, and a cell holding a comma, a line break or a NUL is refused
-before the file is opened.  The reader checks each row's field count
-against the header, then parses only the requested columns with
-``np.loadtxt``, which reads a number as ``float`` does.
+up to the next power of ten.  Text cells are written verbatim, and a
+cell holding a comma, a line break or a NUL is refused before the file
+is opened.  The reader checks each row's field count against the
+header, then parses only the requested columns with ``np.loadtxt``,
+which reads a number as ``float`` does.
 """
 
 from __future__ import annotations
@@ -71,8 +69,6 @@ _CERTIFIED_MIN, _CERTIFIED_MAX = 1e-90, 1e90
 _K_MIN, _K_MAX = -92, 92
 # An inexact scaled value this close to a half-integer may be a rounding tie.
 _TIE_MARGIN = 1e-9
-# From here on not every integer is a double: such integer cells get "%d".
-_EXACT_INT = 2**53
 
 # A cell is built in 56 bytes. Bytes 8 .. 47 hold 20 digits, the 17
 # significant ones last, each twice, from a lookup of 4-digit groups:
@@ -239,22 +235,20 @@ def _float_cells(x) -> np.ndarray:
 
 
 def fmt(x) -> str:
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
     return format(float(x), ".17g")
 
 
 def _column_kind(path: Path, column) -> str:
-    """"f" for a float array, "i" for an int, uint or bool one, "s" for a list of str.
+    """"f" for a float array, "s" for a list of str.
 
     Anything else raises TypeError, and a text cell that would break the
     CSV (a comma, a line break or a NUL) raises ValueError.
     """
-    if isinstance(column, np.ndarray) and column.dtype.kind in "fiub":
-        return "f" if column.dtype.kind == "f" else "i"
+    if isinstance(column, np.ndarray) and column.dtype.kind == "f":
+        return "f"
     if not (isinstance(column, list) and all(isinstance(x, str) for x in column)):
         raise TypeError(
-            f"a CSV column must be a numeric array or a list of str, got {type(column).__name__}"
+            f"a CSV column must be a float array or a list of str, got {type(column).__name__}"
         )
     joined = "".join(column)
     for ch in ",\r\n\0":
@@ -267,8 +261,8 @@ def _column_kind(path: Path, column) -> str:
 def write_csv(path: Path, comment: str, header, columns) -> None:
     """Write columns under a comment line and a header row, one cell per column and row.
 
-    Float cells read as ``fmt`` writes them ("%.17g"), integer and bool cells
-    as "%d", text cells verbatim; every check runs before the file is opened.
+    Float cells read as ``fmt`` writes them ("%.17g"), text cells verbatim;
+    every check runs before the file is opened.
     """
     lengths = {len(c) for c in columns}
     if len(lengths) > 1:
@@ -276,10 +270,9 @@ def write_csv(path: Path, comment: str, header, columns) -> None:
     if len(header) != len(columns):
         raise ValueError(f"{path}: {len(header)} header names for {len(columns)} columns")
     kinds = [_column_kind(path, c) for c in columns]
-    numeric = [j for j, kind in enumerate(kinds) if kind != "s"]
-    ints = [(i, j) for i, j in enumerate(numeric) if kinds[j] == "i"]
+    floats = [j for j, kind in enumerate(kinds) if kind == "f"]
     text = {j: [x.encode() for x in c] for j, c in enumerate(columns) if kinds[j] == "s"}
-    width = max([_CELL_WIDTH] * bool(numeric)
+    width = max([_CELL_WIDTH] * bool(floats)
                 + [len(x) for cells in text.values() for x in cells], default=0)
     n_rows = max(lengths, default=0)
     with open(path, "wb") as fh:
@@ -289,17 +282,10 @@ def write_csv(path: Path, comment: str, header, columns) -> None:
             block = np.zeros((stop - start, len(columns), width + 1), np.uint8)
             block[:, :, width] = ord(",")
             block[:, -1, width] = ord("\n")
-            if numeric:
-                # an integer is its float64 below _EXACT_INT, and %d = %.17g there
-                x = np.array([columns[j][start:stop] for j in numeric], dtype=float)
-                block[:, numeric, :_CELL_WIDTH] = _float_cells(x.ravel()).reshape(
-                    len(numeric), stop - start, _CELL_WIDTH).transpose(1, 0, 2)
-                for i, j in ints:
-                    big = (np.abs(x[i]) >= _EXACT_INT).nonzero()[0]
-                    if big.size:
-                        block[big, j, :_CELL_WIDTH] = _padded(
-                            [b"%d" % v for v in columns[j][start:stop][big].tolist()],
-                            _CELL_WIDTH)
+            if floats:
+                x = np.array([columns[j][start:stop] for j in floats], dtype=float)
+                block[:, floats, :_CELL_WIDTH] = _float_cells(x.ravel()).reshape(
+                    len(floats), stop - start, _CELL_WIDTH).transpose(1, 0, 2)
             for j, cells in text.items():
                 block[:, j, :width] = _padded(cells[start:stop], width)
             fh.write(block.tobytes().translate(None, b"\0"))

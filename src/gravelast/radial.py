@@ -114,8 +114,8 @@ def apply_L_inverse(grid: RadialGrid, eta: np.ndarray) -> np.ndarray:
 class GeometryProfile:
     """Spatial profile reconstructed from a curvature density z.
 
-    moment2 is the cumulative int_0^R t**2 z dt, kept because both the
-    fixed-point operator and the boundary value y(1) reuse it verbatim.
+    moment2 is the cumulative int_0^R t**2 z dt, kept because the
+    fixed-point operator reuses it verbatim; y_at_boundary takes its own.
     """
 
     f: np.ndarray

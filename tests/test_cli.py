@@ -190,6 +190,7 @@ class TestSweep:
         assert code == 0
         rows = (out / "sweep.csv").read_text().splitlines()
         assert len(rows) == 2 + 5
+        assert all(row.split(",")[5].isdigit() for row in rows[2:])  # iters as "%d" prints it
 
     def test_middle_row_matches_solve(self, tmp_path):
         out_sw = tmp_path / "sw"
@@ -503,11 +504,13 @@ class TestVerify:
         assert pairs["grid_n"] == "128" and pairs["stencil_order"] == "4"
         assert pairs["max_residual"] == fmt(1e-20 if extra else 1e-6)
 
-    def test_missing_manifest(self, tmp_path, solved_dir):
+    def test_missing_manifest(self, tmp_path, solved_dir, capsys):
         partial = tmp_path / "partial"
         partial.mkdir()
         (partial / "profile.csv").write_text((solved_dir / "profile.csv").read_text())
         assert run("verify", "--profile", partial, "--out", tmp_path / "vm") == 2
+        assert "No such file or directory" in capsys.readouterr().err
+        assert not (tmp_path / "vm").exists()
 
     def test_missing_directory(self, tmp_path):
         assert run("verify", "--profile", tmp_path / "nope",
@@ -538,6 +541,17 @@ class TestVerify:
         assert "corrupt profile directory" in capsys.readouterr().err
         assert not (tmp_path / "vm" / "report.txt").exists()
 
+    def test_lambda_off_by_a_millionth_fails_consistency(self, tmp_path, solved_dir):
+        # far above the columns' roundoff, far below the residual thresholds' reach
+        def scale_lambda(parts):
+            parts[4] = fmt((1.0 + 1e-6) * float(parts[4]))
+            return parts
+
+        broken = _copy_profile(solved_dir, tmp_path / "lam", scale_lambda)
+        assert run("verify", "--profile", broken, "--out", tmp_path / "vl") == 5
+        report = (tmp_path / "vl" / "report.txt").read_text().splitlines()
+        assert "pass_consistency = False" in report and "verdict = fail" in report
+
     def test_corrupt_zeta_column_fails(self, tmp_path, solved_dir):
         def shift_zeta(parts):
             parts[1] = fmt(float(parts[1]) + 1e-4)  # columns stay consistent
@@ -545,6 +559,77 @@ class TestVerify:
 
         broken = _copy_profile(solved_dir, tmp_path / "zbroken", shift_zeta)
         assert run("verify", "--profile", broken, "--out", tmp_path / "vz") == 5
+
+
+# The first file each command writes
+FIRST_OUTPUT = {"solve": "profile.csv", "sweep": "sweep.csv", "evolve": "temporal.csv",
+                "verify": "report.txt"}
+
+
+def _command(cmd, profile):
+    """A short run of cmd; evolve and verify read the profile directory given."""
+    return {
+        "solve": ("solve", "--N", "64"),
+        "sweep": ("sweep", "--mu-min", "0", "--mu-max", "1e-4", "--steps", "2", "--N", "16"),
+        "evolve": ("evolve", "--t-end", "1", "--profile", profile),
+        "verify": ("verify", "--profile", profile),
+    }[cmd]
+
+
+class TestFileErrors:
+    """An input that cannot be read, an output that cannot be written and a
+    size beyond memory exit 2 with a usage error, not a traceback."""
+
+    @pytest.mark.parametrize("cmd", FIRST_OUTPUT)
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below-a-file"])
+    def test_out_blocked_by_a_file_exits_2_before_any_work(self, tmp_path, solved_dir,
+                                                           monkeypatch, capsys, cmd, below):
+        # each solved first, then raised FileExistsError or NotADirectoryError (exit 1)
+        def work(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        for name in ("solve_separable", "sweep_rows", "evolve_q", "_load_profile_dir"):
+            monkeypatch.setattr(cli, name, work)
+        blocker = tmp_path / "F"
+        blocker.write_text("kept\n")
+        out = blocker / "sub" if below else blocker
+        assert run(*_command(cmd, solved_dir), "--out", out) == 2
+        assert f"usage error: --out {out}: {blocker} exists and is not a directory" in (
+            capsys.readouterr().err)
+        assert blocker.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("cmd", FIRST_OUTPUT)
+    def test_unwritable_output_exits_2(self, tmp_path, solved_dir, capsys, cmd):
+        out = tmp_path / "o"
+        (out / FIRST_OUTPUT[cmd]).mkdir(parents=True)
+        assert run(*_command(cmd, solved_dir), "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and f"{out / FIRST_OUTPUT[cmd]}" in err
+
+    @pytest.mark.parametrize("name", ["manifest.json", "profile.csv"])
+    @pytest.mark.parametrize("cmd", ["evolve", "verify"])
+    def test_unreadable_profile_exits_2(self, tmp_path, solved_dir, capsys, name, cmd):
+        # a directory where the file should be raised IsADirectoryError (exit 1)
+        profile = _copy_profile(solved_dir, tmp_path / "p")
+        (profile / name).unlink()
+        (profile / name).mkdir()
+        assert run(*_command(cmd, profile), "--out", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and f"{profile / name}" in err
+        assert not (tmp_path / "o").exists()
+
+    # Each asks for more than 2**47 bytes, more than an x86-64 process can
+    # map, so the allocation fails at once whatever the overcommit setting.
+    @pytest.mark.parametrize("argv", [
+        ("evolve", "--t-end", "1e12", "--dt", "1e-3"),  # 10**15 int64 sample indices
+        ("sweep", "--mu-min", "0", "--mu-max", "1e-4", "--steps", "100000000000000"),  # float64 mu
+        ("solve", "--N", "20000000000000"),  # 2e13 + 1 float64 per profile
+    ], ids=["evolve", "sweep", "solve"])
+    def test_size_beyond_memory_exits_2(self, tmp_path, capsys, argv):
+        # numpy's _ArrayMemoryError traced back (exit 1)
+        assert run(*argv, "--out", tmp_path / "o") == 2
+        assert capsys.readouterr().err.startswith("usage error: Unable to allocate")
+        assert not (tmp_path / "o").exists()
 
 
 def _config(tmp_path, text):
@@ -698,6 +783,16 @@ class TestEntryPoint:
         done = self._cli("verify", "--profile", bad, "--out", tmp_path / "v")
         assert done.returncode == 2
         assert "corrupt profile directory" in done.stderr and "Traceback" not in done.stderr
+
+    def test_file_and_memory_errors_exit_2(self, tmp_path, solved_dir):
+        profile = _copy_profile(solved_dir, tmp_path / "p")
+        (profile / "manifest.json").unlink()
+        (profile / "manifest.json").mkdir()
+        for argv in (("verify", "--profile", profile),
+                     ("evolve", "--t-end", "1e12", "--dt", "1e-3")):
+            done = self._cli(*argv, "--out", tmp_path / "o")
+            assert done.returncode == 2
+            assert done.stderr.startswith("usage error:") and "Traceback" not in done.stderr
 
 
 class TestIoHelpers:

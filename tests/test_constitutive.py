@@ -178,6 +178,13 @@ class TestScalarFunctions:
         with pytest.raises(HypothesisFailed, match="^E: the model's E"):
             build_parameter_box(bad, 1.0)
 
+    def test_E_check_rejects_a_millionth_off(self):
+        # far below any wrong closed form, far above the check's own roundoff
+        base = make_builtin_model(3100.0)
+        bad = dataclasses.replace(base, E=lambda y: (1.0 + 1e-6) * base.E(y))
+        with pytest.raises(HypothesisFailed, match="^E: the model's E"):
+            validate_model(bad)
+
     def test_E_matches_extended_precision_quotient(self):
         m = make_builtin_model(3100.0)
         y = np.longdouble(1.001)

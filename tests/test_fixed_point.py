@@ -175,6 +175,42 @@ class TestPicard:
         with pytest.raises(NotContracting):
             picard_solve(model, 1.0, 0.0, 1.0, grid512)
 
+    @staticmethod
+    def _scripted_map(monkeypatch, outputs):
+        """Make Linv F return outputs[k] (a constant profile) on call k, then the last."""
+        calls = []
+
+        def fake_F(model_, brho, mu, G, grid, zeta):
+            calls.append(1)
+            return np.full(np.shape(zeta), outputs[min(len(calls), len(outputs)) - 1])
+
+        monkeypatch.setattr(fp, "apply_F", fake_F)
+        monkeypatch.setattr(fp, "apply_L_inverse", lambda grid, eta: eta)
+        return calls
+
+    def test_two_growing_updates_stop_the_run(self, model, grid512, monkeypatch):
+        # updates 1, 2, 4 (x 1e-7): the third call makes the second growth
+        calls = self._scripted_map(monkeypatch, [1e-7, 3e-7, 7e-7])
+        with pytest.raises(NotContracting, match="grew twice in a row"):
+            picard_solve(model, 1.0, 0.0, 1.0, grid512)
+        assert len(calls) == 3
+
+    def test_growth_broken_by_a_shrink_runs_on(self, model, grid512, monkeypatch):
+        # updates 1, 2, 1, 2, 0 (x 1e-7): no two growths in a row
+        calls = self._scripted_map(monkeypatch, [1e-7, 3e-7, 4e-7, 6e-7])
+        _, diag = picard_solve(model, 1.0, 0.0, 1.0, grid512)
+        assert diag.iterations == len(calls) == 5 and diag.updates[-1] == 0.0
+
+    def test_slow_contraction_converges_within_max_iter(self, model, grid512, monkeypatch):
+        # z <- z* + (z - z*)/2 from z = 0, inside the ball: the updates halve
+        target = 0.5 * model.delta
+        monkeypatch.setattr(fp, "apply_F", lambda model_, brho, mu, G, grid, zeta:
+                            target + 0.5 * (zeta - target))
+        monkeypatch.setattr(fp, "apply_L_inverse", lambda grid, eta: eta)
+        _, diag = picard_solve(model, 1.0, 0.0, 1.0, grid512)
+        assert 9 <= diag.iterations < fp.MAX_ITER
+        assert diag.updates[-1] < fp.DEFAULT_TOL and np.allclose(diag.ratios, 0.5, rtol=1e-4)
+
 
 class TestLipschitzProbe:
     def test_estimate_below_contraction_bound(self, model):
