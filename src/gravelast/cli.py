@@ -200,18 +200,33 @@ def _solver_settings(args) -> dict:
     }
 
 
-def _write_manifest(args, argv, wall: float, results: dict, files, **inputs) -> None:
-    """manifest.json in args.out: the command, its inputs, results and file hashes."""
-    manifest = {
-        "tool": {"name": "gravelast", "version": __version__},
-        "command": "gravelast " + " ".join(argv),
-        "timestamp_utc": datetime.now(timezone.utc).isoformat(),
-        "wall_time_s": wall,
-        "results": results,
-        "files": {name: file_entry(args.out / name) for name in files},
-        **inputs,
-    }
-    write_manifest(args.out / MANIFEST_FILE, manifest)
+def _write_outputs(args, argv, wall: float, results: dict, tables: dict, **inputs) -> None:
+    """Each CSV of tables, {name: (units, header, columns)}, then manifest.json
+    (the command, its inputs, results and file hashes) into args.out.
+
+    A failed write removes the files written, and what it left under a name
+    that was free, then re-raises: a failed run leaves no half of its output.
+    """
+    out = args.out
+    out.mkdir(parents=True, exist_ok=True)
+    ours = [name for name in (*tables, MANIFEST_FILE) if not (out / name).exists()]
+    try:
+        for name, table in tables.items():
+            write_csv(out / name, *table)
+            ours.append(name)
+        write_manifest(out / MANIFEST_FILE, {
+            "tool": {"name": "gravelast", "version": __version__},
+            "command": "gravelast " + " ".join(argv),
+            "timestamp_utc": datetime.now(timezone.utc).isoformat(),
+            "wall_time_s": wall,
+            "results": results,
+            "files": {name: file_entry(out / name) for name in tables},
+            **inputs,
+        })
+    except BaseException:
+        for name in ours:
+            (out / name).unlink(missing_ok=True)
+        raise
 
 
 def _profile_csv_arrays(sol: SolutionProfile):
@@ -238,9 +253,6 @@ def cmd_solve(args, argv) -> int:
     sol = solve_separable(args.model, args.mu, args.G, args.N, **_tolerances(args))
     wall = time.perf_counter() - t0
 
-    out = args.out
-    out.mkdir(parents=True, exist_ok=True)
-    write_csv(out / PROFILE_FILE, PROFILE_UNITS, PROFILE_COLUMNS, _profile_csv_arrays(sol))
     results = {
         **_summary(sol),
         "root_evaluations": sol.root_evaluations,
@@ -251,10 +263,11 @@ def cmd_solve(args, argv) -> int:
             "brho_lower": sol.box.brho_lower(sol.mu),
         },
     }
-    _write_manifest(args, argv, wall, results, [PROFILE_FILE],
-                    mu=args.mu, **_solver_settings(args))
+    _write_outputs(args, argv, wall, results,
+                   {PROFILE_FILE: (PROFILE_UNITS, PROFILE_COLUMNS, _profile_csv_arrays(sol))},
+                   mu=args.mu, **_solver_settings(args))
     print(f"solved mu={args.mu:g}: brho0={sol.brho0:.12g}, "
-          f"|g'(y(1))|={abs(sol.boundary_residual):.3e} -> {out / PROFILE_FILE}")
+          f"|g'(y(1))|={abs(sol.boundary_residual):.3e} -> {args.out / PROFILE_FILE}")
     return EXIT_OK
 
 
@@ -279,8 +292,6 @@ def cmd_sweep(args, argv) -> int:
     def column(key, failed=math.nan):
         return np.array([failed if s is None else s[key] for s in summaries], dtype=float)
 
-    out = args.out
-    out.mkdir(parents=True, exist_ok=True)
     cols = (
         np.array(mu_values, dtype=float),
         *map(column, ("brho0", "y1", "fprime0", "zeta_norm")),
@@ -289,13 +300,12 @@ def cmd_sweep(args, argv) -> int:
         # the CSV's own separators must not appear in a cell
         [e.replace(",", ";").replace("\r", " ").replace("\n", " ") for e in errors],
     )
-    write_csv(out / "sweep.csv", SWEEP_UNITS, SWEEP_COLUMNS, cols)
-
     n_ok = errors.count("")
     results = {"rows": len(errors), "succeeded": n_ok, "errors": [e for e in errors if e]}
-    _write_manifest(args, argv, wall, results, ["sweep.csv"], mu_min=args.mu_min,
-                    mu_max=args.mu_max, steps=args.steps, **_solver_settings(args))
-    print(f"sweep: {n_ok}/{len(errors)} rows ok -> {out / 'sweep.csv'}")
+    _write_outputs(args, argv, wall, results, {"sweep.csv": (SWEEP_UNITS, SWEEP_COLUMNS, cols)},
+                   mu_min=args.mu_min, mu_max=args.mu_max, steps=args.steps,
+                   **_solver_settings(args))
+    print(f"sweep: {n_ok}/{len(errors)} rows ok -> {args.out / 'sweep.csv'}")
     if args.steps > 0 and n_ok == 0:
         return EXIT_SWEEP_EMPTY
     return EXIT_OK
@@ -371,19 +381,13 @@ def cmd_evolve(args, argv) -> int:
     # every snapshot before any file: a failing one leaves the output empty
     snaps = [assemble_motion(profile, temporal, t_snap) for t_snap in args.snapshot_times]
 
-    out = args.out
-    out.mkdir(parents=True, exist_ok=True)
-    write_csv(
-        out / "temporal.csv", TEMPORAL_UNITS, TEMPORAL_COLUMNS,
-        (temporal.t, temporal.q, temporal.qdot, temporal.energy_drift),
-    )
-    files = ["temporal.csv"]
+    tables = {"temporal.csv": (TEMPORAL_UNITS, TEMPORAL_COLUMNS,
+                               (temporal.t, temporal.q, temporal.qdot, temporal.energy_drift))}
     snapshots = {}
     for idx, snap in enumerate(snaps):
         name = f"snapshot_{idx:03d}.csv"
-        write_csv(out / name, SNAPSHOT_UNITS, SNAPSHOT_COLUMNS,
-                  (profile.grid.nodes, snap.phi, snap.u, snap.rho))
-        files.append(name)
+        tables[name] = (SNAPSHOT_UNITS, SNAPSHOT_COLUMNS,
+                        (profile.grid.nodes, snap.phi, snap.u, snap.rho))
         snapshots[name] = {"t": snap.t, "q": snap.q, "mass": snap.mass}
 
     results = {
@@ -395,12 +399,12 @@ def cmd_evolve(args, argv) -> int:
         "collapse": collapse,
         "snapshots": snapshots,
     }
-    _write_manifest(args, argv, wall, results, files,
-                    mu=mu, qdot0=args.qdot0, t_end=args.t_end, dt=args.dt)
+    _write_outputs(args, argv, wall, results, tables,
+                   mu=mu, qdot0=args.qdot0, t_end=args.t_end, dt=args.dt)
     msg = f"evolve mu={mu:g} qdot0={args.qdot0:g}: regime={temporal.regime}"
     if collapse:
         msg += f", T={collapse['T']:.6g}"
-    print(msg + f" -> {out / 'temporal.csv'}")
+    print(msg + f" -> {args.out / 'temporal.csv'}")
     return EXIT_OK
 
 

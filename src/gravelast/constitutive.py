@@ -198,16 +198,13 @@ def V(brho, mu, G: float, lam):
 
     brho and mu are scalars or arrays that broadcast against lam, e.g. one
     (rows, 1) column each for a (rows, N+1) stack of lam; every shape takes
-    the same path.
+    the same path.  np.cbrt rounds an element alike in any shape, so a
+    stacked row equals its scalar call.
     """
     brho = np.asarray(brho, dtype=float)
-    cells = brho.ravel().tolist()
-    if any(b <= 0 for b in cells):
+    if (brho <= 0).any():
         raise ValueError("brho must be positive")
-    # Python's float power per element: numpy's vectorised power rounds some
-    # cube roots differently, and a stacked row must equal its scalar call.
-    root = np.array([b ** (1.0 / 3.0) for b in cells]).reshape(brho.shape)
     lam = np.asarray(lam, dtype=float)
-    out = lam / root * (FOUR_PI_3 * G * brho + mu * lam**3)
+    out = lam / np.cbrt(brho) * (FOUR_PI_3 * G * brho + mu * lam**3)
     return out if out.ndim else float(out)
 

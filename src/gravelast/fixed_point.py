@@ -10,6 +10,8 @@ admissible (mu, brho) box the composition shrinks sup-distances by roughly
 (7/5) (1/16 + K/400) < 0.126, so the ratio of successive updates is a live
 health check; plain iteration from z = 0 took 2 to 4 steps over the box for
 kappa = 3100 and 20000, the ratio at most 3.2e-4 (at brho_plus, kappa 3100).
+A run's record is its update history: PicardDiagnostics keeps the sup-norm
+updates and derives the step count and the ratios from them.
 The ball is the kernel's invariant: the moment weights are nonnegative and
 sum to int t**p, so ||z|| <= delta gives f' >= 1 - 4 delta/3, lambda >=
 1 - 5 delta/3 and |y - 1| <= delta/(3 (1 - 5 delta/3)) < delta (validation
@@ -41,11 +43,19 @@ MAX_ITER = 60  # cap on the Picard steps of one run
 
 @dataclass
 class PicardDiagnostics:
-    """Convergence record of one fixed-point run."""
+    """Convergence record of one fixed-point run: its sup-norm updates."""
 
-    iterations: int = 0
     updates: list[float] = field(default_factory=list)
-    ratios: list[float] = field(default_factory=list)
+
+    @property
+    def iterations(self) -> int:
+        return len(self.updates)
+
+    @property
+    def ratios(self) -> list[float]:
+        """Each update over the one before it, where both are positive."""
+        u = self.updates
+        return [b / a for a, b in zip(u, u[1:]) if a > 0 and b > 0]
 
 
 def apply_F(
@@ -102,8 +112,7 @@ def picard_rows(
     row (None: z = 0).  box must be build_parameter_box(model, G).
     """
     brho, mu = np.array(brho, dtype=float), np.array(mu, dtype=float)
-    rows = len(brho)
-    zeta = np.zeros((rows, grid.n + 1)) if zeta0 is None else np.array(zeta0, dtype=float)
+    zeta = np.zeros((len(brho), grid.n + 1)) if zeta0 is None else np.array(zeta0, dtype=float)
     delta = model.delta
     outcomes: list[PicardDiagnostics | SolverError] = []
     starts = np.abs(zeta).max(axis=-1).tolist()
@@ -120,7 +129,6 @@ def picard_rows(
         else:
             outcomes.append(PicardDiagnostics())
 
-    growth_streak = [0] * rows
     active = [i for i, o in enumerate(outcomes) if isinstance(o, PicardDiagnostics)]
     for _ in range(MAX_ITER):
         if not active:
@@ -132,22 +140,12 @@ def picard_rows(
         norms = np.abs(nxt).max(axis=-1).tolist()
         running = []
         for i, update, norm in zip(active, updates, norms):
-            diag = outcomes[i]
-            if diag.updates and diag.updates[-1] > 0 and update > 0:
-                ratio = update / diag.updates[-1]
-                diag.ratios.append(ratio)
-                if ratio >= 1.0:
-                    growth_streak[i] += 1
-                    if growth_streak[i] >= 2:
-                        outcomes[i] = NotContracting(
-                            f"updates grew twice in a row (last ratio {ratio:.3g})"
-                        )
-                        continue
-                else:
-                    growth_streak[i] = 0
-            diag.updates.append(update)
-            diag.iterations += 1
-            if norm > delta:
+            outcomes[i].updates.append(update)
+            ratios = outcomes[i].ratios
+            if len(ratios) > 1 and ratios[-2] >= 1.0 and ratios[-1] >= 1.0:
+                outcomes[i] = NotContracting("updates grew twice in a row "
+                                             f"(last ratio {ratios[-1]:.3g})")
+            elif norm > delta:
                 outcomes[i] = DomainExit(
                     f"iterate left the ball: ||z|| = {norm:.3e} > delta = {delta:.3e}"
                 )

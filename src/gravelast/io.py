@@ -292,12 +292,7 @@ def write_csv(path: Path, comment: str, header, columns) -> None:
 
 
 def read_float_columns(path: Path, names) -> dict[str, np.ndarray]:
-    text = path.read_bytes().decode("utf-8")
-    if "\r" in text:  # the line ends that read_text translates
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    lines = text.split("\n")
-    del text  # the lines take its place
-    lines = [ln for ln in lines if ln and ln[0] != "#"]
+    lines = [ln for ln in path.read_text(encoding="utf-8").split("\n") if ln and ln[0] != "#"]
     if not lines:
         raise ValueError(f"{path} has no header row")
     header, body = lines[0].split(","), lines[1:]

@@ -606,6 +606,33 @@ class TestFileErrors:
         err = capsys.readouterr().err
         assert err.startswith("usage error: ") and f"{out / FIRST_OUTPUT[cmd]}" in err
 
+    @pytest.mark.parametrize("cmd", ["solve", "sweep", "evolve"])
+    def test_failed_manifest_write_removes_the_run_files(self, tmp_path, solved_dir, capsys,
+                                                         cmd):
+        # profile.csv, sweep.csv, or temporal.csv and snapshot_000.csv stayed behind
+        out = tmp_path / "o"
+        (out / "manifest.json").mkdir(parents=True)
+        snapshot = ("--snapshot-times", "0.5") if cmd == "evolve" else ()
+        assert run(*_command(cmd, solved_dir), *snapshot, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and f"{out / 'manifest.json'}" in err
+        assert [p.name for p in out.iterdir()] == ["manifest.json"]
+
+    def test_failed_write_keeps_only_what_the_run_did_not_write(self, tmp_path, monkeypatch,
+                                                                capsys):
+        # the half file the failing write left under a free name goes too
+        def half_write(path, *args):
+            path.write_text("half")
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli, "write_csv", half_write)
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / "notes.txt").write_text("kept\n")
+        assert run("solve", "--N", "64", "--out", out) == 2
+        assert "usage error: [Errno 28] No space left on device" in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == ["notes.txt"]
+
     @pytest.mark.parametrize("name", ["manifest.json", "profile.csv"])
     @pytest.mark.parametrize("cmd", ["evolve", "verify"])
     def test_unreadable_profile_exits_2(self, tmp_path, solved_dir, capsys, name, cmd):

@@ -201,6 +201,18 @@ class TestPicard:
         _, diag = picard_solve(model, 1.0, 0.0, 1.0, grid512)
         assert diag.iterations == len(calls) == 5 and diag.updates[-1] == 0.0
 
+    def test_zero_update_neither_grows_nor_resets_the_streak(self, model, grid512,
+                                                              monkeypatch):
+        # updates 1, 2, 0, 3, 4 (x 1e-7): ratios 2 and 4/3 are the two growths
+        calls = self._scripted_map(monkeypatch, [1e-7, 3e-7, 3e-7, 6e-7, 10e-7])
+        with pytest.raises(NotContracting, match=r"last ratio 1\.33\)"):
+            picard_solve(model, 1.0, 0.0, 1.0, grid512, tol=0.0)
+        assert len(calls) == 5
+
+    def test_diagnostics_derive_from_the_updates(self):
+        diag = fp.PicardDiagnostics(updates=[1e-7, 2e-7, 0.0, 1e-7])
+        assert diag.iterations == 4 and diag.ratios == [2.0]
+
     def test_slow_contraction_converges_within_max_iter(self, model, grid512, monkeypatch):
         # z <- z* + (z - z*)/2 from z = 0, inside the ball: the updates halve
         target = 0.5 * model.delta

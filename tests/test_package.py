@@ -49,7 +49,7 @@ def test_signatures_are_pinned():
         "y_at_boundary": "grid zeta",
         "ParameterBox": "G mu0 brho_plus",
         "build_parameter_box": "model G",
-        "PicardDiagnostics": "iterations= updates= ratios=",
+        "PicardDiagnostics": "updates=",
         "apply_F": "model brho mu G grid zeta",
         "picard_solve": "model brho mu G grid tol= zeta0=",
         "MismatchResult": "value zeta diagnostics",

@@ -124,6 +124,16 @@ class TestParameterBox:
     def test_brho_minus_at_zero(self, box):
         assert box.brho_minus(0.0) == 0.0
 
+    @pytest.mark.parametrize("sign", [-1.0, 1.0])
+    def test_floor_binds_only_near_mu_zero(self, box, sign):
+        # at G = 1 the floor is 3.69e-6 and brho_minus(mu0) = 2.48e-4; the
+        # floor takes over from brho_minus below |mu| = 0.0148 mu0
+        assert box.brho_lower(0.0) == pytest.approx(3.6886e-6, rel=1e-4)
+        for frac in (0.02, 0.5, 1.0):
+            mu = sign * frac * box.mu0
+            assert box.brho_lower(mu) == box.brho_minus(mu)
+        assert box.brho_lower(sign * 0.01 * box.mu0) == box.brho_lower(0.0)
+
     @pytest.mark.parametrize("frac", [-1.0, -0.5, 0.0, 0.5, 1.0])
     def test_box_inequalities(self, box, frac):
         mu = frac * box.mu0
