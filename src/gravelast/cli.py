@@ -11,6 +11,7 @@ import argparse
 import functools
 import math
 import re
+import shlex
 import sys
 import time
 from dataclasses import asdict
@@ -43,7 +44,6 @@ from .io import (
     write_csv,
     write_manifest,
 )
-from .fixed_point import DEFAULT_TOL
 from .parameters import build_parameter_box, check_G, check_tolerance
 from .radial import RadialGrid
 from .shooting import (
@@ -64,7 +64,7 @@ EXIT_VERIFY = 5
 
 # The keys a --config file may set; each names an option's dest.
 CONFIG_KEYS = (
-    "model", "G", "N", "tol_picard", "tol_bc", "tol_brho",
+    "model", "G", "N", "tol_bc", "tol_brho",
     "mu", "qdot0", "dt", "max_residual", "max_equivalence", "max_boundary",
 )
 
@@ -116,8 +116,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="gravitational constant (default %(default)s)")
     shared.add_argument("--N", type=_checked(lambda s: RadialGrid(int(s))), default="512",
                         help="grid cells, even and >= 16 (default %(default)s)")
-    shared.add_argument("--tol-picard", type=_tolerance, dest="tol_picard", default=DEFAULT_TOL,
-                        help="Picard update tolerance (default %(default)s)")
     shared.add_argument("--tol-bc", type=_tolerance, dest="tol_bc", default=DEFAULT_TOL_BC,
                         help="boundary mismatch tolerance (default %(default)s)")
     shared.add_argument("--tol-brho", type=_tolerance, dest="tol_brho", default=DEFAULT_TOL_BRHO,
@@ -189,7 +187,7 @@ def _parse_args(argv) -> argparse.Namespace:
 
 
 def _tolerances(args) -> dict[str, float]:
-    return {"tol_picard": args.tol_picard, "tol_bc": args.tol_bc, "tol_brho": args.tol_brho}
+    return {"tol_bc": args.tol_bc, "tol_brho": args.tol_brho}
 
 
 def _solver_settings(args) -> dict:
@@ -216,7 +214,7 @@ def _write_outputs(args, argv, wall: float, results: dict, tables: dict, **input
             ours.append(name)
         write_manifest(out / MANIFEST_FILE, {
             "tool": {"name": "gravelast", "version": __version__},
-            "command": "gravelast " + " ".join(argv),
+            "command": shlex.join(["gravelast", *argv]),
             "timestamp_utc": datetime.now(timezone.utc).isoformat(),
             "wall_time_s": wall,
             "results": results,
@@ -318,12 +316,14 @@ def _number(value, name: str) -> float:
     return float(value)
 
 
-def _load_profile_dir(path: Path) -> SolutionProfile:
+def _load_profile_dir(path: Path) -> tuple[SolutionProfile, str]:
+    """The profile saved in path and the sha256 of its profile.csv."""
     manifest_path = path / MANIFEST_FILE
     csv_path = path / PROFILE_FILE
     try:  # a missing or unreadable file raises OSError, which main reports
         manifest = read_manifest(manifest_path)
-        if sha256_of(csv_path) != manifest["files"][PROFILE_FILE]["sha256"]:
+        sha256 = manifest["files"][PROFILE_FILE]["sha256"]
+        if sha256_of(csv_path) != sha256:
             raise UsageError(f"{csv_path} does not match the sha256 in {manifest_path}")
         model = parse_model_spec(manifest["model"])
         G = _number(manifest["G"], "G")
@@ -349,13 +349,14 @@ def _load_profile_dir(path: Path) -> SolutionProfile:
         lam=cols["lambda"], y=cols["y"],
         boundary_residual=float(model.dg(cols["y"][-1])),
         diagnostics=None, root_evaluations=0,
-    )
+    ), sha256
 
 
 def cmd_evolve(args, argv) -> int:
-    profile = None
+    profile = source = None
     if args.profile is not None:
-        profile = _load_profile_dir(args.profile)
+        profile, sha256 = _load_profile_dir(args.profile)
+        source = {"sha256": sha256}
         mu = profile.mu
         if args.mu is not None and abs(args.mu - mu) > 1e-15 * max(1.0, abs(mu)):
             raise UsageError(f"--mu {args.mu:g} disagrees with profile mu {mu:g}")
@@ -366,6 +367,7 @@ def cmd_evolve(args, argv) -> int:
 
     if args.snapshot_times and profile is None:
         profile = solve_separable(args.model, mu, args.G, args.N, **_tolerances(args))
+        source = {**_solver_settings(args), "brho0": profile.brho0}
 
     t0 = time.perf_counter()
     try:
@@ -400,7 +402,7 @@ def cmd_evolve(args, argv) -> int:
         "snapshots": snapshots,
     }
     _write_outputs(args, argv, wall, results, tables,
-                   mu=mu, qdot0=args.qdot0, t_end=args.t_end, dt=args.dt)
+                   mu=mu, qdot0=args.qdot0, t_end=args.t_end, dt=args.dt, profile=source)
     msg = f"evolve mu={mu:g} qdot0={args.qdot0:g}: regime={temporal.regime}"
     if collapse:
         msg += f", T={collapse['T']:.6g}"
@@ -409,7 +411,7 @@ def cmd_evolve(args, argv) -> int:
 
 
 def cmd_verify(args, argv) -> int:
-    profile = _load_profile_dir(args.profile)
+    profile, _ = _load_profile_dir(args.profile)
     r = profile.grid.nodes
 
     # Column consistency: lambda and y must match what f and f' imply.

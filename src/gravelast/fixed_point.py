@@ -37,7 +37,8 @@ from .errors import DomainExit, MaxIterExceeded, NotContracting, SolverError
 from .parameters import ParameterBox, build_parameter_box
 from .radial import RadialGrid, apply_L_inverse, reconstruct_geometry
 
-DEFAULT_TOL = 1e-13
+# Read at call time; TOL / 100 leaves every brho0 the same, bit for bit.
+TOL = 1e-13  # a run stops once its sup-norm update is below this
 MAX_ITER = 60  # cap on the Picard steps of one run
 
 
@@ -97,13 +98,12 @@ def picard_rows(
     G: float,
     grid: RadialGrid,
     box: ParameterBox,
-    tol: float,
     zeta0: list[np.ndarray] | None,
 ) -> tuple[np.ndarray, list[PicardDiagnostics | SolverError]]:
     """The Picard kernel: one run per row (brho[i], mu[i]), all in lockstep.
 
     Each step applies Linv F to the rows of the (rows, N+1) array zeta still
-    running; a row leaves when its update drops below tol or when it fails.
+    running; a row leaves when its update drops below TOL or when it fails.
     Returns (zeta, outcomes): row i ends as zeta[i] with its diagnostics in
     outcomes[i], or as the SolverError in outcomes[i], with the checks and
     messages of picard_solve; one failing row never stops the others.  A
@@ -149,11 +149,11 @@ def picard_rows(
                 outcomes[i] = DomainExit(
                     f"iterate left the ball: ||z|| = {norm:.3e} > delta = {delta:.3e}"
                 )
-            elif not update < tol:  # a NaN update runs on into the finiteness check
+            elif not update < TOL:  # a NaN update runs on into the finiteness check
                 running.append(i)
         active = running
     for i in active:
-        outcomes[i] = MaxIterExceeded(f"no convergence to {tol:g} in {MAX_ITER} iterations")
+        outcomes[i] = MaxIterExceeded(f"no convergence to {TOL:g} in {MAX_ITER} iterations")
     return zeta, outcomes
 
 
@@ -163,11 +163,10 @@ def picard_solve(
     mu: float,
     G: float,
     grid: RadialGrid,
-    tol: float = DEFAULT_TOL,
     zeta0: np.ndarray | None = None,
 ) -> tuple[np.ndarray, PicardDiagnostics]:
     """Iterate z <- Linv F[z] from zeta0 (default z = 0) until the sup-norm
-    update < tol: the one-row case of picard_rows.
+    update < TOL: the one-row case of picard_rows.
 
     Raises ParameterOutOfRange if (brho, mu) lies outside the box of
     (model, G), NotContracting on two consecutive non-shrinking updates,
@@ -177,7 +176,7 @@ def picard_solve(
     """
     box = build_parameter_box(model, G)
     zeta, (outcome,) = picard_rows(
-        model, [brho], [mu], G, grid, box, tol, None if zeta0 is None else [zeta0]
+        model, [brho], [mu], G, grid, box, None if zeta0 is None else [zeta0]
     )
     if isinstance(outcome, SolverError):
         raise outcome

@@ -40,7 +40,7 @@ import numpy as np
 
 from .constitutive import FOUR_PI_3, ConstitutiveModel, V
 from .errors import BracketFailure, SolverError
-from .fixed_point import DEFAULT_TOL, PicardDiagnostics, picard_rows, picard_solve
+from .fixed_point import PicardDiagnostics, picard_rows, picard_solve
 from .parameters import ParameterBox, build_parameter_box, check_tolerance
 from .radial import RadialGrid, reconstruct_geometry, y_at_boundary
 
@@ -97,12 +97,11 @@ def boundary_mismatch(
     mu: float,
     G: float,
     grid: RadialGrid,
-    tol: float = DEFAULT_TOL,
     zeta0: np.ndarray | None = None,
 ) -> MismatchResult:
     """g'(y(1)) at the fixed point for (brho, mu), from one picard_solve
     (which checks the pair against the box of (model, G)) started at zeta0."""
-    zeta, diag = picard_solve(model, brho, mu, G, grid, tol=tol, zeta0=zeta0)
+    zeta, diag = picard_solve(model, brho, mu, G, grid, zeta0=zeta0)
     value = float(model.dg(y_at_boundary(grid, zeta)))
     return MismatchResult(value=value, zeta=zeta, diagnostics=diag)
 
@@ -242,8 +241,8 @@ class _Search:
         self._advance(res.value)
 
 
-def _check_tolerances(tol_bc: float, tol_brho: float, tol_picard: float) -> None:
-    for name, value in (("tol_bc", tol_bc), ("tol_brho", tol_brho), ("tol_picard", tol_picard)):
+def _check_tolerances(tol_bc: float, tol_brho: float) -> None:
+    for name, value in (("tol_bc", tol_bc), ("tol_brho", tol_brho)):
         check_tolerance(value, name)
 
 
@@ -344,7 +343,6 @@ def solve_separable(
     grid: RadialGrid,
     tol_bc: float = DEFAULT_TOL_BC,
     tol_brho: float = DEFAULT_TOL_BRHO,
-    tol_picard: float = DEFAULT_TOL,
     box: ParameterBox | None = None,
 ) -> SolutionProfile:
     """Find brho0(mu) with |g'(y(1))| < tol_bc and assemble the profile.
@@ -367,7 +365,7 @@ def solve_separable(
     This is the one-row case of the lockstep search of sweep; each of its
     evaluations is one boundary_mismatch call.
     """
-    _check_tolerances(tol_bc, tol_brho, tol_picard)
+    _check_tolerances(tol_bc, tol_brho)
     derived = build_parameter_box(model, G)
     if box is not None and box != derived:
         raise ValueError(f"{box} is not the box of (model, G = {G:g}): {derived}")
@@ -376,7 +374,7 @@ def solve_separable(
         results = []
         for b, m, z0 in zip(brho, mus, zeta0 or [None] * len(brho)):
             try:
-                results.append(boundary_mismatch(model, b, m, G, grid, tol=tol_picard, zeta0=z0))
+                results.append(boundary_mismatch(model, b, m, G, grid, zeta0=z0))
             except SolverError as exc:
                 results.append(exc)
         return results
@@ -395,7 +393,6 @@ def sweep(
     grid: RadialGrid,
     tol_bc: float = DEFAULT_TOL_BC,
     tol_brho: float = DEFAULT_TOL_BRHO,
-    tol_picard: float = DEFAULT_TOL,
 ) -> list[SolutionProfile | SolverError]:
     """Solve every mu, in input order, as one lockstep batch.
 
@@ -406,12 +403,12 @@ def sweep(
     propagates.  A tolerance that is not finite and >= 0 raises ValueError
     before any row.
     """
-    _check_tolerances(tol_bc, tol_brho, tol_picard)
+    _check_tolerances(tol_bc, tol_brho)
     box = build_parameter_box(model, G)  # a bad model or G aborts before any row
     mus = [float(mu) for mu in mu_values]
 
     def evaluate(brho, mus, zeta0):  # boundary_mismatch of every row from one picard_rows run
-        zeta, rows = picard_rows(model, brho, mus, G, grid, box, tol_picard, zeta0)
+        zeta, rows = picard_rows(model, brho, mus, G, grid, box, zeta0)
         ok = [i for i, row in enumerate(rows) if isinstance(row, PicardDiagnostics)]
         for i, y1 in zip(ok, y_at_boundary(grid, zeta[ok]).tolist()):
             rows[i] = MismatchResult(value=float(model.dg(y1)), zeta=zeta[i], diagnostics=rows[i])

@@ -71,9 +71,7 @@ def bracket_runs(model, box, grid512):
     runs = []
     for mu in (-box.mu0 / 2, 0.0, box.mu0 / 2):
         for brho in np.linspace(box.brho_lower(mu), box.brho_plus, 5):
-            zeta, diag = picard_solve(
-                model, float(brho), mu, 1.0, grid512, tol=1e-13
-            )
+            zeta, diag = picard_solve(model, float(brho), mu, 1.0, grid512)
             runs.append((mu, float(brho), zeta, diag))
     return runs
 

@@ -2,6 +2,7 @@ import functools
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -140,6 +141,18 @@ class TestSolve:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["tolerances"]["bc"] == 1e-6
         assert abs(manifest["results"]["boundary_residual"]) <= 1e-6
+
+    def test_manifest_command_splits_back_into_argv(self, tmp_path):
+        argv = ["solve", "--N", "64", "--mu", "-1e-3", "--out", str(tmp_path / "my dir")]
+        assert main(argv) == 0
+        command = json.loads((tmp_path / "my dir" / "manifest.json").read_text())["command"]
+        assert shlex.split(command)[1:] == argv
+        # an argv without spaces or quotes is recorded as it was typed
+        plain = ["solve", "--N", "64", "--model", "builtin:kappa=3100", "--mu", "-1e-3",
+                 "--out", str(tmp_path / "plain")]
+        assert main(plain) == 0
+        manifest = json.loads((tmp_path / "plain" / "manifest.json").read_text())
+        assert manifest["command"] == "gravelast " + " ".join(plain)
 
     def test_version_flag(self, capsys):
         assert run("--version") == 0
@@ -367,11 +380,40 @@ class TestEvolve:
 
         monkeypatch.setattr(cli, "solve_separable", spy)
         cfg = tmp_path / "c.cfg"
-        cfg.write_text("tol_bc = 1e-9\ntol_brho = 1e-11\ntol_picard = 1e-12\n")
+        cfg.write_text("tol_bc = 1e-9\ntol_brho = 1e-11\n")
+        out = tmp_path / "evt"
         assert run("evolve", "--mu", "0", "--t-end", "1", "--N", "64",
                    "--snapshot-times", "0.5", "--config", cfg,
-                   "--tol-bc", "2e-9", "--out", tmp_path / "evt") == 0
-        assert seen == {"tol_bc": 2e-9, "tol_brho": 1e-11, "tol_picard": 1e-12}
+                   "--tol-bc", "2e-9", "--out", out) == 0
+        assert seen == {"tol_bc": 2e-9, "tol_brho": 1e-11}
+        recorded = json.loads((out / "manifest.json").read_text())["profile"]
+        assert recorded["tolerances"] == {"bc": 2e-9, "brho": 1e-11}
+
+    def test_manifest_records_the_inline_profile(self, tmp_path):
+        # the grid comes from the config alone, so only the manifest can say it
+        cfg = _config(tmp_path, "N = 64\nmodel = builtin:kappa=3500\n")
+        out, solved = tmp_path / "evn", tmp_path / "solved"
+        assert run("evolve", "--mu", "0", "--t-end", "1", "--snapshot-times", "0.5",
+                   "--config", cfg, "--out", out) == 0
+        assert run("solve", "--mu", "0", "--config", cfg, "--out", solved) == 0
+        recorded = json.loads((out / "manifest.json").read_text())["profile"]
+        reference = json.loads((solved / "manifest.json").read_text())
+        assert recorded == {"model": "builtin:kappa=3500", "G": 1.0, "N": 64,
+                            "tolerances": {"bc": 1e-10, "brho": 1e-12},
+                            "brho0": reference["results"]["brho0"]}
+
+    def test_manifest_records_the_profile_read(self, tmp_path, solved_dir):
+        out = tmp_path / "evp"
+        assert run("evolve", "--profile", solved_dir, "--t-end", "1",
+                   "--snapshot-times", "0.5", "--out", out) == 0
+        source = json.loads((solved_dir / "manifest.json").read_text())
+        recorded = json.loads((out / "manifest.json").read_text())["profile"]
+        assert recorded == {"sha256": source["files"]["profile.csv"]["sha256"]}
+
+    def test_manifest_without_a_profile_records_none(self, tmp_path):
+        out = tmp_path / "evq"
+        assert run("evolve", "--mu", "0", "--t-end", "1", "--out", out) == 0
+        assert json.loads((out / "manifest.json").read_text())["profile"] is None
 
     def test_mu_conflict_with_profile(self, tmp_path, solved_dir):
         assert run("evolve", "--profile", solved_dir, "--mu", "1e-4",
@@ -670,12 +712,12 @@ class TestConfig:
     @pytest.mark.parametrize(
         "key,value,cmd",
         [("model", "builtin:kappa=x", "solve"), ("G", "abc", "solve"), ("N", "15", "solve"),
-         ("tol_picard", "abc", "sweep"), ("tol_bc", "abc", "sweep"), ("tol_brho", "abc", "solve"),
+         ("tol_bc", "abc", "sweep"), ("tol_brho", "abc", "solve"),
          ("mu", "abc", "solve"), ("mu", "abc", "evolve"), ("qdot0", "abc", "evolve"),
          ("dt", "abc", "evolve"), ("max_residual", "abc", "verify"),
          ("max_equivalence", "abc", "verify"), ("max_boundary", "abc", "verify"),
          ("G", "-1", "sweep"), ("G", "inf", "solve"), ("tol_brho", "inf", "solve"),
-         ("tol_brho", "nan", "solve"), ("tol_bc", "inf", "solve"), ("tol_picard", "-1", "sweep"),
+         ("tol_brho", "nan", "solve"), ("tol_bc", "inf", "solve"), ("tol_bc", "-1", "sweep"),
          ("max_residual", "inf", "verify")],
     )
     def test_bad_value_exits_2(self, tmp_path, solved_dir, capsys, key, value, cmd):
@@ -745,14 +787,21 @@ class TestConfig:
         assert run("solve", "--config", cfg, "--out", out) == 0
         assert json.loads((out / "manifest.json").read_text())["N"] == 64
 
-    @pytest.mark.parametrize("key", ["tol-bc", "kapa", "cmd", "out"])
+    @pytest.mark.parametrize("key", ["tol-bc", "kapa", "cmd", "out", "tol_picard"])
     def test_unknown_key_exits_2(self, tmp_path, capsys, key):
         # tol-bc = 1e-3 was dropped without a word: the run exited 0 with tol_bc = 1e-10;
-        # cmd and out are parser dests, not config keys
+        # cmd and out are parser dests, not config keys; the Picard tolerance is fixed
         cfg = _config(tmp_path, f"N = 64\n{key} = 1e-3\n")
         assert run("solve", "--config", cfg, "--out", tmp_path / "o") == 2
         assert f"unknown config key '{key}'" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("cmd", FIRST_OUTPUT)
+    def test_picard_tolerance_is_not_an_option(self, tmp_path, solved_dir, capsys, cmd):
+        out = tmp_path / "o"
+        assert run(*_command(cmd, solved_dir), "--tol-picard", "1e-13", "--out", out) == 2
+        assert "unrecognized arguments: --tol-picard" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("text", [None, "N 64\n"], ids=["missing", "malformed"])
     def test_unreadable_config(self, tmp_path, capsys, text):
@@ -840,3 +889,27 @@ class TestIoHelpers:
     @given(x=st.floats(allow_nan=False, allow_infinity=False))
     def test_fmt_round_trips(self, x):
         assert float(fmt(x)) == x
+
+
+def _console_script_commands():
+    """The commands of the tier-1 workflow's `Console script` step, one argv each."""
+    workflow = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "tier1.yml"
+    lines = workflow.read_text().splitlines()
+    start = lines.index("      - name: Console script") + 2
+    assert lines[start - 1].strip() == "run: |"
+    block = []
+    for line in lines[start:]:
+        if not line.startswith(" " * 10):
+            break
+        block.append(shlex.split(line))
+    return block
+
+
+def test_console_script_step_runs_every_command(tmp_path, monkeypatch):
+    # CI runs these through the installed entry point; main is that entry point
+    commands = _console_script_commands()
+    assert all(argv[0] == "gravelast" for argv in commands)
+    assert {argv[1] for argv in commands} >= {"solve", "sweep", "evolve", "verify"}
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert main(argv[1:]) == 0, argv

@@ -72,9 +72,10 @@ class TestApplyF:
 
 
 class TestPicard:
-    def test_converges_with_small_ratios(self, model, box, grid512):
+    def test_converges_with_small_ratios(self, model, box, grid512, monkeypatch):
+        monkeypatch.setattr(fp, "TOL", 1e-14)
         brho = 0.5 * (box.brho_lower(0.0) + box.brho_plus)
-        zeta, diag = picard_solve(model, brho, 0.0, 1.0, grid512, tol=1e-14)
+        zeta, diag = picard_solve(model, brho, 0.0, 1.0, grid512)
         assert diag.updates[-1] <= 1e-14
         assert diag.ratios and max(diag.ratios) <= 0.13
 
@@ -101,12 +102,11 @@ class TestPicard:
             assert np.all(np.abs(geo.y - 1.0) <= r**2 * delta + 1e-15)
 
     def test_fixed_point_residual(self, model, grid512):
-        tol = 1e-13
-        zeta, _ = picard_solve(model, 2.0, 0.0, 1.0, grid512, tol=tol)
+        zeta, _ = picard_solve(model, 2.0, 0.0, 1.0, grid512)
         image = apply_L_inverse(
             grid512, apply_F(model, 2.0, 0.0, 1.0, grid512, zeta)
         )
-        assert np.max(np.abs(zeta - image)) <= 2 * tol
+        assert np.max(np.abs(zeta - image)) <= 2 * fp.TOL
 
     def test_deterministic(self, model, grid512):
         z1, d1 = picard_solve(model, 1.3, 0.0, 1.0, grid512)
@@ -159,8 +159,9 @@ class TestPicard:
 
     def test_max_iter_exceeded(self, model, grid512, monkeypatch):
         monkeypatch.setattr(fp, "MAX_ITER", 3)
-        with pytest.raises(MaxIterExceeded, match="in 3 iterations"):
-            picard_solve(model, 1.0, 0.0, 1.0, grid512, tol=0.0)
+        monkeypatch.setattr(fp, "TOL", 0.0)
+        with pytest.raises(MaxIterExceeded, match="no convergence to 0 in 3 iterations"):
+            picard_solve(model, 1.0, 0.0, 1.0, grid512)
 
     def test_not_contracting_detected(self, model, grid512, monkeypatch):
         # synthetic diverging map: iterates with geometrically growing gaps
@@ -205,8 +206,9 @@ class TestPicard:
                                                               monkeypatch):
         # updates 1, 2, 0, 3, 4 (x 1e-7): ratios 2 and 4/3 are the two growths
         calls = self._scripted_map(monkeypatch, [1e-7, 3e-7, 3e-7, 6e-7, 10e-7])
+        monkeypatch.setattr(fp, "TOL", 0.0)
         with pytest.raises(NotContracting, match=r"last ratio 1\.33\)"):
-            picard_solve(model, 1.0, 0.0, 1.0, grid512, tol=0.0)
+            picard_solve(model, 1.0, 0.0, 1.0, grid512)
         assert len(calls) == 5
 
     def test_diagnostics_derive_from_the_updates(self):
@@ -221,7 +223,7 @@ class TestPicard:
         monkeypatch.setattr(fp, "apply_L_inverse", lambda grid, eta: eta)
         _, diag = picard_solve(model, 1.0, 0.0, 1.0, grid512)
         assert 9 <= diag.iterations < fp.MAX_ITER
-        assert diag.updates[-1] < fp.DEFAULT_TOL and np.allclose(diag.ratios, 0.5, rtol=1e-4)
+        assert diag.updates[-1] < fp.TOL and np.allclose(diag.ratios, 0.5, rtol=1e-4)
 
 
 class TestLipschitzProbe:

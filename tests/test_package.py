@@ -51,13 +51,13 @@ def test_signatures_are_pinned():
         "build_parameter_box": "model G",
         "PicardDiagnostics": "updates=",
         "apply_F": "model brho mu G grid zeta",
-        "picard_solve": "model brho mu G grid tol= zeta0=",
+        "picard_solve": "model brho mu G grid zeta0=",
         "MismatchResult": "value zeta diagnostics",
         "SolutionProfile": "model mu brho0 G grid zeta f fprime lam y boundary_residual "
                            "diagnostics root_evaluations",
-        "boundary_mismatch": "model brho mu G grid tol= zeta0=",
-        "solve_separable": "model mu G grid tol_bc= tol_brho= tol_picard= box=",
-        "sweep": "model G mu_values grid tol_bc= tol_brho= tol_picard=",
+        "boundary_mismatch": "model brho mu G grid zeta0=",
+        "solve_separable": "model mu G grid tol_bc= tol_brho= box=",
+        "sweep": "model G mu_values grid tol_bc= tol_brho=",
         "TemporalSolution": "mu qdot0 e_eff regime t q qdot energy_drift max_energy_drift "
                             "stopped_early",
         "CollapseEstimate": "time exponent prefactor threshold_times local_exponents",

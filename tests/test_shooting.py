@@ -326,6 +326,25 @@ class TestSolve:
         with pytest.raises(ValueError, match="tol_bc must be finite and >= 0"):
             sweep(model, 1.0, [0.0], grid, tol_bc=math.inf)
 
+    def test_rejects_infinite_brho_tolerance(self, model):
+        # tol_brho = inf would end the search on its first bracket width
+        grid = RadialGrid(64)
+        with pytest.raises(ValueError, match="tol_brho must be finite and >= 0"):
+            solve_separable(model, 0.0, 1.0, grid, tol_brho=math.inf)
+        with pytest.raises(ValueError, match="tol_brho must be finite and >= 0"):
+            sweep(model, 1.0, [0.0], grid, tol_brho=math.inf)
+
+    @pytest.mark.parametrize("kappa", [3100.0, 20000.0])
+    @pytest.mark.parametrize("frac", [-0.9, 0.0, 0.9])
+    def test_tighter_picard_tolerance_keeps_brho0(self, kappa, frac, monkeypatch):
+        # fixed_point.TOL sits below what the brho0 search resolves
+        model = make_builtin_model(kappa)
+        mu = frac * build_parameter_box(model, 1.0).mu0
+        grid = RadialGrid(64)
+        brho0 = solve_separable(model, mu, 1.0, grid).brho0
+        monkeypatch.setattr(fixed_point, "TOL", fixed_point.TOL / 100)
+        assert solve_separable(model, mu, 1.0, grid).brho0 == brho0
+
 
 class TestSweep:
     def test_single_mu_matches_solve(self, model):
