@@ -40,7 +40,6 @@ from .io import (
     read_config,
     read_float_columns,
     read_manifest,
-    sha256_of,
     write_csv,
     write_manifest,
 )
@@ -48,7 +47,6 @@ from .parameters import build_parameter_box, check_G, check_tolerance
 from .radial import RadialGrid
 from .shooting import (
     DEFAULT_TOL_BC,
-    DEFAULT_TOL_BRHO,
     SolutionProfile,
     solve_separable,
     sweep as sweep_rows,
@@ -64,7 +62,7 @@ EXIT_VERIFY = 5
 
 # The keys a --config file may set; each names an option's dest.
 CONFIG_KEYS = (
-    "model", "G", "N", "tol_bc", "tol_brho",
+    "model", "G", "N", "tol_bc",
     "mu", "qdot0", "dt", "max_residual", "max_equivalence", "max_boundary",
 )
 
@@ -118,8 +116,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="grid cells, even and >= 16 (default %(default)s)")
     shared.add_argument("--tol-bc", type=_tolerance, dest="tol_bc", default=DEFAULT_TOL_BC,
                         help="boundary mismatch tolerance (default %(default)s)")
-    shared.add_argument("--tol-brho", type=_tolerance, dest="tol_brho", default=DEFAULT_TOL_BRHO,
-                        help="brho0 tolerance relative to brho_plus (default %(default)s)")
     shared.add_argument("--out", type=Path, default=Path("out"),
                         help="output directory (default %(default)s)")
     shared.add_argument("--config", type=Path,
@@ -186,15 +182,11 @@ def _parse_args(argv) -> argparse.Namespace:
     return parser.parse_args(argv[:i] + flags + argv[i:])
 
 
-def _tolerances(args) -> dict[str, float]:
-    return {"tol_bc": args.tol_bc, "tol_brho": args.tol_brho}
-
-
 def _solver_settings(args) -> dict:
     """Manifest fields of the model, grid and tolerances a solve ran with."""
     return {
         "model": args.model.spec_string(), "G": args.G, "N": args.N.n,
-        "tolerances": {k.removeprefix("tol_"): v for k, v in _tolerances(args).items()},
+        "tolerances": {"bc": args.tol_bc},
     }
 
 
@@ -248,7 +240,7 @@ def _summary(sol: SolutionProfile) -> dict:
 
 def cmd_solve(args, argv) -> int:
     t0 = time.perf_counter()
-    sol = solve_separable(args.model, args.mu, args.G, args.N, **_tolerances(args))
+    sol = solve_separable(args.model, args.mu, args.G, args.N, tol_bc=args.tol_bc)
     wall = time.perf_counter() - t0
 
     results = {
@@ -277,7 +269,7 @@ def cmd_sweep(args, argv) -> int:
     mu_values = np.linspace(args.mu_min, args.mu_max, args.steps) if args.steps else []
 
     t0 = time.perf_counter()
-    rows = sweep_rows(args.model, args.G, mu_values, args.N, **_tolerances(args))
+    rows = sweep_rows(args.model, args.G, mu_values, args.N, tol_bc=args.tol_bc)
     wall = time.perf_counter() - t0
 
     # A failed row reports nan, 0 iterations and its error text. Only these
@@ -323,8 +315,9 @@ def _load_profile_dir(path: Path) -> tuple[SolutionProfile, str]:
     try:  # a missing or unreadable file raises OSError, which main reports
         manifest = read_manifest(manifest_path)
         sha256 = manifest["files"][PROFILE_FILE]["sha256"]
-        if sha256_of(csv_path) != sha256:
-            raise UsageError(f"{csv_path} does not match the sha256 in {manifest_path}")
+        if type(sha256) is not str:  # None would skip the check
+            raise ValueError(f"sha256 must be a string, got {sha256!r}")
+        cols = read_float_columns(csv_path, PROFILE_COLUMNS[:6], sha256)
         model = parse_model_spec(manifest["model"])
         G = _number(manifest["G"], "G")
         mu = _number(manifest["mu"], "mu")
@@ -336,7 +329,6 @@ def _load_profile_dir(path: Path) -> tuple[SolutionProfile, str]:
         if type(manifest["N"]) is not int:
             raise ValueError(f"N must be an integer, got {manifest['N']!r}")
         grid = RadialGrid(manifest["N"])
-        cols = read_float_columns(csv_path, PROFILE_COLUMNS[:6])
         if len(cols["R"]) != grid.n + 1 or np.any(cols["R"] != grid.nodes):
             raise UsageError(f"profile radius column does not match an N={grid.n} grid")
         # a bad G or a (brho0, mu) outside the box exits 2, a failing model 3
@@ -366,7 +358,7 @@ def cmd_evolve(args, argv) -> int:
         raise UsageError("mu and qdot0 must be finite")
 
     if args.snapshot_times and profile is None:
-        profile = solve_separable(args.model, mu, args.G, args.N, **_tolerances(args))
+        profile = solve_separable(args.model, mu, args.G, args.N, tol_bc=args.tol_bc)
         source = {**_solver_settings(args), "brho0": profile.brho0}
 
     t0 = time.perf_counter()

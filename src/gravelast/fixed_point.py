@@ -140,11 +140,14 @@ def picard_rows(
         norms = np.abs(nxt).max(axis=-1).tolist()
         running = []
         for i, update, norm in zip(active, updates, norms):
-            outcomes[i].updates.append(update)
-            ratios = outcomes[i].ratios
-            if len(ratios) > 1 and ratios[-2] >= 1.0 and ratios[-1] >= 1.0:
+            u = outcomes[i].updates
+            u.append(update)
+            # A growth (u[-1]/u[-2] >= 1) ends the run if the ratio before it grew too; that
+            # one skips zero updates (TOL = 0 only), so ratios is built on a growth alone.
+            grew = len(u) > 1 and 0.0 < u[-2] <= u[-1]
+            if grew and len(r := outcomes[i].ratios) > 1 and r[-2] >= 1.0:
                 outcomes[i] = NotContracting("updates grew twice in a row "
-                                             f"(last ratio {ratios[-1]:.3g})")
+                                             f"(last ratio {u[-1] / u[-2]:.3g})")
             elif norm > delta:
                 outcomes[i] = DomainExit(
                     f"iterate left the ball: ||z|| = {norm:.3e} > delta = {delta:.3e}"

@@ -291,8 +291,19 @@ def write_csv(path: Path, comment: str, header, columns) -> None:
             fh.write(block.tobytes().translate(None, b"\0"))
 
 
-def read_float_columns(path: Path, names) -> dict[str, np.ndarray]:
-    lines = [ln for ln in path.read_text(encoding="utf-8").split("\n") if ln and ln[0] != "#"]
+def read_float_columns(path: Path, names, sha256: str | None = None) -> dict[str, np.ndarray]:
+    """The named columns of a CSV, parsed from one read of path; with sha256
+    given, the bytes parsed must hash to it, else ValueError."""
+    raw = path.read_bytes()
+    if sha256 is not None and hashlib.sha256(raw).hexdigest() != sha256:
+        raise ValueError(f"{path} does not match the sha256 {sha256}")
+    text = raw.decode("utf-8")
+    del raw  # the text takes its place
+    if "\r" in text:  # the line ends that text mode translates
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
+    del text  # the lines take its place
+    lines = [ln for ln in lines if ln and ln[0] != "#"]
     if not lines:
         raise ValueError(f"{path} has no header row")
     header, body = lines[0].split(","), lines[1:]

@@ -45,7 +45,6 @@ from .parameters import ParameterBox, build_parameter_box, check_tolerance
 from .radial import RadialGrid, reconstruct_geometry, y_at_boundary
 
 DEFAULT_TOL_BC = 1e-10
-DEFAULT_TOL_BRHO = 1e-12
 # Cap on the mismatch evaluations of one solve, the two bracket ends included.
 MAX_ROOT_EVALUATIONS = 200
 
@@ -111,7 +110,6 @@ def brent_steps(
     b: float,
     fa: float,
     fb: float,
-    xtol: float,
     ftol: float,
     max_evals: int,
 ) -> Generator[float, float, tuple[float, int]]:
@@ -119,9 +117,8 @@ def brent_steps(
     trial at a time: yields each trial x and takes fn(x) back by send().
 
     Returns (x, evaluations of fn).  Stops once |fn(x)| < ftol, once the
-    bracket around the sign change is narrower than xtol (plus a few ulps
-    of x), or after max_evals evaluations.  x is the bracket end with the
-    smaller |fn|.
+    bracket around the sign change is a few ulps of x wide, or after
+    max_evals evaluations.  x is the bracket end with the smaller |fn|.
     """
     if not fa * fb < 0.0:
         raise ValueError("brent_steps needs a sign change between the bracket ends")
@@ -137,7 +134,7 @@ def brent_steps(
             a, fa = b, fb
             b, fb = c, fc
             c, fc = a, fa
-        tol1 = 2.0 * _EPS * abs(b) + 0.5 * xtol
+        tol1 = 2.0 * _EPS * abs(b)
         m = 0.5 * (c - b)
         if fb == 0.0 or abs(fb) < ftol or abs(m) <= tol1 or evals >= max_evals:
             return b, evals
@@ -213,16 +210,12 @@ class _Search:
     far; trial is the brho awaiting evaluation, None once the search ended.
     """
 
-    def __init__(self, mu, G, lo, hi, res_lo, res_hi, tol_bc, tol_brho):
+    def __init__(self, mu, G, lo, hi, res_lo, res_hi, ftol):
         self.mu, self.G, self.lo, self.hi = mu, G, lo, hi
         self.w_lo, self.w_hi = V(lo, mu, G, 1.0), V(hi, mu, G, 1.0)
         self.brho0, self.best = min((lo, res_lo), (hi, res_hi), key=lambda pair: abs(pair[1].value))
-        # dw/dbrho at brho_plus converts the brho width into a w width
-        dw_hi = (2.0 * FOUR_PI_3 * G * hi - mu) / (3.0 * hi ** (4.0 / 3.0))
-        self._steps = brent_steps(
-            self.w_lo, self.w_hi, res_lo.value, res_hi.value,
-            xtol=tol_brho * hi * dw_hi, ftol=tol_bc, max_evals=MAX_ROOT_EVALUATIONS - 2,
-        )
+        self._steps = brent_steps(self.w_lo, self.w_hi, res_lo.value, res_hi.value,
+                                  ftol=ftol, max_evals=MAX_ROOT_EVALUATIONS - 2)
         self.evaluations = 2
         self._advance(None)
 
@@ -241,20 +234,17 @@ class _Search:
         self._advance(res.value)
 
 
-def _check_tolerances(tol_bc: float, tol_brho: float) -> None:
-    for name, value in (("tol_bc", tol_bc), ("tol_brho", tol_brho)):
-        check_tolerance(value, name)
-
-
 def _find_roots(
+    model: ConstitutiveModel,
     mus: list[float],
     G: float,
     box: ParameterBox,
     tol_bc: float,
-    tol_brho: float,
     evaluate: Callable[..., list[MismatchResult | SolverError]],
 ) -> list[_Search | SolverError]:
-    """brho0 for every mu by Brent searches run in lockstep.
+    """brho0 for every mu by Brent searches run in lockstep, each stopping
+    once |g'(y(1))| < max(tol_bc, g''(1) eps/2), the rounding floor of the
+    mismatch (see solve_separable).
 
     evaluate(brho, mu, zeta0) is one round: lists with one entry per row in
     (zeta0 None: every run starts from z = 0), a MismatchResult or the
@@ -275,6 +265,7 @@ def _find_roots(
             out[i] = exc
         else:
             rows.append(i)
+    ftol = max(tol_bc, 0.5 * model.validation.g2_at_1 * _EPS)
     hi = box.brho_plus
     lows = [box.brho_lower(mus[i]) for i in rows]
     ends = evaluate(lows + [hi] * len(rows), [mus[i] for i in rows] * 2, None)
@@ -288,7 +279,7 @@ def _find_roots(
                 f"{res_hi.value:+.3e}); expected (-, +)"
             )
         else:
-            out[i] = searches[i] = _Search(mus[i], G, lo, hi, res_lo, res_hi, tol_bc, tol_brho)
+            out[i] = searches[i] = _Search(mus[i], G, lo, hi, res_lo, res_hi, ftol)
     while pending := [(i, s) for i, s in searches.items() if s.trial is not None]:
         results = evaluate(
             [s.trial for _, s in pending], [s.mu for _, s in pending],
@@ -342,30 +333,29 @@ def solve_separable(
     G: float,
     grid: RadialGrid,
     tol_bc: float = DEFAULT_TOL_BC,
-    tol_brho: float = DEFAULT_TOL_BRHO,
     box: ParameterBox | None = None,
 ) -> SolutionProfile:
-    """Find brho0(mu) with |g'(y(1))| < tol_bc and assemble the profile.
+    """Find brho0(mu), where g'(y(1)) = 0, and assemble the profile.
 
     Brent's method runs on the forcing scale w = V(brho, mu, G, 1) between
     the images of the bracket ends brho_lower(mu) and brho_plus; each trial
-    w maps back to brho through _brho_from_w.  If the boundary tolerance is
-    not hit first, the search stops once the final bracket is narrower than
-    tol_brho * brho_plus in brho.  Brent sees that width in w, converted as
-    tol_brho * brho_plus * dw/dbrho at brho_plus: for mu <= 0 dw/dbrho
-    decreases along the bracket, so that w width is no wider in brho
-    anywhere; for mu > 0 the same holds wherever dw/dbrho is at least its
-    value at brho_plus, that is everywhere but below about
-    1.043 brho_minus(mu), where dw/dbrho falls to 0.  The box is
+    w maps back to brho through _brho_from_w.  The search stops once
+    |g'(y(1))| < max(tol_bc, g''(1) eps/2), once Brent's bracket is a few
+    ulps of w wide, or at MAX_ROOT_EVALUATIONS.  g''(1) eps/2 is half a
+    step of the mismatch in floats: the root y* of g' lies in (1, 1 + delta),
+    where consecutive floats are eps apart, so g'(y(1)) moves in steps of
+    about g''(1) eps, and the float nearest y* leaves up to half of one.
+    A smaller tol_bc cannot be met by a closer brho, only by a lucky step,
+    and would spend evaluations on the plateaus of that staircase.  The box is
     build_parameter_box(model, G); a box passed in must equal it, else
     ValueError.  Every Picard run after the two bracket ends starts from
-    the fixed point of the best bracket point so far.  A tolerance that is
+    the fixed point of the best bracket point so far.  A tol_bc that is
     not finite and >= 0 raises ValueError.
 
     This is the one-row case of the lockstep search of sweep; each of its
     evaluations is one boundary_mismatch call.
     """
-    _check_tolerances(tol_bc, tol_brho)
+    check_tolerance(tol_bc, "tol_bc")
     derived = build_parameter_box(model, G)
     if box is not None and box != derived:
         raise ValueError(f"{box} is not the box of (model, G = {G:g}): {derived}")
@@ -379,7 +369,7 @@ def solve_separable(
                 results.append(exc)
         return results
 
-    roots = _find_roots([mu], G, derived, tol_bc, tol_brho, evaluate)
+    roots = _find_roots(model, [mu], G, derived, tol_bc, evaluate)
     (sol,) = _profiles(model, [mu], G, grid, roots)
     if isinstance(sol, SolverError):
         raise sol
@@ -392,7 +382,6 @@ def sweep(
     mu_values,
     grid: RadialGrid,
     tol_bc: float = DEFAULT_TOL_BC,
-    tol_brho: float = DEFAULT_TOL_BRHO,
 ) -> list[SolutionProfile | SolverError]:
     """Solve every mu, in input order, as one lockstep batch.
 
@@ -400,10 +389,10 @@ def sweep(
     still searching, so a row is the SolutionProfile that solve_separable
     returns at its mu, bit for bit, or the SolverError it raises.  A failed
     row is data: the other rows go on.  Any other exception is a bug and
-    propagates.  A tolerance that is not finite and >= 0 raises ValueError
+    propagates.  A tol_bc that is not finite and >= 0 raises ValueError
     before any row.
     """
-    _check_tolerances(tol_bc, tol_brho)
+    check_tolerance(tol_bc, "tol_bc")
     box = build_parameter_box(model, G)  # a bad model or G aborts before any row
     mus = [float(mu) for mu in mu_values]
 
@@ -414,5 +403,5 @@ def sweep(
             rows[i] = MismatchResult(value=float(model.dg(y1)), zeta=zeta[i], diagnostics=rows[i])
         return rows
 
-    roots = _find_roots(mus, G, box, tol_bc, tol_brho, evaluate)
+    roots = _find_roots(model, mus, G, box, tol_bc, evaluate)
     return _profiles(model, mus, G, grid, roots)

@@ -38,7 +38,8 @@ def grid():
 @pytest.fixture(scope="module")
 def stack(model, box, grid):
     """Fixed points at 32 seeded (brho, mu) pairs, each perturbed by seeded
-    noise; enough rows that a vectorised cube root in V would show."""
+    noise; enough rows that a cube root in V rounding a stacked brho unlike
+    a scalar one would show."""
     rng = np.random.default_rng(12)
     mus = [-box.mu0, box.mu0, *rng.uniform(-box.mu0, box.mu0, 30)]
     brhos = [float(rng.uniform(box.brho_lower(mu), box.brho_plus)) for mu in mus]

@@ -380,14 +380,14 @@ class TestEvolve:
 
         monkeypatch.setattr(cli, "solve_separable", spy)
         cfg = tmp_path / "c.cfg"
-        cfg.write_text("tol_bc = 1e-9\ntol_brho = 1e-11\n")
+        cfg.write_text("tol_bc = 1e-9\n")
         out = tmp_path / "evt"
         assert run("evolve", "--mu", "0", "--t-end", "1", "--N", "64",
                    "--snapshot-times", "0.5", "--config", cfg,
                    "--tol-bc", "2e-9", "--out", out) == 0
-        assert seen == {"tol_bc": 2e-9, "tol_brho": 1e-11}
+        assert seen == {"tol_bc": 2e-9}
         recorded = json.loads((out / "manifest.json").read_text())["profile"]
-        assert recorded["tolerances"] == {"bc": 2e-9, "brho": 1e-11}
+        assert recorded["tolerances"] == {"bc": 2e-9}
 
     def test_manifest_records_the_inline_profile(self, tmp_path):
         # the grid comes from the config alone, so only the manifest can say it
@@ -399,7 +399,7 @@ class TestEvolve:
         recorded = json.loads((out / "manifest.json").read_text())["profile"]
         reference = json.loads((solved / "manifest.json").read_text())
         assert recorded == {"model": "builtin:kappa=3500", "G": 1.0, "N": 64,
-                            "tolerances": {"bc": 1e-10, "brho": 1e-12},
+                            "tolerances": {"bc": 1e-10},
                             "brho0": reference["results"]["brho0"]}
 
     def test_manifest_records_the_profile_read(self, tmp_path, solved_dir):
@@ -463,6 +463,29 @@ class TestVerify:
         assert not (tmp_path / "vf" / "report.txt").exists()
         intact = _copy_profile(solved_dir, tmp_path / "intact")
         assert run("verify", "--profile", intact, "--out", tmp_path / "vi") == 0
+
+    def test_profile_read_once(self, tmp_path, solved_dir, monkeypatch):
+        # the bytes parsed are the bytes hashed: no second read can differ
+        reads = []
+        for name in ("read_bytes", "read_text"):
+            original = getattr(Path, name)
+
+            def counted(path, *args, _original=original, **kwargs):
+                reads.append(path.name)
+                return _original(path, *args, **kwargs)
+
+            monkeypatch.setattr(Path, name, counted)
+        assert run("verify", "--profile", solved_dir, "--out", tmp_path / "v") == 0
+        assert reads.count("profile.csv") == 1
+
+    def test_manifest_without_a_hash_rejected(self, tmp_path, solved_dir, capsys):
+        unhashed = _copy_profile(solved_dir, tmp_path / "unhashed")
+        manifest = json.loads((unhashed / "manifest.json").read_text())
+        manifest["files"]["profile.csv"]["sha256"] = None
+        (unhashed / "manifest.json").write_text(json.dumps(manifest))
+        assert run("verify", "--profile", unhashed, "--out", tmp_path / "vu") == 2
+        assert "sha256 must be a string" in capsys.readouterr().err
+        assert not (tmp_path / "vu").exists()
 
     def test_failing_model_in_manifest_exits_3(self, tmp_path, solved_dir, capsys):
         soft = _copy_profile(solved_dir, tmp_path / "soft")
@@ -712,12 +735,12 @@ class TestConfig:
     @pytest.mark.parametrize(
         "key,value,cmd",
         [("model", "builtin:kappa=x", "solve"), ("G", "abc", "solve"), ("N", "15", "solve"),
-         ("tol_bc", "abc", "sweep"), ("tol_brho", "abc", "solve"),
+         ("tol_bc", "abc", "sweep"),
          ("mu", "abc", "solve"), ("mu", "abc", "evolve"), ("qdot0", "abc", "evolve"),
          ("dt", "abc", "evolve"), ("max_residual", "abc", "verify"),
          ("max_equivalence", "abc", "verify"), ("max_boundary", "abc", "verify"),
-         ("G", "-1", "sweep"), ("G", "inf", "solve"), ("tol_brho", "inf", "solve"),
-         ("tol_brho", "nan", "solve"), ("tol_bc", "inf", "solve"), ("tol_bc", "-1", "sweep"),
+         ("G", "-1", "sweep"), ("G", "inf", "solve"),
+         ("tol_bc", "nan", "solve"), ("tol_bc", "inf", "solve"), ("tol_bc", "-1", "sweep"),
          ("max_residual", "inf", "verify")],
     )
     def test_bad_value_exits_2(self, tmp_path, solved_dir, capsys, key, value, cmd):
@@ -787,10 +810,11 @@ class TestConfig:
         assert run("solve", "--config", cfg, "--out", out) == 0
         assert json.loads((out / "manifest.json").read_text())["N"] == 64
 
-    @pytest.mark.parametrize("key", ["tol-bc", "kapa", "cmd", "out", "tol_picard"])
+    @pytest.mark.parametrize("key", ["tol-bc", "kapa", "cmd", "out", "tol_picard", "tol_brho"])
     def test_unknown_key_exits_2(self, tmp_path, capsys, key):
         # tol-bc = 1e-3 was dropped without a word: the run exited 0 with tol_bc = 1e-10;
-        # cmd and out are parser dests, not config keys; the Picard tolerance is fixed
+        # cmd and out are parser dests, not config keys; the Picard tolerance is fixed,
+        # and the brho0 search has no width stop
         cfg = _config(tmp_path, f"N = 64\n{key} = 1e-3\n")
         assert run("solve", "--config", cfg, "--out", tmp_path / "o") == 2
         assert f"unknown config key '{key}'" in capsys.readouterr().err
@@ -801,6 +825,13 @@ class TestConfig:
         out = tmp_path / "o"
         assert run(*_command(cmd, solved_dir), "--tol-picard", "1e-13", "--out", out) == 2
         assert "unrecognized arguments: --tol-picard" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_brho_tolerance_is_not_an_option(self, tmp_path, capsys):
+        # the brho0 search stops on the mismatch and its rounding floor alone
+        out = tmp_path / "o"
+        assert run("solve", "--N", "64", "--tol-brho", "1e-12", "--out", out) == 2
+        assert "unrecognized arguments: --tol-brho" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("text", [None, "N 64\n"], ids=["missing", "malformed"])

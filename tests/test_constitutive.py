@@ -253,8 +253,8 @@ class TestVAndK:
         assert V(1.0, 0.0, 1.0, 1.0) == pytest.approx(FOUR_PI_3, rel=1e-15)
 
     def test_V_array_brho_equals_scalar_calls(self):
-        # 2000 seeded densities: numpy's vectorised cube root differs from
-        # the scalar one on a few percent of them, so a stacked V must not use it.
+        # V takes np.cbrt of a scalar and of a stack alike, so each stacked
+        # row must equal its scalar call, bit for bit, over 2000 seeded densities.
         brho = np.random.default_rng(3).uniform(1e-3, 5.0, (2000, 1))
         lam = np.linspace(0.99, 1.01, 7)
         out = V(brho, -2e-3, 1.0, lam)

@@ -196,6 +196,14 @@ class TestPicard:
             picard_solve(model, 1.0, 0.0, 1.0, grid512)
         assert len(calls) == 3
 
+    def test_equal_updates_count_as_growth(self, model, grid512, monkeypatch):
+        # updates a, 2a, 2a (a = 2**-24, exact): ratios 2 and 1, both >= 1
+        a = 2.0**-24
+        calls = self._scripted_map(monkeypatch, [a, 3 * a, 5 * a])
+        with pytest.raises(NotContracting, match=r"last ratio 1\)"):
+            picard_solve(model, 1.0, 0.0, 1.0, grid512)
+        assert len(calls) == 3
+
     def test_growth_broken_by_a_shrink_runs_on(self, model, grid512, monkeypatch):
         # updates 1, 2, 1, 2, 0 (x 1e-7): no two growths in a row
         calls = self._scripted_map(monkeypatch, [1e-7, 3e-7, 4e-7, 6e-7])

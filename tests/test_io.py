@@ -249,7 +249,7 @@ class TestReader:
 
     @pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
     def test_other_line_ends(self, tmp_path, end):
-        # the reader decodes bytes itself, so it must translate them as read_text did
+        # the reader decodes the bytes it hashes, so it translates line ends as text mode does
         path = tmp_path / "e.csv"
         lines = ["# units: none", "a,b", "1,2", "# note", "", "3,4", ""]
         path.write_bytes(end.join(lines).encode())
