@@ -109,7 +109,7 @@ def _replayed_root_search(model, box, grid, mu):
     a, b = V(box.brho_lower(mu), mu, G, 1.0), V(box.brho_plus, mu, G, 1.0)
 
     def search():
-        steps = shooting.brent_steps(a, b, fa, fb, ftol=shooting.DEFAULT_TOL_BC,
+        steps = shooting.brent_steps(a, b, fa, fb, ftol=shooting.TOL_BC,
                                      max_evals=len(trials))
         try:
             for value in [None, *trials]:

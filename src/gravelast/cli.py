@@ -43,14 +43,9 @@ from .io import (
     write_csv,
     write_manifest,
 )
-from .parameters import build_parameter_box, check_G, check_tolerance
+from .parameters import build_parameter_box, check_G
 from .radial import RadialGrid
-from .shooting import (
-    DEFAULT_TOL_BC,
-    SolutionProfile,
-    solve_separable,
-    sweep as sweep_rows,
-)
+from .shooting import SolutionProfile, solve_separable, sweep as sweep_rows
 from .temporal import REGIME_COLLAPSING, assemble_motion, collapse_time, evolve_q
 from .verify import residual_report, stress_profiles
 
@@ -62,8 +57,7 @@ EXIT_VERIFY = 5
 
 # The keys a --config file may set; each names an option's dest.
 CONFIG_KEYS = (
-    "model", "G", "N", "tol_bc",
-    "mu", "qdot0", "dt", "max_residual", "max_equivalence", "max_boundary",
+    "model", "G", "N", "mu", "qdot0", "dt", "max_residual", "max_equivalence", "max_boundary",
 )
 
 
@@ -94,7 +88,12 @@ def _positive(text: str) -> float:
     return value
 
 
-_tolerance = _checked(lambda text: check_tolerance(float(text)))
+@_checked
+def _tolerance(text: str) -> float:
+    # a NaN threshold would pass nothing and an infinite one everything
+    if not (math.isfinite(value := float(text)) and value >= 0):
+        raise ValueError(f"must be finite and >= 0, got {value!r}")
+    return value
 
 
 def _snapshot_times(text: str) -> list[float]:
@@ -114,8 +113,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="gravitational constant (default %(default)s)")
     shared.add_argument("--N", type=_checked(lambda s: RadialGrid(int(s))), default="512",
                         help="grid cells, even and >= 16 (default %(default)s)")
-    shared.add_argument("--tol-bc", type=_tolerance, dest="tol_bc", default=DEFAULT_TOL_BC,
-                        help="boundary mismatch tolerance (default %(default)s)")
     shared.add_argument("--out", type=Path, default=Path("out"),
                         help="output directory (default %(default)s)")
     shared.add_argument("--config", type=Path,
@@ -183,11 +180,8 @@ def _parse_args(argv) -> argparse.Namespace:
 
 
 def _solver_settings(args) -> dict:
-    """Manifest fields of the model, grid and tolerances a solve ran with."""
-    return {
-        "model": args.model.spec_string(), "G": args.G, "N": args.N.n,
-        "tolerances": {"bc": args.tol_bc},
-    }
+    """Manifest fields of the model and grid a solve ran with."""
+    return {"model": args.model.spec_string(), "G": args.G, "N": args.N.n}
 
 
 def _write_outputs(args, argv, wall: float, results: dict, tables: dict, **inputs) -> None:
@@ -240,7 +234,7 @@ def _summary(sol: SolutionProfile) -> dict:
 
 def cmd_solve(args, argv) -> int:
     t0 = time.perf_counter()
-    sol = solve_separable(args.model, args.mu, args.G, args.N, tol_bc=args.tol_bc)
+    sol = solve_separable(args.model, args.mu, args.G, args.N)
     wall = time.perf_counter() - t0
 
     results = {
@@ -269,7 +263,7 @@ def cmd_sweep(args, argv) -> int:
     mu_values = np.linspace(args.mu_min, args.mu_max, args.steps) if args.steps else []
 
     t0 = time.perf_counter()
-    rows = sweep_rows(args.model, args.G, mu_values, args.N, tol_bc=args.tol_bc)
+    rows = sweep_rows(args.model, args.G, mu_values, args.N)
     wall = time.perf_counter() - t0
 
     # A failed row reports nan, 0 iterations and its error text. Only these
@@ -318,6 +312,8 @@ def _load_profile_dir(path: Path) -> tuple[SolutionProfile, str]:
         if type(sha256) is not str:  # None would skip the check
             raise ValueError(f"sha256 must be a string, got {sha256!r}")
         cols = read_float_columns(csv_path, PROFILE_COLUMNS[:6], sha256)
+        if bad := [name for name, col in cols.items() if not np.all(np.isfinite(col))]:
+            raise ValueError(f"column {bad[0]} has a non-finite value")
         model = parse_model_spec(manifest["model"])
         G = _number(manifest["G"], "G")
         mu = _number(manifest["mu"], "mu")
@@ -358,7 +354,7 @@ def cmd_evolve(args, argv) -> int:
         raise UsageError("mu and qdot0 must be finite")
 
     if args.snapshot_times and profile is None:
-        profile = solve_separable(args.model, mu, args.G, args.N, tol_bc=args.tol_bc)
+        profile = solve_separable(args.model, mu, args.G, args.N)
         source = {**_solver_settings(args), "brho0": profile.brho0}
 
     t0 = time.perf_counter()

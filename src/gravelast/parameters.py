@@ -88,15 +88,6 @@ def check_G(G: float) -> float:
     return G
 
 
-def check_tolerance(value: float, name: str = "value") -> float:
-    """value itself; ValueError unless it is finite and >= 0.
-    A NaN tolerance would never stop an iteration and an infinite one would
-    stop it at once."""
-    if not (math.isfinite(value) and value >= 0):
-        raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
-    return value
-
-
 def _box_constants(G: float) -> tuple[float, float]:
     """(brho_plus, mu_ceiling) of G, after the checks of check_G."""
     if not (math.isfinite(G) and G > 0):

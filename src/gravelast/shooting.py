@@ -41,10 +41,12 @@ import numpy as np
 from .constitutive import FOUR_PI_3, ConstitutiveModel, V
 from .errors import BracketFailure, SolverError
 from .fixed_point import PicardDiagnostics, picard_rows, picard_solve
-from .parameters import ParameterBox, build_parameter_box, check_tolerance
+from .parameters import ParameterBox, build_parameter_box
 from .radial import RadialGrid, reconstruct_geometry, y_at_boundary
 
-DEFAULT_TOL_BC = 1e-10
+# Read at call time; a search stops once |g'(y(1))| < max(TOL_BC, g''(1) eps/2).
+# 1e-11 or 0 costs some solves a mismatch evaluation, 1e-9 leaves 1.3e-10 at kappa = 1e6.
+TOL_BC = 1e-10
 # Cap on the mismatch evaluations of one solve, the two bracket ends included.
 MAX_ROOT_EVALUATIONS = 200
 
@@ -239,11 +241,10 @@ def _find_roots(
     mus: list[float],
     G: float,
     box: ParameterBox,
-    tol_bc: float,
     evaluate: Callable[..., list[MismatchResult | SolverError]],
 ) -> list[_Search | SolverError]:
     """brho0 for every mu by Brent searches run in lockstep, each stopping
-    once |g'(y(1))| < max(tol_bc, g''(1) eps/2), the rounding floor of the
+    once |g'(y(1))| < max(TOL_BC, g''(1) eps/2), the rounding floor of the
     mismatch (see solve_separable).
 
     evaluate(brho, mu, zeta0) is one round: lists with one entry per row in
@@ -265,7 +266,7 @@ def _find_roots(
             out[i] = exc
         else:
             rows.append(i)
-    ftol = max(tol_bc, 0.5 * model.validation.g2_at_1 * _EPS)
+    ftol = max(TOL_BC, 0.5 * model.validation.g2_at_1 * _EPS)
     hi = box.brho_plus
     lows = [box.brho_lower(mus[i]) for i in rows]
     ends = evaluate(lows + [hi] * len(rows), [mus[i] for i in rows] * 2, None)
@@ -332,7 +333,6 @@ def solve_separable(
     mu: float,
     G: float,
     grid: RadialGrid,
-    tol_bc: float = DEFAULT_TOL_BC,
     box: ParameterBox | None = None,
 ) -> SolutionProfile:
     """Find brho0(mu), where g'(y(1)) = 0, and assemble the profile.
@@ -340,22 +340,20 @@ def solve_separable(
     Brent's method runs on the forcing scale w = V(brho, mu, G, 1) between
     the images of the bracket ends brho_lower(mu) and brho_plus; each trial
     w maps back to brho through _brho_from_w.  The search stops once
-    |g'(y(1))| < max(tol_bc, g''(1) eps/2), once Brent's bracket is a few
+    |g'(y(1))| < max(TOL_BC, g''(1) eps/2), once Brent's bracket is a few
     ulps of w wide, or at MAX_ROOT_EVALUATIONS.  g''(1) eps/2 is half a
     step of the mismatch in floats: the root y* of g' lies in (1, 1 + delta),
     where consecutive floats are eps apart, so g'(y(1)) moves in steps of
     about g''(1) eps, and the float nearest y* leaves up to half of one.
-    A smaller tol_bc cannot be met by a closer brho, only by a lucky step,
-    and would spend evaluations on the plateaus of that staircase.  The box is
-    build_parameter_box(model, G); a box passed in must equal it, else
-    ValueError.  Every Picard run after the two bracket ends starts from
-    the fixed point of the best bracket point so far.  A tol_bc that is
-    not finite and >= 0 raises ValueError.
+    A tolerance below that floor cannot be met by a closer brho, only by a
+    lucky step, and would spend evaluations on the plateaus of that
+    staircase.  The box is build_parameter_box(model, G); a box passed in
+    must equal it, else ValueError.  Every Picard run after the two bracket
+    ends starts from the fixed point of the best bracket point so far.
 
     This is the one-row case of the lockstep search of sweep; each of its
     evaluations is one boundary_mismatch call.
     """
-    check_tolerance(tol_bc, "tol_bc")
     derived = build_parameter_box(model, G)
     if box is not None and box != derived:
         raise ValueError(f"{box} is not the box of (model, G = {G:g}): {derived}")
@@ -369,7 +367,7 @@ def solve_separable(
                 results.append(exc)
         return results
 
-    roots = _find_roots(model, [mu], G, derived, tol_bc, evaluate)
+    roots = _find_roots(model, [mu], G, derived, evaluate)
     (sol,) = _profiles(model, [mu], G, grid, roots)
     if isinstance(sol, SolverError):
         raise sol
@@ -381,7 +379,6 @@ def sweep(
     G: float,
     mu_values,
     grid: RadialGrid,
-    tol_bc: float = DEFAULT_TOL_BC,
 ) -> list[SolutionProfile | SolverError]:
     """Solve every mu, in input order, as one lockstep batch.
 
@@ -389,10 +386,8 @@ def sweep(
     still searching, so a row is the SolutionProfile that solve_separable
     returns at its mu, bit for bit, or the SolverError it raises.  A failed
     row is data: the other rows go on.  Any other exception is a bug and
-    propagates.  A tol_bc that is not finite and >= 0 raises ValueError
-    before any row.
+    propagates.
     """
-    check_tolerance(tol_bc, "tol_bc")
     box = build_parameter_box(model, G)  # a bad model or G aborts before any row
     mus = [float(mu) for mu in mu_values]
 
@@ -403,5 +398,5 @@ def sweep(
             rows[i] = MismatchResult(value=float(model.dg(y1)), zeta=zeta[i], diagnostics=rows[i])
         return rows
 
-    roots = _find_roots(model, mus, G, box, tol_bc, evaluate)
+    roots = _find_roots(model, mus, G, box, evaluate)
     return _profiles(model, mus, G, grid, roots)

@@ -135,13 +135,6 @@ class TestSolve:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["mu"] == 5e-4
 
-    def test_boundary_tolerance_flag(self, tmp_path):
-        out = tmp_path / "loose"
-        assert run("solve", "--N", "64", "--tol-bc", "1e-6", "--out", out) == 0
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["tolerances"]["bc"] == 1e-6
-        assert abs(manifest["results"]["boundary_residual"]) <= 1e-6
-
     def test_manifest_command_splits_back_into_argv(self, tmp_path):
         argv = ["solve", "--N", "64", "--mu", "-1e-3", "--out", str(tmp_path / "my dir")]
         assert main(argv) == 0
@@ -370,25 +363,6 @@ class TestEvolve:
         t = read_float_columns(out / "temporal.csv", ("t",))["t"]
         assert big_t - 1e-3 <= t[-1] < big_t
 
-    def test_inline_solve_uses_resolved_tolerances(self, tmp_path, monkeypatch):
-        seen = {}
-        original = cli.solve_separable
-
-        def spy(*args, **kwargs):
-            seen.update(kwargs)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(cli, "solve_separable", spy)
-        cfg = tmp_path / "c.cfg"
-        cfg.write_text("tol_bc = 1e-9\n")
-        out = tmp_path / "evt"
-        assert run("evolve", "--mu", "0", "--t-end", "1", "--N", "64",
-                   "--snapshot-times", "0.5", "--config", cfg,
-                   "--tol-bc", "2e-9", "--out", out) == 0
-        assert seen == {"tol_bc": 2e-9}
-        recorded = json.loads((out / "manifest.json").read_text())["profile"]
-        assert recorded["tolerances"] == {"bc": 2e-9}
-
     def test_manifest_records_the_inline_profile(self, tmp_path):
         # the grid comes from the config alone, so only the manifest can say it
         cfg = _config(tmp_path, "N = 64\nmodel = builtin:kappa=3500\n")
@@ -399,7 +373,6 @@ class TestEvolve:
         recorded = json.loads((out / "manifest.json").read_text())["profile"]
         reference = json.loads((solved / "manifest.json").read_text())
         assert recorded == {"model": "builtin:kappa=3500", "G": 1.0, "N": 64,
-                            "tolerances": {"bc": 1e-10},
                             "brho0": reference["results"]["brho0"]}
 
     def test_manifest_records_the_profile_read(self, tmp_path, solved_dir):
@@ -606,6 +579,25 @@ class TestVerify:
         assert "corrupt profile directory" in capsys.readouterr().err
         assert not (tmp_path / "vm" / "report.txt").exists()
 
+    @pytest.mark.parametrize("index,name,value", [(2, "f", "nan"), (4, "lambda", "inf")],
+                             ids=["f-nan", "lambda-inf"])
+    def test_non_finite_cell_exits_2(self, tmp_path, solved_dir, capsys, index, name, value):
+        # evolve wrote NaN cells and a manifest "mass": NaN, which is not JSON,
+        # and verify failed its thresholds (exit 5)
+        def edit_row(parts):
+            if parts[0] == fmt(0.5):
+                parts[index] = value
+            return parts
+
+        bad = _copy_profile(solved_dir, tmp_path / "bad", edit_row)
+        assert run("verify", "--profile", bad, "--out", tmp_path / "v") == 2
+        assert run("evolve", "--profile", bad, "--t-end", "1", "--snapshot-times", "0.5",
+                   "--out", tmp_path / "e") == 2
+        err = capsys.readouterr().err
+        assert err.count("corrupt profile directory") == 2
+        assert err.count(f"column {name} has a non-finite value") == 2
+        assert not (tmp_path / "v").exists() and not (tmp_path / "e").exists()
+
     def test_lambda_off_by_a_millionth_fails_consistency(self, tmp_path, solved_dir):
         # far above the columns' roundoff, far below the residual thresholds' reach
         def scale_lambda(parts):
@@ -735,13 +727,12 @@ class TestConfig:
     @pytest.mark.parametrize(
         "key,value,cmd",
         [("model", "builtin:kappa=x", "solve"), ("G", "abc", "solve"), ("N", "15", "solve"),
-         ("tol_bc", "abc", "sweep"),
          ("mu", "abc", "solve"), ("mu", "abc", "evolve"), ("qdot0", "abc", "evolve"),
          ("dt", "abc", "evolve"), ("max_residual", "abc", "verify"),
          ("max_equivalence", "abc", "verify"), ("max_boundary", "abc", "verify"),
          ("G", "-1", "sweep"), ("G", "inf", "solve"),
-         ("tol_bc", "nan", "solve"), ("tol_bc", "inf", "solve"), ("tol_bc", "-1", "sweep"),
-         ("max_residual", "inf", "verify")],
+         ("max_residual", "nan", "verify"), ("max_residual", "inf", "verify"),
+         ("max_boundary", "-1", "verify")],
     )
     def test_bad_value_exits_2(self, tmp_path, solved_dir, capsys, key, value, cmd):
         argv = {
@@ -758,11 +749,11 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "flag,key,default,from_config,from_flag,field",
-        [("--tol-bc", "tol_bc", 1e-10, "1e-9", "2e-9", lambda m: m["tolerances"]["bc"]),
+        [("--G", "G", 1.0, "0.5", "2.0", lambda m: m["G"]),
          ("--N", "N", 512, "64", "96", lambda m: m["N"]),
          ("--model", "model", "builtin:kappa=3100", "builtin:kappa=3500",
           "builtin:kappa=4000", lambda m: m["model"])],
-        ids=["tol_bc", "N", "model"],
+        ids=["G", "N", "model"],
     )
     def test_flag_beats_config_beats_default(self, tmp_path, flag, key, default,
                                              from_config, from_flag, field):
@@ -776,12 +767,12 @@ class TestConfig:
         assert seen == [default, cast(from_config), cast(from_flag)]
 
     def test_config_does_not_leak_into_next_run(self, tmp_path):
-        cfg = _config(tmp_path, "N = 64\ntol_bc = 1e-9\n")
+        cfg = _config(tmp_path, "N = 64\nG = 0.5\n")
         assert run("solve", "--config", cfg, "--out", tmp_path / "a") == 0
         assert run("solve", "--out", tmp_path / "b") == 0
         manifest = json.loads((tmp_path / "b" / "manifest.json").read_text())
         assert manifest["N"] == 512
-        assert manifest["tolerances"]["bc"] == 1e-10
+        assert manifest["G"] == 1.0
 
     def test_parser_built_once_per_process(self, tmp_path, monkeypatch):
         builds = []
@@ -810,11 +801,12 @@ class TestConfig:
         assert run("solve", "--config", cfg, "--out", out) == 0
         assert json.loads((out / "manifest.json").read_text())["N"] == 64
 
-    @pytest.mark.parametrize("key", ["tol-bc", "kapa", "cmd", "out", "tol_picard", "tol_brho"])
+    @pytest.mark.parametrize(
+        "key", ["tol-bc", "kapa", "cmd", "out", "tol_picard", "tol_brho", "tol_bc"])
     def test_unknown_key_exits_2(self, tmp_path, capsys, key):
         # tol-bc = 1e-3 was dropped without a word: the run exited 0 with tol_bc = 1e-10;
-        # cmd and out are parser dests, not config keys; the Picard tolerance is fixed,
-        # and the brho0 search has no width stop
+        # cmd and out are parser dests, not config keys; the Picard and boundary
+        # tolerances are fixed, and the brho0 search has no width stop
         cfg = _config(tmp_path, f"N = 64\n{key} = 1e-3\n")
         assert run("solve", "--config", cfg, "--out", tmp_path / "o") == 2
         assert f"unknown config key '{key}'" in capsys.readouterr().err
@@ -822,17 +814,13 @@ class TestConfig:
 
     @pytest.mark.parametrize("cmd", FIRST_OUTPUT)
     def test_picard_tolerance_is_not_an_option(self, tmp_path, solved_dir, capsys, cmd):
+        # fixed_point.TOL and shooting.TOL_BC are constants, and the brho0
+        # search stops on the mismatch and its rounding floor alone
         out = tmp_path / "o"
-        assert run(*_command(cmd, solved_dir), "--tol-picard", "1e-13", "--out", out) == 2
-        assert "unrecognized arguments: --tol-picard" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_brho_tolerance_is_not_an_option(self, tmp_path, capsys):
-        # the brho0 search stops on the mismatch and its rounding floor alone
-        out = tmp_path / "o"
-        assert run("solve", "--N", "64", "--tol-brho", "1e-12", "--out", out) == 2
-        assert "unrecognized arguments: --tol-brho" in capsys.readouterr().err
-        assert not out.exists()
+        for flag in ("--tol-picard", "--tol-brho", "--tol-bc"):
+            assert run(*_command(cmd, solved_dir), flag, "1e-12", "--out", out) == 2
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+            assert not out.exists()
 
     @pytest.mark.parametrize("text", [None, "N 64\n"], ids=["missing", "malformed"])
     def test_unreadable_config(self, tmp_path, capsys, text):
@@ -944,3 +932,11 @@ def test_console_script_step_runs_every_command(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for argv in commands:
         assert main(argv[1:]) == 0, argv
+    # every manifest written is strict JSON: no NaN or Infinity
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    manifests = sorted(tmp_path.rglob("manifest.json"))
+    assert len(manifests) == sum(argv[1] in ("solve", "sweep", "evolve") for argv in commands)
+    for path in manifests:
+        json.loads(path.read_text(), parse_constant=reject)

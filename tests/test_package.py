@@ -56,8 +56,8 @@ def test_signatures_are_pinned():
         "SolutionProfile": "model mu brho0 G grid zeta f fprime lam y boundary_residual "
                            "diagnostics root_evaluations",
         "boundary_mismatch": "model brho mu G grid zeta0=",
-        "solve_separable": "model mu G grid tol_bc= box=",
-        "sweep": "model G mu_values grid tol_bc=",
+        "solve_separable": "model mu G grid box=",
+        "sweep": "model G mu_values grid",
         "TemporalSolution": "mu qdot0 e_eff regime t q qdot energy_drift max_energy_drift "
                             "stopped_early",
         "CollapseEstimate": "time exponent prefactor threshold_times local_exponents",

@@ -15,7 +15,7 @@ from gravelast.fixed_point import picard_solve
 from gravelast.parameters import build_parameter_box, k_minimum, mu_ceiling
 from gravelast.radial import RadialGrid, reconstruct_geometry, y_at_boundary
 from gravelast.shooting import (
-    DEFAULT_TOL_BC,
+    TOL_BC,
     SolutionProfile,
     boundary_mismatch,
     brent_steps,
@@ -231,12 +231,13 @@ class TestSolve:
         assert sol.brho0 == pytest.approx(root, rel=1e-9)
 
     @pytest.mark.parametrize("frac", [-1.0, 0.0, 1.0])
-    def test_width_stop_matches_bisection_oracle(self, model, box, frac):
-        # tol_bc = 0 leaves the rounding floor g''(1) eps/2 of the mismatch
+    def test_width_stop_matches_bisection_oracle(self, model, box, frac, monkeypatch):
+        # TOL_BC = 0 leaves the rounding floor g''(1) eps/2 of the mismatch
         # as the stop, which a search reaches in a few evaluations.
+        monkeypatch.setattr(shooting, "TOL_BC", 0.0)
         grid = RadialGrid(256)
         mu = frac * box.mu0
-        sol = solve_separable(model, mu, 1.0, grid, tol_bc=0.0)
+        sol = solve_separable(model, mu, 1.0, grid)
         assert sol.root_evaluations <= 5
         root = bisect_oracle(
             lambda r: boundary_mismatch(model, r, mu, 1.0, grid).value,
@@ -247,23 +248,34 @@ class TestSolve:
     @pytest.mark.parametrize("kappa", [3100.0, 20000.0, 1e7])
     @pytest.mark.parametrize("n", [64, 512])
     @pytest.mark.parametrize("frac", [-0.9, 0.0, 0.9])
-    def test_rounding_floor_stops_the_search(self, kappa, n, frac):
-        # g'(y(1)) moves in steps of about g''(1) eps; with tol_bc = 0 the
-        # search stops within half a step, in a few evaluations.
+    def test_rounding_floor_stops_the_search(self, kappa, n, frac, monkeypatch):
+        # g'(y(1)) moves in steps of about g''(1) eps; with TOL_BC = 0 the
+        # search stops within half a step, in a few evaluations.  TOL_BC is
+        # read at call time, else the patch would not reach the search.
+        monkeypatch.setattr(shooting, "TOL_BC", 0.0)
         model = make_builtin_model(kappa)
         mu = frac * build_parameter_box(model, 1.0).mu0
-        sol = solve_separable(model, mu, 1.0, RadialGrid(n), tol_bc=0.0)
+        sol = solve_separable(model, mu, 1.0, RadialGrid(n))
         assert sol.root_evaluations <= 5
         assert abs(sol.boundary_residual) <= 0.5 * model.validation.g2_at_1 * EPS
 
     @pytest.mark.parametrize("frac", [-0.9, 0.0, 0.9])
     def test_rounding_floor_above_default_tolerance(self, frac):
-        # At kappa = 1e7 half a step, ~1.1e-9, exceeds tol_bc = 1e-10 itself.
+        # At kappa = 1e7 half a step, ~1.1e-9, exceeds TOL_BC = 1e-10 itself.
         model = make_builtin_model(1e7)
-        assert 0.5 * model.validation.g2_at_1 * EPS > DEFAULT_TOL_BC
+        assert 0.5 * model.validation.g2_at_1 * EPS > TOL_BC
         mu = frac * build_parameter_box(model, 1.0).mu0
         sol = solve_separable(model, mu, 1.0, RadialGrid(64))
         assert sol.root_evaluations <= 5
+
+    @pytest.mark.parametrize("kappa, max_evals", [(1e5, 4), (1e6, 5)])
+    def test_boundary_tolerance_value(self, kappa, max_evals):
+        # TOL_BC = 1e-9 stops kappa = 1e6 at |g'(y(1))| = 1.3e-10, above the
+        # floor 1.1e-10; TOL_BC = 1e-11 spends a fifth evaluation at kappa = 1e5.
+        model = make_builtin_model(kappa)
+        sol = solve_separable(model, 0.0, 1.0, RadialGrid(512))
+        assert abs(sol.boundary_residual) < max(1e-10, 0.5 * model.validation.g2_at_1 * EPS)
+        assert sol.root_evaluations <= max_evals
 
     def test_validates_model_once(self, monkeypatch):
         # The session model is validated already; fresh ones show the calls.
@@ -326,7 +338,7 @@ class TestSolve:
         sol = solve_separable(model, mu, 1.0, grid)
         assert abs(sol.f[-1] - 1.0) <= 1e-12
         assert np.all(sol.fprime > 0.0) and np.all(sol.lam > 0.0)
-        assert abs(sol.boundary_residual) < DEFAULT_TOL_BC
+        assert abs(sol.boundary_residual) < TOL_BC
 
     def test_rejects_mu_beyond_range(self, model, box):
         with pytest.raises(ParameterOutOfRange, match="mu outside proven range"):
@@ -338,20 +350,6 @@ class TestSolve:
             box.check_mu(math.nan)
         with pytest.raises(ParameterOutOfRange, match="mu outside proven range"):
             solve_separable(model, math.nan, 1.0, RadialGrid(64))
-
-    def test_boundary_tolerance_propagates(self, model):
-        sol = solve_separable(
-            model, 0.0, 1.0, RadialGrid(128), tol_bc=1e-6
-        )
-        assert abs(sol.boundary_residual) <= 1e-6
-
-    def test_rejects_infinite_tolerance(self, model):
-        # tol_bc = inf would end the search at a bracket end and call it solved
-        grid = RadialGrid(64)
-        with pytest.raises(ValueError, match="tol_bc must be finite and >= 0"):
-            solve_separable(model, 0.0, 1.0, grid, tol_bc=math.inf)
-        with pytest.raises(ValueError, match="tol_bc must be finite and >= 0"):
-            sweep(model, 1.0, [0.0], grid, tol_bc=math.inf)
 
     @pytest.mark.parametrize("kappa", [3100.0, 20000.0])
     @pytest.mark.parametrize("frac", [-0.9, 0.0, 0.9])
