@@ -822,6 +822,13 @@ class TestConfig:
             assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
             assert not out.exists()
 
+    def test_brho_tolerance_is_not_an_option(self, tmp_path, capsys):
+        # the brho0 search stops on the mismatch and its rounding floor alone
+        out = tmp_path / "o"
+        assert run("solve", "--N", "64", "--tol-brho", "1e-12", "--out", out) == 2
+        assert "unrecognized arguments: --tol-brho" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("text", [None, "N 64\n"], ids=["missing", "malformed"])
     def test_unreadable_config(self, tmp_path, capsys, text):
         cfg = tmp_path / "run.cfg"
