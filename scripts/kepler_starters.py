@@ -2,11 +2,12 @@
 
 Run:  python scripts/kepler_starters.py [--check] [--points N]
 
-temporal starts Newton on each conic branch's Kepler equation S(x) = y from
-x0 = v P(v**2), with v a smooth function of the clock y. This script finds
-the root x at the degree + 1 Chebyshev nodes of w = v**2 on the fitted range
-in 50-digit mpmath, interpolates x/v there by the polynomial P in w, and
-prints P's coefficients (highest power first) as temporal's constants.
+temporal takes one Halley step on each conic branch's Kepler equation
+S(x) = y from x0 = v P(v**2), with v a smooth function of the clock y. This
+script finds the root x at the degree + 1 Chebyshev nodes of w = v**2 on the
+fitted range in 50-digit mpmath, interpolates x/v there by the polynomial P
+in w, and prints P's coefficients (highest power first) as temporal's
+constants.
 
 With --check it refits and exits 1 unless the committed constants equal the
 fit and every starter lies within STARTER_RTOL relative of the mpmath root

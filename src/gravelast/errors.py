@@ -51,7 +51,7 @@ class NotCollapsing(SolverError):
 
 
 class KeplerNotConverged(SolverError):
-    """Newton's method left a Kepler-equation residual above roundoff."""
+    """The Halley step left a Kepler-equation residual above roundoff."""
 
 
 class OutOfRange(SolverError):

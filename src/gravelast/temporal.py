@@ -12,21 +12,22 @@ clock unit k = sqrt(A**3/|mu|):
 * mu < 0, e_eff > 0: q = A(cosh x - 1) = 2A sinh(x/2)**2, t = k(sinh x - x) + c;
 * mu > 0:            q = A(cosh x + 1) = 2A cosh(x/2)**2, t = k(sinh x + x) + c.
 
-A time sample is found by Newton's method on Kepler's equation, vectorised
-over the samples: two Newton steps from the starter, certified by the
-residual. The starter is a closed form of the root per branch, a fitted
-polynomial in a smooth function of the clock, or a short fixed-point
-refinement at large clocks, within 1e-5 relative of the root; convergence is
-quadratic, so two steps reach roundoff, and a residual check certifies every
-returned anomaly to KEPLER_RTOL. Every sample takes the same steps, so its
-value does not depend on the other samples evaluated with it.
+A time sample is found by one Halley step on Kepler's equation S(x) = y,
+vectorised over the samples, certified by the residual. The starter is a
+closed form of the root per branch, a fitted polynomial in a smooth function
+of the clock, or a short fixed-point refinement at large clocks, within 1e-5
+relative of the root; Halley's convergence is cubic, so one step reaches
+roundoff, and a residual check certifies every returned anomaly to
+KEPLER_RTOL. Every sample takes the same step, so its value does not depend
+on the other samples evaluated with it. Each branch forms the step's S' and
+S'' from one transcendental: tan(x/2) (bound), sinh(x/2) (unbound and
+repulsive, with cosh(x/2) = sqrt(1 + sinh(x/2)**2)).
 
 The bound branch takes its trig from one half-angle tangent t = tan(x/2):
-sin x = 2t/(1 + t*t) in x - sin x, 1 - cos x = 2t*t/(1 + t*t) as Newton's
-slope, q = 2A t*t/(1 + t*t) and qdot = +-v/t. numpy's float64 tan is about
-4x faster than its sin (25 against 110 us per 8192 samples, numpy 2.4 on
-x86-64), and on [0, pi] t stays finite, at most 1.6e16 at x = pi. The
-sinh/cosh branches keep their direct forms, which were faster there.
+sin x = 2t/(1 + t*t) in x - sin x and as S'', 1 - cos x = 2t*t/(1 + t*t) as
+S', q = 2A t*t/(1 + t*t) and qdot = +-v/t. numpy's float64 tan is about 4x
+faster than its sin (25 against 110 us per 8192 samples, numpy 2.4 on
+x86-64), and on [0, pi] t stays finite, at most 1.6e16 at x = pi.
 
 q = eps inverts to x with no iteration, so collapse times, threshold
 passages and rates are closed forms. evolve_q evaluates its samples in
@@ -40,6 +41,7 @@ that decision.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from collections.abc import Callable
@@ -59,7 +61,6 @@ E_EFF_ZERO_TOL = 1e-14
 MU_FREE = 1e-300
 Q_MIN_STOP = 1e-6  # evolve_q stops before the first sample with q below this
 COLLAPSE_THRESHOLDS = (1e-2, 1e-3, 1e-4)  # the q = eps passages collapse_time reports
-NEWTON_STEPS = 2  # from a starter within 1e-5, quadratic convergence reaches roundoff
 KEPLER_RTOL = 1e-12
 # Below this anomaly x - sin x and sinh x - x are summed from their Taylor
 # series: the direct differences lose every digit as x -> 0 (near-parabolic
@@ -75,10 +76,11 @@ _SERIES = np.array([6.0 / math.factorial(2 * j + 3) for j in range(10)])[::-1]
 # below glibc's 128 KiB mmap threshold, so the heap reuses them; at 30,001
 # samples each temporary is a fresh mmap whose pages fault in on first touch
 # (2,072 minor faults per evaluation of a bound orbit, against 96 per block
-# of 8192).
+# of 8192). Only t, q and qdot span all samples: the energy drift is formed
+# from them when it is first read.
 SAMPLE_BLOCK = 8192
 
-# Newton's start on each branch: x0 = v P(v**2), P interpolating the root's
+# Halley's start on each branch: x0 = v P(v**2), P interpolating the root's
 # x/v at Chebyshev nodes of v**2, within 1e-5 relative of the root over the
 # branch's whole domain. scripts/kepler_starters.py fits these (highest power
 # first) to mpmath roots and checks them. x - sin x = y: v = cbrt(6y) on all
@@ -147,6 +149,9 @@ def classify(mu: float, qdot0: float) -> str:
 
 @dataclass
 class TemporalSolution:
+    """The samples of evolve_q. energy_drift, the roundoff of the energy
+    invariant along them, and its largest magnitude are formed on first read."""
+
     mu: float
     qdot0: float
     e_eff: float
@@ -154,9 +159,16 @@ class TemporalSolution:
     t: np.ndarray
     q: np.ndarray
     qdot: np.ndarray
-    energy_drift: np.ndarray
-    max_energy_drift: float
     stopped_early: bool
+
+    @functools.cached_property
+    def energy_drift(self) -> np.ndarray:
+        return 0.5 * self.qdot * self.qdot + self.mu / self.q - self.e_eff
+
+    @functools.cached_property
+    def max_energy_drift(self) -> float:
+        d = self.energy_drift
+        return float(max(d.max(), -d.min())) if d.size else 0.0
 
 
 def _horner(coefs, w):
@@ -202,24 +214,45 @@ def _x_minus_sin(x):
     return _series_split(x, -1.0, direct)
 
 
-def _one_minus_cos(x):
-    """1 - cos x = 2t*t/(1 + t*t), t = tan(x/2): the bound branch's Kepler slope."""
-    tt = np.tan(0.5 * x) ** 2
-    return 2.0 * tt / (1.0 + tt)
+def _bound_slopes(x):
+    """S' = 1 - cos x and S'' = sin x of x - sin x, from t = tan(x/2)."""
+    t = np.tan(0.5 * x)
+    tt = t * t
+    scale = 2.0 / (1.0 + tt)
+    return scale * tt, scale * t
 
 
 def _sinh_minus_x(x):
     return _series_split(x, 1.0, lambda b: np.sinh(b) - b)
 
 
+def _unbound_slopes(x):
+    """S' = cosh x - 1 = 2s*s and S'' = sinh x = 2s c of sinh x - x, from
+    s = sinh(x/2) and c = cosh(x/2) = sqrt(1 + s*s)."""
+    s = np.sinh(0.5 * x)
+    return 2.0 * s * s, 2.0 * s * np.sqrt(1.0 + s * s)
+
+
+def _sinh_plus_x(x):
+    return np.sinh(x) + x
+
+
+def _repulsive_slopes(x):
+    """S' = cosh x + 1 = 2c*c and S'' = sinh x = 2s c of sinh x + x, from
+    s = sinh(x/2) and c = cosh(x/2) = sqrt(1 + s*s)."""
+    s = np.sinh(0.5 * x)
+    cc = 1.0 + s * s
+    return 2.0 * cc, 2.0 * s * np.sqrt(cc)
+
+
 def _bound_start(y):
-    """Newton's start for x - sin x = y on [0, pi]."""
+    """Halley's start for x - sin x = y on [0, pi]."""
     s = np.cbrt(6.0 * y)
     return s * _horner(_START_BOUND, s * s)
 
 
 def _unbound_start(y):
-    """Newton's start for sinh x - x = y."""
+    """Halley's start for sinh x - x = y."""
     def fitted(y):
         u = np.arcsinh(np.cbrt(6.0 * y))
         return u * _horner(_START_UNBOUND, u * u)
@@ -230,7 +263,7 @@ def _unbound_start(y):
 
 
 def _repulsive_start(y):
-    """Newton's start for sinh x + x = y."""
+    """Halley's start for sinh x + x = y."""
     def fitted(y):
         u = np.arcsinh(0.5 * y)
         return u * _horner(_START_REPULSIVE, u * u)
@@ -240,28 +273,30 @@ def _repulsive_start(y):
     return _piecewise(y < _REPULSIVE_FIT_MAX, fitted, refined, y)
 
 
-def _kepler_invert(S, dS, y: np.ndarray, x0: np.ndarray) -> np.ndarray:
-    """The x with S(x) = y, for S increasing and convex, S(0) = 0: two Newton
-    steps from the starter, certified by the residual.
+def _kepler_invert(S, slopes, y: np.ndarray, x0: np.ndarray) -> np.ndarray:
+    """The x with S(x) = y, for S increasing and convex, S(0) = 0: one Halley
+    step from the starter, certified by the residual.
 
-    Every sample takes NEWTON_STEPS Newton steps from x0, a starter that reads
-    only the sample's y, so its x depends on nothing but its own y and x0,
-    whatever other samples are passed with it. A sample with S(x) = y exactly
-    (y = 0 at and past collapse, where the step would be 0/0) stays where it
-    is. From the starters' 1e-5, quadratic convergence reaches roundoff in
-    two steps, and the residual check certifies them: KeplerNotConverged is
-    raised unless the Kepler equation holds to KEPLER_RTOL at every returned x.
+    slopes(x) gives S'(x) and S''(x). Every sample takes the step
+    x0 - 2 f S'/(2 S'**2 - f S''), f = S(x0) - y, from x0, a starter that
+    reads only the sample's y, so its x depends on nothing but its own y and
+    x0, whatever other samples are passed with it. The step is taken as
+    f/(S' - f (S''/S')/2), which does not overflow where S' and S'' near the
+    float range at large clocks. A sample with S(x) = y exactly (y = 0 at and
+    past collapse, where the step would be 0/0) stays where it is. From the
+    starters' 1e-5, cubic convergence reaches roundoff in one step, and the
+    residual check certifies it: KeplerNotConverged is raised unless the
+    Kepler equation holds to KEPLER_RTOL at every returned x.
     """
-    x = x0
     with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(NEWTON_STEPS):
-            f = S(x) - y
-            x = np.where(f == 0, x, x - f / dS(x))
+        f = S(x0) - y
+        d1, d2 = slopes(x0)
+        x = np.where(f == 0, x0, x0 - f / (d1 - 0.5 * f * (d2 / d1)))
         excess = np.abs(S(x) - y) - KEPLER_RTOL * y
     if not np.all(excess <= 0):  # NaN too: a clock beyond the float range
         raise KeplerNotConverged(
             f"Kepler equation residual exceeds {KEPLER_RTOL:g} * clock by "
-            f"{float(np.max(excess)):.3e} after {NEWTON_STEPS} Newton steps"
+            f"{float(np.max(excess)):.3e} after one Halley step"
         )
     return x
 
@@ -323,9 +358,8 @@ def _orbit(mu: float, qdot0: float) -> _Orbit:
         def repulsive(t):
             clock = y0 + t / k
             y = np.abs(clock)
-            x = np.sign(clock) * _kepler_invert(
-                lambda s: np.sinh(s) + s, lambda s: np.cosh(s) + 1.0, y, _repulsive_start(y)
-            )
+            x = np.sign(clock) * _kepler_invert(_sinh_plus_x, _repulsive_slopes, y,
+                                                _repulsive_start(y))
             return 2.0 * a * np.cosh(0.5 * x) ** 2, v * np.tanh(0.5 * x)
         return _Orbit(e, REGIME_LINEAR, repulsive)
 
@@ -335,9 +369,7 @@ def _orbit(mu: float, qdot0: float) -> _Orbit:
 
         def unbound(t):
             y = np.maximum(y0 + sign * t / k, 0.0)
-            x = _kepler_invert(
-                _sinh_minus_x, lambda s: 2.0 * np.sinh(0.5 * s) ** 2, y, _unbound_start(y)
-            )
+            x = _kepler_invert(_sinh_minus_x, _unbound_slopes, y, _unbound_start(y))
             with np.errstate(divide="ignore"):
                 return 2.0 * a * np.sinh(0.5 * x) ** 2, sign * v / np.tanh(0.5 * x)
         if qdot0 > 0:
@@ -354,7 +386,7 @@ def _orbit(mu: float, qdot0: float) -> _Orbit:
         rising = (qdot0 > 0) & (y0 + t / k < math.pi)
         falling = np.maximum(apex_to_collapse - t / k, 0.0)
         y = np.where(rising, y0 + t / k, falling)
-        t_half = np.tan(0.5 * _kepler_invert(_x_minus_sin, _one_minus_cos, y, _bound_start(y)))
+        t_half = np.tan(0.5 * _kepler_invert(_x_minus_sin, _bound_slopes, y, _bound_start(y)))
         tt = t_half * t_half
         with np.errstate(divide="ignore"):
             return 2.0 * a * tt / (1.0 + tt), np.where(rising, v, -v) / t_half
@@ -369,7 +401,8 @@ def _amplitude(mu: float, qdot0: float, t) -> tuple[np.ndarray, np.ndarray]:
 
 def _sample_times(t_end: float, dt: float) -> np.ndarray:
     n = int(math.floor(t_end / dt + 1e-12))
-    times = dt * np.arange(n + 1)
+    times = np.arange(n + 1, dtype=float)
+    times *= dt
     if times[-1] < t_end - 1e-12 * max(1.0, t_end):
         times = np.append(times, t_end)
     return times
@@ -379,8 +412,7 @@ def evolve_q(mu: float, qdot0: float, t_end: float, dt: float) -> TemporalSoluti
     """Sample q(t), qdot(t) on t = 0, dt, 2 dt, ..., t_end.
 
     The samples stop early (recorded, not an error) before the first one
-    with q < Q_MIN_STOP; the ODE is singular at q = 0. energy_drift is the
-    roundoff of the energy invariant along the samples. The samples are
+    with q < Q_MIN_STOP; the ODE is singular at q = 0. The samples are
     evaluated in blocks of SAMPLE_BLOCK and, where the closed-form stop time
     T - to_go(Q_MIN_STOP) exists, only up to one guard sample past it unless
     none of them falls below Q_MIN_STOP; each equals its value in one
@@ -406,11 +438,11 @@ def evolve_q(mu: float, qdot0: float, t_end: float, dt: float) -> TemporalSoluti
         stopped = below.size > 0
         if stopped:
             q, qd, times = q[:below[0]], qd[:below[0]], times[:start + below[0]]
-        blocks.append((q, qd, 0.5 * qd * qd + mu / q - orbit.e))
+        blocks.append((q, qd))
         if stopped:
             break
 
-    q, qd, drift = (np.concatenate(parts) for parts in zip(*blocks))
+    q, qd = (np.concatenate(parts) for parts in zip(*blocks))
     return TemporalSolution(
         mu=mu,
         qdot0=qdot0,
@@ -419,8 +451,6 @@ def evolve_q(mu: float, qdot0: float, t_end: float, dt: float) -> TemporalSoluti
         t=times,
         q=q,
         qdot=qd,
-        energy_drift=drift,
-        max_energy_drift=float(np.max(np.abs(drift))) if drift.size else 0.0,
         stopped_early=stopped,
     )
 

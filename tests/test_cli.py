@@ -25,6 +25,7 @@ from gravelast.io import (
     sha256_of,
 )
 from gravelast.parameters import brho_plus
+from gravelast.temporal import e_effective
 
 
 def run(*argv):
@@ -259,6 +260,18 @@ class TestEvolve:
         assert np.all(cols["q"] == 1.0)
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["results"]["regime"] == "stationary"
+
+    def test_energy_drift_written(self, tmp_path):
+        # the drift is formed on first read, and evolve still writes it
+        out = tmp_path / "evd"
+        assert run("evolve", "--mu", "-0.001", "--qdot0", "0.01", "--t-end", "2",
+                   "--out", out) == 0
+        cols = read_float_columns(out / "temporal.csv", ("q", "qdot", "energy_drift"))
+        drift = 0.5 * cols["qdot"] * cols["qdot"] - 0.001 / cols["q"] - e_effective(-0.001, 0.01)
+        assert cols["energy_drift"].size == 2001
+        assert np.array_equal(cols["energy_drift"], drift)
+        results = json.loads((out / "manifest.json").read_text())["results"]
+        assert results["max_energy_drift"] == float(np.max(np.abs(drift)))
 
     def test_collapsing_manifest(self, tmp_path):
         out = tmp_path / "evc"

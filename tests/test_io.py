@@ -10,6 +10,7 @@ and layout rule of the writer's kernel.
 """
 
 import warnings
+from unittest import mock
 from decimal import ROUND_DOWN, Context, Decimal
 
 import numpy as np
@@ -106,6 +107,59 @@ class TestWriterBytes:
         _cell_by_cell(tmp_path / "old.csv", io.PROFILE_UNITS, io.PROFILE_COLUMNS, cols)
         assert len(calls) == 9 * 8193
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+class TestSmallBlocks:
+    """A block of fewer than _KERNEL_MIN_CELLS float cells skips the kernel."""
+
+    K = io._KERNEL_MIN_CELLS
+
+    @pytest.fixture
+    def round17_calls(self, monkeypatch):
+        calls, inner = [], io._round17
+        monkeypatch.setattr(io, "_round17", lambda x: calls.append(x.size) or inner(x))
+        return calls
+
+    @pytest.mark.parametrize("columns,rows", [
+        (1, K - 1), (1, K), (1, K + 1),
+        (7, (K - 1) // 7), (7, -(-K // 7)),  # the row counts either side of K cells
+    ])
+    def test_bytes_either_side_of_the_constant(self, tmp_path, round17_calls, columns, rows):
+        # one block of float cells, each "%.17g" of its value
+        rng = np.random.default_rng(33 + rows)
+        cols = tuple(_floats(rng, rows) for _ in range(columns))
+        header = tuple(f"c{j}" for j in range(columns))
+        path = tmp_path / "small.csv"
+        write_csv(path, "# units: test", header, cols)
+        want = [b",".join(b"%.17g" % v for v in row) for row in zip(*(c.tolist() for c in cols))]
+        _assert_cells(path.read_bytes().split(b"\n")[2:-1], want)
+        assert round17_calls == ([rows * columns] if rows * columns >= self.K else [])
+
+    def test_sweep_csv_skips_the_kernel(self, tmp_path, round17_calls):
+        # 9 rows of 7 float columns and the error text: 63 float cells
+        from gravelast.cli import main
+        assert main(["sweep", "--steps", "9", "--N", "64", "--mu-min", "-1e-3",
+                     "--mu-max", "1e-3", "--out", str(tmp_path / "sw")]) == 0
+        assert (tmp_path / "sw" / "sweep.csv").read_bytes().count(b"\n") == 11
+        assert round17_calls == []
+
+    def test_profile_goes_through_the_kernel(self, tmp_path, round17_calls):
+        # 9 x 8193: 16 blocks of 512 rows through the kernel, and the last
+        # row's 9 cells one at a time
+        rng = np.random.default_rng(34)
+        cols = tuple(_floats(rng, 8193) for _ in io.PROFILE_COLUMNS)
+        new, old = _both(tmp_path, io.PROFILE_COLUMNS, cols, io.PROFILE_UNITS)
+        assert new == old
+        assert round17_calls == [9 * io._BLOCK_ROWS] * 16
+
+    @settings(max_examples=100, deadline=None)
+    @given(x=arrays(np.float64, st.integers(0, 40), elements=st.floats()))
+    def test_kernel_on_small_blocks(self, tmp_path_factory, x):
+        # the kernel itself, forced onto the blocks it now skips
+        tmp = tmp_path_factory.mktemp("kernel")
+        with mock.patch.object(io, "_KERNEL_MIN_CELLS", 0):
+            new, old = _both(tmp, ("a", "b"), (x, x[::-1]))
+        assert new == old
 
 
 def _written(tmp_path, column):

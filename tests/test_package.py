@@ -58,8 +58,7 @@ def test_signatures_are_pinned():
         "boundary_mismatch": "model brho mu G grid zeta0=",
         "solve_separable": "model mu G grid box=",
         "sweep": "model G mu_values grid",
-        "TemporalSolution": "mu qdot0 e_eff regime t q qdot energy_drift max_energy_drift "
-                            "stopped_early",
+        "TemporalSolution": "mu qdot0 e_eff regime t q qdot stopped_early",
         "CollapseEstimate": "time exponent prefactor threshold_times local_exponents",
         "MotionSnapshot": "t q qdot phi u rho mass",
         "classify": "mu qdot0",

@@ -171,63 +171,97 @@ class TestEvolve:
     def test_kepler_residual_check(self, monkeypatch):
         # bound, attractive unbound and repulsive branches
         starts = [(-0.001, 0.01), (-0.001, -0.3), (0.001, -0.5)]
-        for mu, qdot0 in starts:
-            assert evolve_q(mu, qdot0, 3.0, 0.01).t[-1] > 2.0
-        # two Newton steps from the starters pass the check, here and on the
-        # four orbits of scripts/bench.py
-        monkeypatch.setattr(temporal_mod, "NEWTON_STEPS", 2)
+        # one Halley step from the starters passes the check, here and on
+        # the four orbits of scripts/bench.py
         for mu, qdot0 in starts:
             assert evolve_q(mu, qdot0, 3.0, 0.01).t[-1] > 2.0
         for mu, qdot0 in BENCH_ORBITS:
             assert evolve_q(mu, qdot0, 30.0, 1e-3).t.size > 3000
-        # one step, or the starters alone, fail it
-        for steps in (1, 0):
-            monkeypatch.setattr(temporal_mod, "NEWTON_STEPS", steps)
+        # one Newton step (S'' = 0), a Halley term of the wrong sign, or the
+        # starters alone (S' = inf, a zero step) fail it
+        inner = temporal_mod._kepler_invert
+        for change in (lambda d1, d2: (d1, 0.0 * d2), lambda d1, d2: (d1, -d2),
+                       lambda d1, d2: (np.inf * d1, d2)):
+            def changed(S, slopes, y, x0, change=change):
+                return inner(S, lambda x: change(*slopes(x)), y, x0)
+
+            monkeypatch.setattr(temporal_mod, "_kepler_invert", changed)
             for mu, qdot0 in starts:
                 with pytest.raises(KeplerNotConverged):
                     evolve_q(mu, qdot0, 3.0, 0.01)
 
-    def test_wrong_derivative_fails_the_residual_check(self):
-        # a derivative of the wrong sign sends every Newton step away from
-        # the root: the residual check, not the step count, must reject it
-        y = np.linspace(0.1, 3.0, 7)
-        with pytest.raises(KeplerNotConverged):
-            temporal_mod._kepler_invert(
-                temporal_mod._x_minus_sin, lambda s: -1.0 - s, y, temporal_mod._bound_start(y))
+    # branch -> (S, its slopes, its starter, its largest clock)
+    KEPLER = {
+        "bound": (temporal_mod._x_minus_sin, temporal_mod._bound_slopes,
+                  temporal_mod._bound_start, math.pi),
+        "unbound": (temporal_mod._sinh_minus_x, temporal_mod._unbound_slopes,
+                    temporal_mod._unbound_start, 1e300),
+        "repulsive": (temporal_mod._sinh_plus_x, temporal_mod._repulsive_slopes,
+                      temporal_mod._repulsive_start, 1e300),
+    }
 
-    @pytest.mark.parametrize("S,dS,start", [
-        (temporal_mod._x_minus_sin, lambda s: 2.0 * np.sin(0.5 * s) ** 2,
-         temporal_mod._bound_start),
-        (temporal_mod._sinh_minus_x, lambda s: 2.0 * np.sinh(0.5 * s) ** 2,
-         temporal_mod._unbound_start),
-        (lambda s: np.sinh(s) + s, lambda s: np.cosh(s) + 1.0, temporal_mod._repulsive_start),
-    ], ids=["bound", "unbound", "repulsive"])
-    def test_zero_clock_stays_at_zero(self, S, dS, start):
-        # y = 0 (at and past collapse) has S(x0) = y and S'(x0) = 0: the sample
-        # keeps its starter, exactly 0, and the 0/0 step warns nothing
+    @pytest.mark.parametrize("branch", KEPLER)
+    def test_halley_term_is_needed(self, branch):
+        # on clocks over the branch's whole domain the Halley step passes the
+        # check, and its slopes match those of the direct trig; without its
+        # S'' term (one Newton step) or with S'' of the wrong sign it fails
+        S, slopes, start, top = self.KEPLER[branch]
+        y = np.unique(np.concatenate([np.linspace(0.0, min(top, 400.0), 2000),
+                                      np.geomspace(1e-20, top, 2000)]))
+        x0 = start(y)
+        x = temporal_mod._kepler_invert(S, slopes, y, x0)
+        assert np.all(np.abs(S(x) - y) <= temporal_mod.KEPLER_RTOL * y)
+        xs = x0[(x0 > 1e-3) & (x0 < 50.0)]
+        direct = {"bound": (2.0 * np.sin(0.5 * xs) ** 2, np.sin(xs)),
+                  "unbound": (2.0 * np.sinh(0.5 * xs) ** 2, np.sinh(xs)),
+                  "repulsive": (np.cosh(xs) + 1.0, np.sinh(xs))}[branch]
+        for got, want in zip(slopes(xs), direct):
+            assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+        for change in (lambda d1, d2: (d1, 0.0 * d2), lambda d1, d2: (d1, -d2)):
+            with np.errstate(all="ignore"), pytest.raises(KeplerNotConverged):
+                temporal_mod._kepler_invert(S, lambda s: change(*slopes(s)), y, x0)
+
+    def test_wrong_derivative_fails_the_residual_check(self):
+        # an S' of the wrong sign sends every step away from the root: the
+        # residual check must reject it, on every branch
+        y = np.linspace(0.1, 3.0, 7)
+        for S, slopes, start, _ in self.KEPLER.values():
+            with pytest.raises(KeplerNotConverged):
+                temporal_mod._kepler_invert(
+                    S, lambda s, slopes=slopes: (-slopes(s)[0], slopes(s)[1]), y, start(y))
+
+    @pytest.mark.parametrize("branch", KEPLER)
+    def test_zero_clock_stays_at_zero(self, branch):
+        # y = 0 (at and past collapse) has S(x0) = y and S'(x0) = S''(x0) = 0:
+        # the sample keeps its starter, exactly 0, and the 0/0 step warns nothing
+        S, slopes, start, _ = self.KEPLER[branch]
         y = np.array([0.0, 0.5, 0.0, 2.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            x = temporal_mod._kepler_invert(S, dS, y, start(y))
+            x = temporal_mod._kepler_invert(S, slopes, y, start(y))
         assert x[0] == x[2] == 0.0 and np.all(x[[1, 3]] > 0)
 
-    def test_two_newton_steps_per_sample(self, monkeypatch):
-        # every block's inversion evaluates S exactly three times: two Newton
-        # steps and the residual
+    def test_one_halley_step_per_sample(self, monkeypatch):
+        # every block's inversion evaluates S exactly twice and its slopes
+        # once: the Halley step and the residual
         inner, calls = temporal_mod._kepler_invert, []
 
-        def counting(S, dS, y, x0):
+        def counting(S, slopes, y, x0):
             def counted(x):
-                calls[-1] += 1
+                calls[-1][0] += 1
                 return S(x)
-            calls.append(0)
-            return inner(counted, dS, y, x0)
+
+            def counted_slopes(x):
+                calls[-1][1] += 1
+                return slopes(x)
+            calls.append([0, 0])
+            return inner(counted, counted_slopes, y, x0)
 
         monkeypatch.setattr(temporal_mod, "_kepler_invert", counting)
         for mu, qdot0 in BENCH_ORBITS:
             calls.clear()
             evolve_q(mu, qdot0, 30.0, 1e-3)
-            assert calls and all(c == 3 for c in calls)
+            assert calls and all(c == [2, 1] for c in calls)
 
     def test_tiny_mu_is_free_motion(self):
         for mu in (5e-324, -1e-310):
@@ -275,6 +309,41 @@ class TestEvolve:
     def test_partial_final_step(self):
         sol = evolve_q(0.0, 0.1, 0.0105, 1e-3)
         assert sol.t[-1] == pytest.approx(0.0105, abs=1e-15)
+
+    @pytest.mark.parametrize("t_end,dt", [(30.0, 1e-3), (1.0, 0.01), (0.0105, 1e-3), (1e8, 1e7)])
+    def test_sample_times_are_dt_times_integers(self, t_end, dt):
+        # the float grid scaled in place holds the floats of dt times an integer grid
+        times = temporal_mod._sample_times(t_end, dt)
+        n = int(math.floor(t_end / dt + 1e-12))
+        assert times.dtype == np.float64
+        assert np.array_equal(times[:n + 1], dt * np.arange(n + 1))
+        assert times.size in (n + 1, n + 2)
+
+
+class TestEnergyDrift:
+    """evolve_q returns t, q and qdot; the energy drift is formed on first read."""
+
+    @pytest.mark.parametrize("mu,qdot0", BENCH_ORBITS + [(0.0, 0.5), (-0.02, 0.2)])
+    def test_formed_on_first_read(self, mu, qdot0):
+        sol = evolve_q(mu, qdot0, 30.0, 1e-3)
+        assert "energy_drift" not in sol.__dict__
+        assert "max_energy_drift" not in sol.__dict__
+        q, qd = sol.q, sol.qdot
+        expected = 0.5 * qd * qd + mu / q - sol.e_eff
+        assert np.array_equal(sol.energy_drift, expected)
+        assert sol.energy_drift is sol.energy_drift
+        assert sol.max_energy_drift == float(np.max(np.abs(expected)))
+        assert type(sol.max_energy_drift) is float
+
+    @pytest.mark.parametrize("qdot,largest", [([0.0, 1.0, 1.5], 1.0), ([1.0, 2.5, 0.5], 2.125),
+                                              ([], 0.0)])
+    def test_max_of_either_sign(self, qdot, largest):
+        # the largest magnitude, whichever sign it has, and 0 with no samples:
+        # with mu = 0 and e_eff = 1 the drift is qdot**2/2 - 1
+        qdot = np.array(qdot)
+        sol = temporal_mod.TemporalSolution(0.0, 0.0, 1.0, REGIME_LINEAR, qdot, np.ones_like(qdot),
+                                            qdot, False)
+        assert sol.max_energy_drift == largest
 
 
 def collapse_time_oracle(mu, qdot0):
@@ -578,8 +647,8 @@ class TestHalfAngle:
     def test_matches_mpmath_to_16_ulp(self, monkeypatch):
         inner, anomalies = temporal_mod._kepler_invert, []
 
-        def capture(S, dS, y, x0):
-            anomalies.append(inner(S, dS, y, x0))
+        def capture(S, slopes, y, x0):
+            anomalies.append(inner(S, slopes, y, x0))
             return anomalies[-1]
 
         monkeypatch.setattr(temporal_mod, "_kepler_invert", capture)
@@ -717,9 +786,9 @@ class TestBlocks:
         inner = temporal_mod._kepler_invert
         evaluated = []
 
-        def counting(S, dS, y, x0):
+        def counting(S, slopes, y, x0):
             evaluated.append(y.size)
-            return inner(S, dS, y, x0)
+            return inner(S, slopes, y, x0)
 
         monkeypatch.setattr(temporal_mod, "_kepler_invert", counting)
         for mu, qdot0 in [(-0.001, -0.3), PORTRAIT_BOUND]:
