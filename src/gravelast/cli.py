@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 2 usage error (a bad option, a corrupt or unreadable
 input, an unwritable output, a size beyond memory), 3 solver error, 4 sweep
-with no successful row, 5 verification threshold exceeded.
+with no successful row, 5 verification failed (see gravelast.verify).
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import re
 import shlex
 import sys
 import time
-from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -35,7 +34,6 @@ from .io import (
     TEMPORAL_COLUMNS,
     TEMPORAL_UNITS,
     file_entry,
-    fmt,
     parse_model_spec,
     read_config,
     read_float_columns,
@@ -47,7 +45,7 @@ from .parameters import build_parameter_box, check_G
 from .radial import RadialGrid
 from .shooting import SolutionProfile, solve_separable, sweep as sweep_rows
 from .temporal import REGIME_COLLAPSING, assemble_motion, collapse_time, evolve_q
-from .verify import residual_report, stress_profiles
+from .verify import stress_profiles, verdict
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -56,9 +54,7 @@ EXIT_SWEEP_EMPTY = 4
 EXIT_VERIFY = 5
 
 # The keys a --config file may set; each names an option's dest.
-CONFIG_KEYS = (
-    "model", "G", "N", "mu", "qdot0", "dt", "max_residual", "max_equivalence", "max_boundary",
-)
+CONFIG_KEYS = ("model", "G", "N", "mu", "qdot0", "dt")
 
 
 class UsageError(Exception):
@@ -85,14 +81,6 @@ def _checked(convert):
 def _positive(text: str) -> float:
     if not 0 < (value := float(text)) < math.inf:
         raise ValueError(f"must be finite and positive, got {value!r}")
-    return value
-
-
-@_checked
-def _tolerance(text: str) -> float:
-    # a NaN threshold would pass nothing and an infinite one everything
-    if not (math.isfinite(value := float(text)) and value >= 0):
-        raise ValueError(f"must be finite and >= 0, got {value!r}")
     return value
 
 
@@ -145,12 +133,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", parents=[shared], help="residual-check a solved profile")
     ver.add_argument("--profile", type=Path, required=True)
-    ver.add_argument("--max-residual", type=_tolerance, dest="max_residual", default=1e-6,
-                     help="residual threshold (default %(default)s)")
-    ver.add_argument("--max-equivalence", type=_tolerance, dest="max_equivalence", default=1e-8,
-                     help="equivalence gap threshold (default %(default)s)")
-    ver.add_argument("--max-boundary", type=_tolerance, dest="max_boundary", default=1e-8,
-                     help="|g'(y(1))| threshold (default %(default)s)")
     return p
 
 
@@ -184,33 +166,39 @@ def _solver_settings(args) -> dict:
     return {"model": args.model.spec_string(), "G": args.G, "N": args.N.n}
 
 
-def _write_outputs(args, argv, wall: float, results: dict, tables: dict, **inputs) -> None:
-    """Each CSV of tables, {name: (units, header, columns)}, then manifest.json
-    (the command, its inputs, results and file hashes) into args.out.
+def _write_files(out: Path, writers: dict) -> None:
+    """Call writers[name](out / name) for each name, in order.
 
     A failed write removes the files written, and what it left under a name
     that was free, then re-raises: a failed run leaves no half of its output.
     """
-    out = args.out
     out.mkdir(parents=True, exist_ok=True)
-    ours = [name for name in (*tables, MANIFEST_FILE) if not (out / name).exists()]
+    ours = [name for name in writers if not (out / name).exists()]
     try:
-        for name, table in tables.items():
-            write_csv(out / name, *table)
+        for name, write in writers.items():
+            write(out / name)
             ours.append(name)
-        write_manifest(out / MANIFEST_FILE, {
+    except BaseException:
+        for name in ours:
+            (out / name).unlink(missing_ok=True)
+        raise
+
+
+def _write_outputs(args, argv, wall: float, results: dict, tables: dict, **inputs) -> None:
+    """Each CSV of tables, {name: (units, header, columns)}, then manifest.json
+    (the command, its inputs, results and file hashes) into args.out."""
+    _write_files(args.out, {
+        **{name: lambda path, t=table: write_csv(path, *t) for name, table in tables.items()},
+        MANIFEST_FILE: lambda path: write_manifest(path, {
             "tool": {"name": "gravelast", "version": __version__},
             "command": shlex.join(["gravelast", *argv]),
             "timestamp_utc": datetime.now(timezone.utc).isoformat(),
             "wall_time_s": wall,
             "results": results,
-            "files": {name: file_entry(out / name) for name in tables},
+            "files": {name: file_entry(args.out / name) for name in tables},
             **inputs,
-        })
-    except BaseException:
-        for name in ours:
-            (out / name).unlink(missing_ok=True)
-        raise
+        }),
+    })
 
 
 def _profile_csv_arrays(sol: SolutionProfile):
@@ -400,45 +388,9 @@ def cmd_evolve(args, argv) -> int:
 
 def cmd_verify(args, argv) -> int:
     profile, _ = _load_profile_dir(args.profile)
-    r = profile.grid.nodes
-
-    # Column consistency: lambda and y must match what f and f' imply.
-    checks = {
-        "f_boundary": abs(float(profile.f[-1]) - 1.0),
-        "lambda_consistency": float(
-            max(
-                np.max(np.abs(profile.lam[1:] - profile.f[1:] / r[1:])),
-                abs(profile.lam[0] - profile.fprime[0]),
-            )
-        ),
-        "y_consistency": float(np.max(np.abs(profile.y - profile.fprime / profile.lam))),
-    }
-    consistent = all(v <= 1e-9 for v in checks.values())
-
-    lines = [f"{k} = {fmt(v)}" for k, v in checks.items()]
-    ok = consistent
-    if consistent:
-        report = residual_report(profile)
-        passed = {
-            "residual_separated": report.residual_separated <= args.max_residual,
-            "residual_reformulation": report.residual_reformulation <= args.max_residual,
-            "equivalence_gap": report.equivalence_gap
-            <= args.max_equivalence * (1.0 + report.residual_separated),
-            "boundary_residual": abs(report.boundary_residual) <= args.max_boundary,
-        }
-        ok = all(passed.values())
-        lines += [f"{k} = {fmt(v)}" for k, v in asdict(report).items()]
-        lines += [f"{k} = {fmt(getattr(args, k))}"
-                  for k in ("max_residual", "max_equivalence", "max_boundary")]
-        lines += [f"pass_{k} = {v}" for k, v in passed.items()]
-    else:
-        lines.append("pass_consistency = False")
-    lines.append(f"verdict = {'pass' if ok else 'fail'}")
-
-    out = args.out
-    out.mkdir(parents=True, exist_ok=True)
-    (out / REPORT_FILE).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    print("\n".join(lines))
+    text, ok = verdict(profile)
+    _write_files(args.out, {REPORT_FILE: lambda path: path.write_text(text, encoding="utf-8")})
+    print(text, end="")
     return EXIT_OK if ok else EXIT_VERIFY
 
 

@@ -127,8 +127,8 @@ def validate_model(model: ConstitutiveModel) -> ValidationReport:
     beyond NORMALIZATION_TOL raises; one beyond NORMALIZATION_FLAG_TOL, or a
     failed largeness condition, is only flagged.  Once the margin holds, so
     that delta is meaningful, the model's E must equal its definition
-    (h(y) - h(1))/(y - 1) - h'(y), h = 3 y g' + g, to E_RTOL relative at
-    y = 1 +- delta and 1 +- delta/2; HypothesisFailed names E otherwise.
+    (h(y) - h(1))/(y - 1) - h'(y), h = 3 y g' + g, to E_RTOL relative and its
+    rounding at y = 1 +- delta and 1 +- delta/2; HypothesisFailed names E otherwise.
     """
     g1 = float(model.g(1.0))
     dg1 = float(model.dg(1.0))
@@ -164,15 +164,19 @@ def _check_E(model: ConstitutiveModel) -> None:
 
     d = model.delta
     y = 1.0 + np.array([-d, -0.5 * d, 0.5 * d, d])
+    slope = (h(y) - h(1.0)) / (y - 1.0)
     dh = 4.0 * model.dg(y) + 3.0 * y * model.d2g(y)
-    expected = (h(y) - h(1.0)) / (y - 1.0) - dh
+    expected = slope - dh
     supplied = np.asarray(model.E(y), dtype=float)
-    bad = ~np.isclose(supplied, expected, rtol=E_RTOL, atol=0.0)
+    # expected cancels slope and dh, each about 3 g''(1), down to |E| (35 for the
+    # built-in family); two ulps of each exceed E_RTOL |E| from kappa ~ 1e7
+    rounding = 2.0 * np.finfo(float).eps * (np.abs(slope) + np.abs(dh))
+    bad = ~np.isclose(supplied, expected, rtol=E_RTOL, atol=rounding)
     if bad.any():
         y1, e1, ref = (float(a[np.argmax(bad)]) for a in (y, supplied, expected))
         raise HypothesisFailed(
-            f"E: the model's E({y1!r}) = {e1!r} differs from"
-            f" (h(y) - h(1))/(y - 1) - h'(y) = {ref!r} by more than {E_RTOL:g} relative"
+            f"E: the model's E({y1!r}) = {e1!r} differs from (h(y) - h(1))/(y - 1) - h'(y)"
+            f" = {ref!r} by more than {E_RTOL:g} relative and its rounding"
         )
 
 

@@ -21,20 +21,32 @@ the exact algebraic identity
 so their discrepancy measures the E/U bookkeeping and floating-point
 noise, never discretization.  Both forms have removable 1/R structure at
 the origin; sup norms exclude nodes R < 2h.
+
+verdict() passes a stored profile on fixed bounds: f(1) = 1, lambda = f/R
+and y = f'/lambda to MAX_INCONSISTENCY, both sup residuals to MAX_RESIDUAL,
+the gap to MAX_EQUIVALENCE (1 + residual_separated), and |g'(y(1))| to
+max(MAX_BOUNDARY, g''(1) eps), at least twice the solver's stop.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .constitutive import FOUR_PI_3, V
 from .errors import NonconvexModel
+from .io import fmt
 from .radial import moment_integral
 from .shooting import SolutionProfile
 
 STENCIL_ORDER = 4
+
+# The bounds of verdict(), read at call time.
+MAX_INCONSISTENCY = 1e-9
+MAX_RESIDUAL = 1e-6
+MAX_EQUIVALENCE = 1e-8
+MAX_BOUNDARY = 1e-8
 
 
 def _derivative_stencil(values: np.ndarray, h: float) -> np.ndarray:
@@ -134,3 +146,34 @@ def residual_report(profile: SolutionProfile) -> ResidualReport:
         boundary_residual=float(profile.model.dg(profile.y[-1])),
         grid_n=profile.grid.n,
     )
+
+
+def verdict(profile: SolutionProfile) -> tuple[str, bool]:
+    """report.txt for a stored profile, and whether it passes: the values
+    measured, the bounds applied, one pass_<check> line per check and the
+    verdict. Columns that disagree fail on consistency alone."""
+    r = profile.grid.nodes
+    values = {
+        "f_boundary": abs(float(profile.f[-1]) - 1.0),
+        "lambda_consistency": float(max(np.max(np.abs(profile.lam[1:] - profile.f[1:] / r[1:])),
+                                        abs(profile.lam[0] - profile.fprime[0]))),
+        "y_consistency": float(np.max(np.abs(profile.y - profile.fprime / profile.lam))),
+    }
+    passed = {"consistency": False}
+    if all(v <= MAX_INCONSISTENCY for v in values.values()):
+        report = residual_report(profile)
+        max_bc = max(MAX_BOUNDARY, float(profile.model.d2g(1.0)) * np.finfo(float).eps)
+        values |= {**asdict(report), "max_residual": MAX_RESIDUAL,
+                   "max_equivalence": MAX_EQUIVALENCE, "max_boundary": max_bc}
+        passed = {
+            "residual_separated": report.residual_separated <= MAX_RESIDUAL,
+            "residual_reformulation": report.residual_reformulation <= MAX_RESIDUAL,
+            "equivalence_gap": report.equivalence_gap
+            <= MAX_EQUIVALENCE * (1.0 + report.residual_separated),
+            "boundary_residual": abs(report.boundary_residual) <= max_bc,
+        }
+    ok = all(passed.values())
+    lines = [f"{k} = {fmt(v)}" for k, v in values.items()]
+    lines += [f"pass_{k} = {v}" for k, v in passed.items()]
+    lines.append(f"verdict = {'pass' if ok else 'fail'}")
+    return "\n".join(lines) + "\n", ok

@@ -14,7 +14,7 @@ import math
 import numpy as np
 import pytest
 
-from gravelast import cli, fixed_point, parameters, shooting
+from gravelast import fixed_point, parameters, shooting
 from gravelast.errors import DegenerateGeometry, DomainExit, SolverError
 from gravelast.fixed_point import apply_F, picard_rows, picard_solve
 from gravelast.radial import (
@@ -25,7 +25,7 @@ from gravelast.radial import (
     y_at_boundary,
 )
 from gravelast.shooting import SolutionProfile, solve_separable, sweep
-from gravelast.verify import residual_report
+from gravelast.verify import verdict
 
 N = 64
 
@@ -183,18 +183,13 @@ class TestLockstepSweep:
         assert failed == [False, False, True, True] + [False] * 6
 
     def test_solved_rows_pass_verify(self, model, grid, seeded_mus):
-        # Every solved row passes residual_report at verify's default thresholds.
-        defaults = cli._build_parser().parse_args(["verify", "--profile", "unused"])
+        # Every solved row passes verify's verdict.
         rows = [row for row in sweep(model, 1.0, seeded_mus, grid)
                 if isinstance(row, SolutionProfile)]
         assert len(rows) == 8
         for row in rows:
-            report = residual_report(row)
-            assert report.residual_separated <= defaults.max_residual
-            assert report.residual_reformulation <= defaults.max_residual
-            assert report.equivalence_gap <= defaults.max_equivalence * (
-                1.0 + report.residual_separated)
-            assert abs(report.boundary_residual) <= defaults.max_boundary
+            text, ok = verdict(row)
+            assert ok, text
 
     def test_rows_make_their_own_evaluations(self, model, grid, seeded_mus, monkeypatch):
         # Each row's trials and Picard updates, round by round, are those of

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import json
 import math
@@ -14,9 +15,10 @@ from hypothesis import strategies as st
 
 from kepler_oracles import mp_amplitude
 
-from gravelast import cli
+from gravelast import cli, verify
 from gravelast.cli import main
 from gravelast.errors import BracketFailure
+from gravelast.fixed_point import picard_solve
 from gravelast.io import (
     fmt,
     parse_model_spec,
@@ -25,6 +27,8 @@ from gravelast.io import (
     sha256_of,
 )
 from gravelast.parameters import brho_plus
+from gravelast.radial import reconstruct_geometry
+from gravelast.shooting import solve_separable
 from gravelast.temporal import e_effective
 
 
@@ -540,20 +544,44 @@ class TestVerify:
         assert err.count("corrupt profile directory") == 2 and err.count(message) == 2
         assert not (tmp_path / "v").exists() and not (tmp_path / "e").exists()
 
-    @pytest.mark.parametrize(
-        "extra,code,verdict",
-        [([], 0, "pass"), (["--max-residual", "1e-20"], 5, "fail")], ids=["pass", "fail"],
-    )
-    def test_report_keys_in_order(self, tmp_path, solved_dir, extra, code, verdict):
+    @pytest.mark.parametrize("max_residual,code,verdict", [(1e-6, 0, "pass"), (1e-20, 5, "fail")],
+                             ids=["pass", "fail"])
+    def test_report_keys_in_order(self, tmp_path, solved_dir, monkeypatch, max_residual, code,
+                                  verdict):
+        # the report prints the bounds it applied, read from gravelast.verify
+        monkeypatch.setattr(verify, "MAX_RESIDUAL", max_residual)
         out = tmp_path / "v"
-        assert run("verify", "--profile", solved_dir, *extra, "--out", out) == code
+        assert run("verify", "--profile", solved_dir, "--out", out) == code
         lines = (out / "report.txt").read_text().splitlines()
         pairs = dict(line.split(" = ") for line in lines)
         assert list(pairs) == REPORT_KEYS and len(lines) == len(REPORT_KEYS)
         assert pairs["verdict"] == verdict
         assert pairs["pass_residual_separated"] == str(code == 0)
         assert pairs["grid_n"] == "128" and pairs["stencil_order"] == "4"
-        assert pairs["max_residual"] == fmt(1e-20 if extra else 1e-6)
+        assert pairs["max_residual"] == fmt(max_residual)
+        assert (pairs["max_equivalence"], pairs["max_boundary"]) == (fmt(1e-8), fmt(1e-8))
+
+    def test_off_root_profile_fails_on_the_boundary_alone(self, tmp_path, monkeypatch):
+        # the Picard fixed point a millionth above brho0 solves the profile
+        # equation to its discretization error, but its surface is not
+        # stress-free: |g'(y(1))| is about 2e-7, twenty times the bound
+        def off_root(model, mu, G, grid):
+            sol = solve_separable(model, mu, G, grid)
+            brho = sol.brho0 * (1.0 + 1e-6)
+            zeta, diag = picard_solve(model, brho, mu, G, grid)
+            geo = reconstruct_geometry(grid, zeta)
+            return dataclasses.replace(
+                sol, brho0=brho, zeta=zeta, f=geo.f, fprime=geo.fprime, lam=geo.lam, y=geo.y,
+                boundary_residual=float(model.dg(geo.y[-1])), diagnostics=diag)
+
+        monkeypatch.setattr(cli, "solve_separable", off_root)
+        profile, out = tmp_path / "p", tmp_path / "v"
+        assert run("solve", "--N", "128", "--out", profile) == 0
+        assert run("verify", "--profile", profile, "--out", out) == 5
+        pairs = dict(line.split(" = ") for line in (out / "report.txt").read_text().splitlines())
+        failed = [k for k, v in pairs.items() if k.startswith("pass_") and v == "False"]
+        assert failed == ["pass_boundary_residual"]
+        assert 1e-7 < abs(float(pairs["boundary_residual"])) < 1e-6
 
     def test_missing_manifest(self, tmp_path, solved_dir, capsys):
         partial = tmp_path / "partial"
@@ -703,6 +731,25 @@ class TestFileErrors:
         assert "usage error: [Errno 28] No space left on device" in capsys.readouterr().err
         assert [p.name for p in out.iterdir()] == ["notes.txt"]
 
+    def test_failed_report_write_keeps_only_what_the_run_did_not_write(
+            self, tmp_path, solved_dir, monkeypatch, capsys):
+        # report.txt stayed behind with its first half
+        write_text = Path.write_text
+
+        def half_write(path, text, *args, **kwargs):
+            if path.name != "report.txt":
+                return write_text(path, text, *args, **kwargs)
+            write_text(path, text[: len(text) // 2])
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(Path, "write_text", half_write)
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / "notes.txt").write_text("kept\n")
+        assert run("verify", "--profile", solved_dir, "--out", out) == 2
+        assert "usage error: [Errno 28] No space left on device" in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == ["notes.txt"]
+
     @pytest.mark.parametrize("name", ["manifest.json", "profile.csv"])
     @pytest.mark.parametrize("cmd", ["evolve", "verify"])
     def test_unreadable_profile_exits_2(self, tmp_path, solved_dir, capsys, name, cmd):
@@ -718,7 +765,7 @@ class TestFileErrors:
     # Each asks for more than 2**47 bytes, more than an x86-64 process can
     # map, so the allocation fails at once whatever the overcommit setting.
     @pytest.mark.parametrize("argv", [
-        ("evolve", "--t-end", "1e12", "--dt", "1e-3"),  # 10**15 int64 sample indices
+        ("evolve", "--t-end", "1e12", "--dt", "1e-3"),  # 10**15 float64 sample times
         ("sweep", "--mu-min", "0", "--mu-max", "1e-4", "--steps", "100000000000000"),  # float64 mu
         ("solve", "--N", "20000000000000"),  # 2e13 + 1 float64 per profile
     ], ids=["evolve", "sweep", "solve"])
@@ -741,11 +788,8 @@ class TestConfig:
         "key,value,cmd",
         [("model", "builtin:kappa=x", "solve"), ("G", "abc", "solve"), ("N", "15", "solve"),
          ("mu", "abc", "solve"), ("mu", "abc", "evolve"), ("qdot0", "abc", "evolve"),
-         ("dt", "abc", "evolve"), ("max_residual", "abc", "verify"),
-         ("max_equivalence", "abc", "verify"), ("max_boundary", "abc", "verify"),
-         ("G", "-1", "sweep"), ("G", "inf", "solve"),
-         ("max_residual", "nan", "verify"), ("max_residual", "inf", "verify"),
-         ("max_boundary", "-1", "verify")],
+         ("dt", "abc", "evolve"), ("N", "15", "verify"), ("G", "-1", "sweep"),
+         ("G", "inf", "solve")],
     )
     def test_bad_value_exits_2(self, tmp_path, solved_dir, capsys, key, value, cmd):
         argv = {
@@ -815,11 +859,12 @@ class TestConfig:
         assert json.loads((out / "manifest.json").read_text())["N"] == 64
 
     @pytest.mark.parametrize(
-        "key", ["tol-bc", "kapa", "cmd", "out", "tol_picard", "tol_brho", "tol_bc"])
+        "key", ["tol-bc", "kapa", "cmd", "out", "tol_picard", "tol_brho", "tol_bc",
+                "max_residual", "max_equivalence", "max_boundary"])
     def test_unknown_key_exits_2(self, tmp_path, capsys, key):
         # tol-bc = 1e-3 was dropped without a word: the run exited 0 with tol_bc = 1e-10;
         # cmd and out are parser dests, not config keys; the Picard and boundary
-        # tolerances are fixed, and the brho0 search has no width stop
+        # tolerances and verify's bounds are fixed, and the brho0 search has no width stop
         cfg = _config(tmp_path, f"N = 64\n{key} = 1e-3\n")
         assert run("solve", "--config", cfg, "--out", tmp_path / "o") == 2
         assert f"unknown config key '{key}'" in capsys.readouterr().err
@@ -827,10 +872,11 @@ class TestConfig:
 
     @pytest.mark.parametrize("cmd", FIRST_OUTPUT)
     def test_picard_tolerance_is_not_an_option(self, tmp_path, solved_dir, capsys, cmd):
-        # fixed_point.TOL and shooting.TOL_BC are constants, and the brho0
-        # search stops on the mismatch and its rounding floor alone
+        # fixed_point.TOL, shooting.TOL_BC and verify's bounds are constants, and
+        # the brho0 search stops on the mismatch and its rounding floor alone
         out = tmp_path / "o"
-        for flag in ("--tol-picard", "--tol-brho", "--tol-bc"):
+        for flag in ("--tol-picard", "--tol-brho", "--tol-bc",
+                     "--max-residual", "--max-equivalence", "--max-boundary"):
             assert run(*_command(cmd, solved_dir), flag, "1e-12", "--out", out) == 2
             assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
             assert not out.exists()

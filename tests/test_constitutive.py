@@ -185,6 +185,17 @@ class TestScalarFunctions:
         with pytest.raises(HypothesisFailed, match="^E: the model's E"):
             validate_model(bad)
 
+    def test_E_check_holds_at_every_stiffness(self):
+        # From kappa ~ 2.8e7 the check's own reference, which cancels two
+        # terms of about 3 kappa down to |E| = 35, lost more than E_RTOL and
+        # rejected the exact closed form at 5e7 and 1e8, but not at 4e7 or 8e7.
+        for kappa in np.geomspace(3100.0, 1e10, 61):
+            base = make_builtin_model(kappa)
+            assert validate_model(base).passes, kappa
+            bad = dataclasses.replace(base, E=lambda y, b=base: (1.0 + 1e-6) * b.E(y))
+            with pytest.raises(HypothesisFailed, match="^E: the model's E"):
+                validate_model(bad)
+
     def test_E_matches_extended_precision_quotient(self):
         m = make_builtin_model(3100.0)
         y = np.longdouble(1.001)

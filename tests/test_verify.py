@@ -8,8 +8,9 @@ from operator_oracles import check_derivatives
 from gravelast.constitutive import ConstitutiveModel, make_builtin_model
 from gravelast import verify
 from gravelast.errors import NonconvexModel
+from gravelast.parameters import build_parameter_box
 from gravelast.radial import RadialGrid
-from gravelast.shooting import solve_separable
+from gravelast.shooting import SolutionProfile, solve_separable, sweep
 from gravelast.verify import residual_report, stress_profiles
 
 # Frozen from the refinement study over N in {128, 256, 512, 1024}:
@@ -68,8 +69,9 @@ class TestEquivalence:
     @pytest.mark.parametrize("brho", [1.3, 2.0])
     def test_sign_flip_detected(self, reference_profile, monkeypatch, brho):
         # a reformulated defect with the wrong sign has the right magnitude;
-        # the signed gap must still exceed the CLI's max_equivalence
+        # the signed gap must still fail verify's equivalence check
         probe = reference_profile(brho=brho)
+        assert "pass_equivalence_gap = True" in verify.verdict(probe)[0]
         original = verify._residual_arrays
 
         def flipped(profile):
@@ -78,7 +80,8 @@ class TestEquivalence:
 
         monkeypatch.setattr(verify, "_residual_arrays", flipped)
         rep = residual_report(probe)
-        assert rep.equivalence_gap > 1e-8 * (1.0 + rep.residual_separated)
+        assert rep.equivalence_gap > verify.MAX_EQUIVALENCE * (1.0 + rep.residual_separated)
+        assert "pass_equivalence_gap = False" in verify.verdict(probe)[0]
 
     def test_nonconvex_model_rejected(self, reference_profile):
         base = make_builtin_model(3100.0)
@@ -140,6 +143,20 @@ class TestStress:
         scale = solution_mu0.brho0 ** (4.0 / 3.0)
         assert np.array_equal(c1, scale / lam2 * model.dg(y))
         assert np.array_equal(c2, -0.5 * scale / lam2 * (y * model.dg(y) + model.g(y)))
+
+
+class TestVerdict:
+    @pytest.mark.parametrize("n", [16, 512])
+    @pytest.mark.parametrize("kappa,G", [(3060.0, 2.0), (3100.0, 1.0), (1e9, 1.0)])
+    def test_fixed_bounds_pass_solved_profiles_at_the_corners(self, kappa, G, n):
+        # At kappa = 1e9, |g'(y(1))| ~ 2.8e-8 sits at the solver's rounding
+        # floor, above MAX_BOUNDARY: the boundary bound follows g''(1) eps.
+        model = make_builtin_model(kappa)
+        mu0 = build_parameter_box(model, G).mu0
+        for row in sweep(model, G, [-mu0, 0.0, mu0], RadialGrid(n)):
+            assert isinstance(row, SolutionProfile), row
+            text, ok = verify.verdict(row)
+            assert ok, text
 
 
 class TestReport:
