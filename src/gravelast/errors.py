@@ -11,11 +11,13 @@ class SolverError(Exception):
 
 
 class NormalizationViolated(SolverError):
-    """Constitutive normalization g(1) = 1, g'(1) = -1/3 does not hold."""
+    """g(1) = 1 or g'(1) = -1/3 fails by more than constitutive.NORMALIZATION_TOL."""
 
 
 class HypothesisFailed(SolverError):
-    """The largeness condition on g''(1) fails; the contraction setup is void."""
+    """A model hypothesis fails, named first in the message: "largeness" (g''(1)
+    below its margin, so the contraction setup is void) or "E" (the model's E
+    disagrees with its definition from g)."""
 
 
 class ParameterOutOfRange(SolverError):

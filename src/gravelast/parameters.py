@@ -20,7 +20,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .constitutive import EIGHT_PI_3, FOUR_PI_3, ConstitutiveModel, ensure_validated
+from .constitutive import EIGHT_PI_3, FOUR_PI_3, ConstitutiveModel
 from .errors import ParameterOutOfRange
 
 # Lower bracket endpoint never goes below this fraction of brho_plus; K is
@@ -106,7 +106,7 @@ def _box_constants(G: float) -> tuple[float, float]:
 def build_parameter_box(model: ConstitutiveModel, G: float) -> ParameterBox:
     """Assemble the box and re-check the two smallness conditions post hoc."""
     bp, mu0 = _box_constants(G)
-    ensure_validated(model)
+    model.validation  # raises the SolverError of a model that fails validation
 
     assert mu0 < min(0.5 * bp ** (1.0 / 3.0), EIGHT_PI_3 * G * bp)
     assert k_minimum(mu0, G) < 1.0 / 20.0

@@ -8,7 +8,8 @@ contraction factor of the real composition Linv F on random pairs, and
 differences of the next lower derivative. `E_mpmath` forms E from its
 definition, h = 3 y g' + g of the built-in g at 50 digits, and
 `E_series_mpmath` from its series about y = 1: the references for the
-closed form `make_builtin_model` supplies. `K` is the
+closed form `make_builtin_model` supplies. `cubic_model` is a hand-built
+model whose E is nonlinear in y - 1. `K` is the
 gravity-vs-eigenvalue scale that the box conditions and the contraction
 bounds are stated in.
 """
@@ -127,6 +128,41 @@ def E_series_mpmath(kappa: float, y: float, dps: int = 50) -> mp.mpf:
         t = mp.mpf(y) - 1
         h, _ = _builtin_h_mp(mp.mpf(kappa))
         return -mp.diff(h, 1, 2) * t / 2 - mp.diff(h, 1, 3) * t**2 / 3
+
+
+def cubic_model(a: float = 1e4, b: float = 50.0) -> ConstitutiveModel:
+    """g = y**(-1/3) + a t**2 + b t**3 with t = y - 1, normalized for every
+    a and b.  The power contributes nothing to h = 3 y g' + g, so
+    h = 6a t + (7a + 9b) t**2 + 10b t**3 and E = -(7a + 9b) t - 20b t**2."""
+
+    def g(y):
+        return y ** (-1.0 / 3.0) + a * (y - 1.0) ** 2 + b * (y - 1.0) ** 3
+
+    def dg(y):
+        return -(1.0 / 3.0) * y ** (-4.0 / 3.0) + 2.0 * a * (y - 1.0) + 3.0 * b * (y - 1.0) ** 2
+
+    def d2g(y):
+        return (4.0 / 9.0) * y ** (-7.0 / 3.0) + 2.0 * a + 6.0 * b * (y - 1.0)
+
+    def d3g(y):
+        return -(28.0 / 27.0) * y ** (-10.0 / 3.0) + 6.0 * b
+
+    def E(y):
+        t = y - 1.0
+        return -(7.0 * a + 9.0 * b) * t - 20.0 * b * t**2
+
+    return ConstitutiveModel(g=g, dg=dg, d2g=d2g, d3g=d3g, E=E, family=f"cubic:a={a:g},b={b:g}")
+
+
+def E_definition_mpmath(model: ConstitutiveModel, y: float, dps: int = 50) -> mp.mpf:
+    """E(y) = (h(y) - h(1))/(y - 1) - h'(y), h = 3 y g' + g, at dps digits
+    from model.g alone: g' and g'' by mpmath differentiation; y != 1."""
+    with mp.workdps(dps):
+        def h(v):
+            return 3 * v * mp.diff(model.g, v) + model.g(v)
+
+        y, one = mp.mpf(y), mp.mpf(1)
+        return (h(y) - h(one)) / (y - one) - mp.diff(h, y)
 
 
 def K(brho: float, mu: float, G: float) -> float:

@@ -9,13 +9,19 @@ from hypothesis import strategies as st
 from gravelast.constitutive import (
     ConstitutiveModel,
     V,
-    ensure_validated,
     make_builtin_model,
     validate_model,
 )
 from gravelast.errors import DomainExit, HypothesisFailed, NormalizationViolated
 from gravelast.parameters import build_parameter_box
-from operator_oracles import E_mpmath, E_series_mpmath, K
+from operator_oracles import (
+    E_definition_mpmath,
+    E_mpmath,
+    E_series_mpmath,
+    K,
+    check_derivatives,
+    cubic_model,
+)
 
 FOUR_PI_3 = 4 * math.pi / 3
 EIGHT_PI_3 = 8 * math.pi / 3
@@ -64,7 +70,6 @@ class TestBuiltinFamily:
 class TestValidation:
     def test_kappa_3100_passes(self):
         rep = validate_model(make_builtin_model(3100.0))
-        assert rep.passes
         # sup|g'''| on [1/2, 3/2] is attained at y = 1/2 for the power-law tail
         sup_exact = (28.0 / 27.0) * 2.0 ** (10.0 / 3.0)
         assert rep.sup_d3g == pytest.approx(sup_exact, rel=1e-9)
@@ -75,31 +80,26 @@ class TestValidation:
         rep = validate_model(make_builtin_model(3100.0))
         assert rep.g2_at_1 >= 2400.0 * (1.0 + (rep.sup_d3g / rep.g2_at_1) ** 2)
 
-    def test_kappa_0_fails_flagged(self):
-        rep = validate_model(make_builtin_model(0.0))
-        assert not rep.largeness_ok
-        assert not rep.passes
-        assert rep.g2_at_1 == pytest.approx(4.0 / 9.0, abs=1e-12)
-        with pytest.raises(HypothesisFailed, match="^largeness: g''\\(1\\)"):
-            ensure_validated(make_builtin_model(0.0))
+    def test_kappa_0_refused(self):
+        message = "^largeness: g''\\(1\\) = 0.444444 is below the margin"
+        with pytest.raises(HypothesisFailed, match=message):
+            validate_model(make_builtin_model(0.0))
 
-    def test_flagged_normalization_named(self):
-        # g(1) - 1 = 1e-10 is flagged (> 1e-12) but not raised (<= 1e-9), while
-        # g''(1) clears the largeness margin: the failure is the normalization.
+    def test_normalization_band_refused(self):
+        # g(1) - 1 = 1e-10 was once only flagged, between two tolerances; one
+        # tolerance, 1e-12, now refuses it while g''(1) clears the largeness
+        # margin, so the failure named is the normalization.
         base = make_builtin_model(3100.0)
-        shifted = ConstitutiveModel(
-            g=lambda y: base.g(y) + 1e-10, dg=base.dg, d2g=base.d2g, d3g=base.d3g,
-            E=base.E, family="shifted",
-        )
-        rep = validate_model(shifted)
-        assert not rep.normalization_ok and rep.margin_ok
-        with pytest.raises(HypothesisFailed, match="^normalization") as info:
-            ensure_validated(shifted)
+        shifted = dataclasses.replace(base, g=lambda y: base.g(y) + 1e-10)
+        with pytest.raises(NormalizationViolated, match="^normalization: g\\(1\\) = ") as info:
+            validate_model(shifted)
         assert "g''(1)" not in str(info.value)
+        # just inside the tolerance passes
+        validate_model(dataclasses.replace(base, g=lambda y: base.g(y) + 5e-13))
 
     def test_report_cached_per_model(self):
         m = make_builtin_model(3100.0)
-        assert ensure_validated(m) is m.validation is ensure_validated(m)
+        assert m.validation is m.validation
         assert validate_model(m) is not m.validation
         assert validate_model(m) == m.validation
 
@@ -186,12 +186,13 @@ class TestScalarFunctions:
             validate_model(bad)
 
     def test_E_check_holds_at_every_stiffness(self):
-        # From kappa ~ 2.8e7 the check's own reference, which cancels two
-        # terms of about 3 kappa down to |E| = 35, lost more than E_RTOL and
-        # rejected the exact closed form at 5e7 and 1e8, but not at 4e7 or 8e7.
-        for kappa in np.geomspace(3100.0, 1e10, 61):
+        # A reference formed as the difference quotient cancels two terms of
+        # about 3 kappa down to |E| = 35: it rejected the exact closed form
+        # from kappa ~ 2.8e7 and, once allowed its own rounding, accepted
+        # E (1 + 1e-6) from kappa ~ 1.4e10.
+        for kappa in np.geomspace(3100.0, 1e12, 61):
             base = make_builtin_model(kappa)
-            assert validate_model(base).passes, kappa
+            validate_model(base)
             bad = dataclasses.replace(base, E=lambda y, b=base: (1.0 + 1e-6) * b.E(y))
             with pytest.raises(HypothesisFailed, match="^E: the model's E"):
                 validate_model(bad)
@@ -249,6 +250,36 @@ class TestScalarFunctions:
         m = make_builtin_model(3100.0)
         with pytest.raises(DomainExit):
             m.U(1.0 + 2 * m.delta)
+
+
+class TestCubicModel:
+    """The hand-built cubic g of operator_oracles, whose E is nonlinear in y - 1."""
+
+    def test_validates(self):
+        m = cubic_model()
+        rep = validate_model(m)
+        assert rep.g2_at_1 == pytest.approx(2e4 + 4.0 / 9.0, rel=1e-12)
+        # |g'''| peaks at y = 3/2: 6b less the power's 28/27 * 1.5**(-10/3)
+        sup_exact = 300.0 - (28.0 / 27.0) * 1.5 ** (-10.0 / 3.0)
+        assert rep.sup_d3g == pytest.approx(sup_exact, rel=1e-9)
+        assert rep.threshold == pytest.approx(17486.58, rel=1e-6)
+        assert rep.g2_at_1 >= 1.01 * rep.threshold
+        assert all(v <= 1e-6 for v in check_derivatives(m).values())
+
+    def test_E_matches_its_definition(self):
+        m = cubic_model()
+        for y in _E_points(m)[::4] + [0.7, 1.2]:
+            assert m.E(y) == pytest.approx(float(E_definition_mpmath(m, y)), rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("wrong", [
+        lambda m, y: (1.0 + 1e-6) * m.E(y),
+        lambda m, y: -(7.0 * 1e4 + 9.0 * 50.0) * (y - 1.0),
+    ], ids=["millionth", "linear-part"])
+    def test_E_check_rejects(self, wrong):
+        base = cubic_model()
+        bad = dataclasses.replace(base, E=lambda y: wrong(base, y))
+        with pytest.raises(HypothesisFailed, match="^E: the model's E"):
+            validate_model(bad)
 
 
 class TestVAndK:

@@ -2,15 +2,18 @@
 constants away from 1, stiffnesses away from the default, the extreme
 eigenvalues, and the minimum grid."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gravelast.constitutive import FOUR_PI_3, make_builtin_model, validate_model
+from gravelast.errors import HypothesisFailed, NormalizationViolated, SolverError
 from gravelast.parameters import build_parameter_box, k_minimum
 from gravelast.radial import RadialGrid
-from gravelast.shooting import solve_separable
+from gravelast.shooting import solve_separable, sweep
 from gravelast.verify import residual_report, stress_profiles
 from operator_oracles import K
 
@@ -89,7 +92,7 @@ class TestStiffnessRange:
     @pytest.mark.parametrize("kappa", [KAPPA_MARGIN_MIN, 1e4, 1e5])
     def test_solve_scales_with_kappa(self, kappa):
         model = make_builtin_model(kappa)
-        assert validate_model(model).passes
+        validate_model(model)
         sol = solve_separable(model, 0.0, 1.0, RadialGrid(64))
         d = model.delta
         assert d == pytest.approx(10.0 / (kappa + 4.0 / 9.0), rel=1e-12)
@@ -98,10 +101,49 @@ class TestStiffnessRange:
 
     def test_margin_gate(self):
         # raw inequality alone is not enough; the 1% sampling margin decides
-        rep = validate_model(make_builtin_model(3023.0))
-        assert rep.largeness_ok
-        assert not rep.margin_ok and not rep.passes
-        assert validate_model(make_builtin_model(3053.0)).passes
+        model = make_builtin_model(3023.0)
+        sup_d3g = (28.0 / 27.0) * 2.0 ** (10.0 / 3.0)  # |g'''(1/2)|
+        assert model.d2g(1.0) >= 50.0 * (50.0 + sup_d3g)
+        with pytest.raises(HypothesisFailed, match="^largeness: "):
+            validate_model(model)
+        validate_model(make_builtin_model(3053.0))
+
+
+def _refused(case):
+    """(model, error type, message prefix) of a model that fails one hypothesis."""
+    base = make_builtin_model(3100.0)
+    return {
+        # the band 1e-12 < |g(1) - 1| <= 1e-9 was once only flagged
+        "normalization": (dataclasses.replace(base, g=lambda y: base.g(y) + 1e-10),
+                          NormalizationViolated, "normalization: "),
+        # the raw largeness condition holds; the margin does not
+        "margin": (make_builtin_model(3023.0), HypothesisFailed, "largeness: "),
+        "gas": (make_builtin_model(0.0), HypothesisFailed, "largeness: "),
+        "E": (dataclasses.replace(base, E=lambda y: (1.0 + 1e-6) * base.E(y)),
+              HypothesisFailed, "E: "),
+    }[case]
+
+
+@pytest.mark.parametrize("case", ["normalization", "margin", "gas", "E"])
+def test_refusal_is_the_same_at_every_entry_point(case):
+    model, error, prefix = _refused(case)
+    grid = RadialGrid(16)
+    calls = {
+        "validate_model": lambda: validate_model(model),
+        "build_parameter_box": lambda: build_parameter_box(model, 1.0),
+        "solve_separable": lambda: solve_separable(model, 0.0, 1.0, grid),
+        "sweep": lambda: sweep(model, 1.0, [0.0], grid),
+        "model.validation, read again": lambda: model.validation,
+    }
+    messages = set()
+    for name, call in calls.items():
+        with pytest.raises(SolverError) as info:
+            call()
+        assert type(info.value) is error, name
+        assert str(info.value).startswith(prefix), name
+        messages.add(str(info.value))
+    assert len(messages) == 1
+    assert "validation" not in vars(model)  # a failed read caches nothing
 
 
 def test_minimum_grid(model):

@@ -15,7 +15,7 @@ from gravelast import temporal
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 # Arguments that keep a script under a second; a script not listed runs bare.
 ARGS = {"mu_sweep.py": ["5", "64"], "bench.py": ["--quick"],
-        "kepler_starters.py": ["--check", "--points", "40"]}
+        "kepler_starters.py": ["--check", "--points", "40"], "mutants.py": ["--list"]}
 
 
 @pytest.mark.parametrize("path", sorted(SCRIPTS.glob("*.py")), ids=lambda p: p.name)
@@ -46,3 +46,19 @@ def test_kepler_starters_check_fails(monkeypatch, capsys, const, change):
         runpy.run_path(argv[0], run_name="__main__")
     assert exc.value.code == 1
     assert capsys.readouterr().out.count("FAILED") == 1
+
+
+def test_each_mutant_edit_occurs_once():
+    catalogue = runpy.run_path(str(SCRIPTS / "mutants.py"))["MUTANTS"]
+    names = [m.name for m in catalogue]
+    assert len(set(names)) == len(names)
+    for m in catalogue:
+        assert (SCRIPTS.parent / m.file).read_text().count(m.old) == 1, m.name
+
+
+def test_one_mutant_is_killed(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", [str(SCRIPTS / "mutants.py"), "E-rtol-1e-5"])
+    runpy.run_path(str(SCRIPTS / "mutants.py"), run_name="__main__")
+    out = capsys.readouterr().out
+    assert out.startswith("E-rtol-1e-5: killed by tests/test_constitutive.py::")
+    assert out.endswith("1 of 1 killed\n")

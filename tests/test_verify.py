@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from operator_oracles import check_derivatives
+from operator_oracles import check_derivatives, cubic_model
 
 from gravelast.constitutive import ConstitutiveModel, make_builtin_model
 from gravelast import verify
@@ -156,6 +156,15 @@ class TestVerdict:
         for row in sweep(model, G, [-mu0, 0.0, mu0], RadialGrid(n)):
             assert isinstance(row, SolutionProfile), row
             text, ok = verify.verdict(row)
+            assert ok, text
+
+    @pytest.mark.parametrize("n", [64, 512])
+    def test_cubic_model_profiles_pass(self, n):
+        # the first model with a nonlinear E to reach the solver and verify
+        model, G = cubic_model(), 0.5
+        mu0 = build_parameter_box(model, G).mu0
+        for mu in (-0.9 * mu0, 0.0, 0.9 * mu0):
+            text, ok = verify.verdict(solve_separable(model, mu, G, RadialGrid(n)))
             assert ok, text
 
 
